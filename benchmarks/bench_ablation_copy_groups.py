@@ -24,10 +24,7 @@ def _strong_pairs(copy_rules: bool):
     config = dynamics_scenario(SAMPLES, seed=55)
     fleet = default_fleet(config.seed, copy_rules=copy_rules)
     data = run_experiment(config, fleet=fleet)
-    analysis = correlation_analysis(
-        list(data.store.iter_reports()), data.engine_names
-    )
-    return analysis
+    return correlation_analysis(data.frame, data.engine_names)
 
 
 def test_ablation_copy_groups(benchmark):

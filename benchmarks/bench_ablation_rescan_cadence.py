@@ -29,8 +29,7 @@ def _hazard_stats(interval_days: float, sigma: float,
         forced_report_count=forced_reports,
     )
     data = run_experiment(config)
-    stats = analyze_flips(data.store.iter_sample_reports(),
-                          data.engine_names)
+    stats = analyze_flips(data.frame, data.engine_names)
     per_sample = 1000.0 * stats.total_hazards / stats.sample_count
     share = (stats.total_hazards / stats.total_flips
              if stats.total_flips else 0.0)

@@ -26,10 +26,10 @@ PAPER_PAIRS = (
 
 
 def test_fig11_engine_correlation(benchmark, bench_data):
-    reports = list(bench_data.store.iter_reports())
     analysis = run_once(
         benchmark,
-        partial(correlation_analysis, reports, bench_data.engine_names),
+        partial(correlation_analysis, bench_data.frame,
+                bench_data.engine_names),
     )
     say()
     say(render_fig11(analysis))

@@ -20,7 +20,7 @@ from conftest import run_once, say
 def test_fig12_per_type_correlation(benchmark, bench_data):
     result = run_once(
         benchmark,
-        partial(engine_correlation, bench_data.store,
+        partial(engine_correlation, bench_data.frame,
                 bench_data.engine_names, APPENDIX_FILE_TYPES),
     )
     say()

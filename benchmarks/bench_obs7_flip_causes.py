@@ -10,18 +10,16 @@ from __future__ import annotations
 
 from functools import partial
 
-from repro.analysis.engines import dataset_s_reports
+from repro.analysis.engines import dataset_s_frame
 from repro.core.causes import attribute_causes
 
 from conftest import run_once, say
 
 
 def test_obs7_flip_causes(benchmark, bench_data):
-    breakdown = run_once(
-        benchmark,
-        partial(attribute_causes,
-                list(dataset_s_reports(bench_data.store))),
-    )
+    dataset_s = [(sha, bench_data.store.report_series(sha))
+                 for sha in dataset_s_frame(bench_data.frame).sha256]
+    breakdown = run_once(benchmark, partial(attribute_causes, dataset_s))
     say()
     say("Observation 7: flip-cause attribution over dataset S")
     say(f"  adjacent scan pairs : {breakdown.total_pairs:,} "

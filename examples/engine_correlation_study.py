@@ -25,7 +25,7 @@ print(f"analysing {len(reports):,} scan reports")
 # ---------------------------------------------------------------------------
 # 1. Strong correlations (Figure 11).
 # ---------------------------------------------------------------------------
-analysis = correlation_analysis(reports, data.engine_names)
+analysis = correlation_analysis(data.frame, data.engine_names)
 print(f"\nstrong pairs (rho > 0.8): {len(analysis.strong_pairs())}, "
       f"involving {len(analysis.involved_engines())} engines "
       "(paper: 17 engines)")

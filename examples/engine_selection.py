@@ -28,8 +28,8 @@ data = run_experiment(dynamics_scenario(n_samples=4_000, seed=17))
 # ---------------------------------------------------------------------------
 # 1. Score the fleet.
 # ---------------------------------------------------------------------------
-stability = engine_stability(data.store, data.engine_names)
-correlation = engine_correlation(data.store, data.engine_names,
+stability = engine_stability(data.frame, data.engine_names)
+correlation = engine_correlation(data.frame, data.engine_names,
                                  file_types=())
 scores = score_engines(data.store.iter_reports(), stability.flips,
                        correlation.overall)

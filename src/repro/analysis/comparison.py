@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.experiment import ExperimentData, run_experiment
-from repro.core.avrank import collect_series, split_stable_dynamic
+from repro.core.avrank import split_stable_dynamic
 from repro.core.flips import FlipStats, analyze_flips
 from repro.store.reportstore import ReportStore
 from repro.synth.population import PopulationGenerator
@@ -40,11 +40,11 @@ class ProtocolView:
 def _view(
     protocol: str, store: ReportStore, engine_names: tuple[str, ...]
 ) -> ProtocolView:
-    series = collect_series(store.iter_sample_reports())
+    frame = store.series_frame()
+    series = frame.to_series()
     stable, dynamic = split_stable_dynamic(series)
     multi = len(stable) + len(dynamic)
-    flips: FlipStats = analyze_flips(store.iter_sample_reports(),
-                                     engine_names)
+    flips: FlipStats = analyze_flips(frame, engine_names)
     deltas = [s.delta_overall for s in series if s.multi]
     return ProtocolView(
         protocol=protocol,

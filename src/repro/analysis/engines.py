@@ -1,15 +1,16 @@
 """Section 7 pipelines: engine flips (Figure 10) and correlation
 (Figures 11-12, Tables 4-8).
 
-These are the only pipelines that read per-engine verdict vectors rather
-than AV-Rank series, so they take the store (or a report iterable) plus
-the fleet's engine-name order.
+These are the only pipelines that read per-engine verdicts rather than
+AV-Rank series, so they take a :class:`~repro.store.columnar.SeriesFrame`
+grouped with its label planes (``ExperimentData.frame``) plus the
+fleet's engine-name order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.core.correlation import (
     CorrelationAnalysis,
@@ -17,31 +18,17 @@ from repro.core.correlation import (
     per_type_analyses,
 )
 from repro.core.flips import FlipStats, analyze_flips
-from repro.store.reportstore import ReportStore
+from repro.store.columnar import SeriesFrame
 from repro.vt.filetypes import TOP20_FILE_TYPES
-from repro.vt.reports import ScanReport
 
 #: The file types the paper's appendix tabulates (Tables 4-8).
 APPENDIX_FILE_TYPES: tuple[str, ...] = ("Win32 EXE", "TXT", "HTML", "ZIP", "PDF")
 
 
-def dataset_s_reports(
-    store: ReportStore, top20: Sequence[str] = TOP20_FILE_TYPES
-) -> Iterable[tuple[str, list[ScanReport]]]:
-    """Grouped reports restricted to the paper's dataset S membership
-    (fresh, top-20 type, multi-report, dynamic)."""
-    wanted = set(top20)
-    for sha, reports in store.iter_sample_reports():
-        if len(reports) < 2:
-            continue
-        if reports[0].file_type not in wanted:
-            continue
-        if reports[0].first_submission_date < 0:
-            continue
-        ranks = [r.positives for r in reports]
-        if max(ranks) == min(ranks):
-            continue
-        yield sha, reports
+def dataset_s_frame(frame: SeriesFrame) -> SeriesFrame:
+    """The paper's dataset S (fresh, top-20 type, multi-report, dynamic)
+    as a sub-frame sharing ``frame``'s planes."""
+    return frame.select(frame.dataset_s_mask(TOP20_FILE_TYPES))
 
 
 @dataclass(frozen=True)
@@ -65,14 +52,11 @@ class EngineStabilityResult:
 
 
 def engine_stability(
-    store: ReportStore,
-    engine_names: Sequence[str],
-    dataset_s_only: bool = True,
+    frame: SeriesFrame, engine_names: Sequence[str]
 ) -> EngineStabilityResult:
-    """Run the §7.1 flip analysis (Figure 10)."""
-    source = (dataset_s_reports(store) if dataset_s_only
-              else store.iter_sample_reports())
-    return EngineStabilityResult(flips=analyze_flips(source, engine_names))
+    """Run the §7.1 flip analysis (Figure 10) over dataset S."""
+    return EngineStabilityResult(
+        flips=analyze_flips(dataset_s_frame(frame), engine_names))
 
 
 @dataclass(frozen=True)
@@ -93,16 +77,15 @@ class EngineCorrelationResult:
 
 
 def engine_correlation(
-    store: ReportStore,
+    frame: SeriesFrame,
     engine_names: Sequence[str],
     file_types: Sequence[str] = APPENDIX_FILE_TYPES,
     threshold: float = 0.8,
     min_scans: int = 50,
 ) -> EngineCorrelationResult:
     """Run the §7.2 correlation analysis overall and per file type."""
-    reports = list(store.iter_reports())
     return EngineCorrelationResult(
-        overall=correlation_analysis(reports, engine_names, threshold),
-        per_type=per_type_analyses(reports, engine_names, file_types,
+        overall=correlation_analysis(frame, engine_names, threshold),
+        per_type=per_type_analyses(frame, engine_names, file_types,
                                    threshold, min_scans),
     )

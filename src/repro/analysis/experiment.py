@@ -8,8 +8,9 @@ Reproduces the paper's data pipeline at scenario scale:
    global time order (:mod:`repro.vt`);
 3. consume the premium feed minute by minute into the report store
    (:mod:`repro.store`), exactly as the authors' collection loop did;
-4. expose the store plus cached analysis views (AV-Rank series, dataset
-   *S*) to the figure/table pipelines.
+4. expose the store plus one cached analysis frame (AV-Rank series,
+   dataset *S* and the per-engine label planes, decoded in one pass) to
+   the figure/table pipelines.
 
 The event loop itself lives in :mod:`repro.parallel.worker` so the
 serial path and the sharded workers run literally the same code; with
@@ -23,9 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from repro.core.avrank import AVRankSeries, collect_series, select_dataset_s
+from repro.core.avrank import AVRankSeries, select_dataset_s
 from repro.obs import get_registry
 from repro.parallel.sharding import resolve_workers
+from repro.store.columnar import SeriesFrame
 from repro.store.merge import MergeStats
 from repro.store.reportstore import ReportStore
 from repro.synth.scenario import ScenarioConfig
@@ -63,23 +65,17 @@ class ExperimentData:
     def engine_names(self) -> tuple[str, ...]:
         return self.fleet.names
 
-    def series(self) -> list[AVRankSeries]:
-        """AV-Rank series for every sample (cached).
+    @cached_property
+    def frame(self) -> SeriesFrame:
+        """The store grouped per sample, with planes: the one decode pass
+        that the series, dataset *S* and the §7 analyses all read."""
+        return self.store.series_frame()
 
-        Built from the store's streaming block-order pass, so the full
-        report set is never resident at once — only the compact series.
-        On a columnar store the pass runs through the numpy kernels
-        (:meth:`~repro.store.reportstore.ReportStore.series_frame`),
-        which skip the per-engine planes entirely; the result is
-        bit-identical to the row path (the differential harness in
-        ``tests/test_store_columnar.py`` pins this).
-        """
+    def series(self) -> list[AVRankSeries]:
+        """AV-Rank series for every sample (cached), from :attr:`frame`;
+        bit-identical to ``collect_series(store.iter_sample_reports())``."""
         if self._series is None:
-            if self.store.block_format == "columnar":
-                self._series = self.store.series_frame().to_series()
-            else:
-                self._series = collect_series(
-                    self.store.iter_sample_reports())
+            self._series = self.frame.to_series()
         return self._series
 
     def store_cache_stats(self):

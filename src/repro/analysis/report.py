@@ -68,10 +68,10 @@ def build_report(data: ExperimentData) -> str:
         stab_mod.label_stabilization_profile(dataset_s))))
 
     sections.append("## Individual engines (§7)\n")
-    stability = engines_mod.engine_stability(data.store, names)
+    stability = engines_mod.engine_stability(data.frame, names)
     sections.append(_block(rendering.render_fig10(
         stability.flips, engines_mod.APPENDIX_FILE_TYPES)))
-    correlation = engines_mod.engine_correlation(data.store, names)
+    correlation = engines_mod.engine_correlation(data.frame, names)
     sections.append(_block(rendering.render_fig11(correlation.overall)))
     sections.append(_block(rendering.render_group_tables(
         correlation.per_type)))

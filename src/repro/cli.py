@@ -46,7 +46,9 @@ from repro.analysis import dynamics as dynamics_mod
 from repro.analysis import engines as engines_mod
 from repro.analysis import rendering, stabilization as stab_mod
 from repro.analysis.experiment import ExperimentData, run_experiment
-from repro.core.avrank import collect_series, select_dataset_s
+# Unused here since the analyses read ExperimentData.frame, but kept as a
+# module attribute: perfbench/traced.py wraps repro.cli.collect_series.
+from repro.core.avrank import collect_series  # noqa: F401
 from repro.obs import (
     MetricsRegistry,
     jsonl_lines,
@@ -59,7 +61,6 @@ from repro.store.reportstore import ReportStore
 from repro.synth.scenario import dynamics_scenario, paper_scenario
 from repro.vt.feed import DEFAULT_ARCHIVE_RETENTION_MINUTES
 from repro.vt.engines import default_fleet
-from repro.vt.filetypes import TOP20_FILE_TYPES
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -297,11 +298,6 @@ def _workers(args: argparse.Namespace) -> int | str:
         ) from exc
 
 
-def _series_and_s(data: ExperimentData):
-    series = collect_series(data.store.iter_sample_reports())
-    return series, select_dataset_s(series, frozenset(TOP20_FILE_TYPES))
-
-
 def cmd_overview(data: ExperimentData) -> None:
     print(rendering.render_table2(data.store.stats()))
     print()
@@ -313,7 +309,7 @@ def cmd_overview(data: ExperimentData) -> None:
 
 
 def cmd_dynamics(data: ExperimentData) -> None:
-    series, dataset_s = _series_and_s(data)
+    series, dataset_s = data.series(), data.dataset_s
     print(rendering.render_fig2(dynamics_mod.stable_dynamic_split(series)))
     print()
     print(rendering.render_fig3_fig4(
@@ -329,7 +325,7 @@ def cmd_dynamics(data: ExperimentData) -> None:
 
 
 def cmd_stabilization(data: ExperimentData) -> None:
-    _, dataset_s = _series_and_s(data)
+    dataset_s = data.dataset_s
     print(rendering.render_obs8(
         stab_mod.avrank_stabilization_profile(dataset_s)))
     print()
@@ -339,11 +335,11 @@ def cmd_stabilization(data: ExperimentData) -> None:
 
 def cmd_engines(data: ExperimentData) -> None:
     names = data.engine_names
-    stability = engines_mod.engine_stability(data.store, names)
+    stability = engines_mod.engine_stability(data.frame, names)
     print(rendering.render_fig10(stability.flips,
                                  engines_mod.APPENDIX_FILE_TYPES))
     print()
-    correlation = engines_mod.engine_correlation(data.store, names)
+    correlation = engines_mod.engine_correlation(data.frame, names)
     print(rendering.render_fig11(correlation.overall))
     print()
     print(rendering.render_group_tables(correlation.per_type))

@@ -7,41 +7,42 @@ column vectors and calls the pair **strongly correlated** above 0.8; the
 graph of strong correlations (Figure 11 overall, Figure 12 per type) has
 connected components that recover the known OEM/copying groups
 (Tables 4-8).
+
+R is read straight from a :class:`~repro.store.columnar.SeriesFrame`'s
+label plane, whose rows are the scans in stream order: no per-report
+object is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import networkx as nx
 import numpy as np
 
-from repro.errors import InsufficientDataError
+from repro.errors import AnalysisError, InsufficientDataError
 from repro.stats.spearman import spearman_matrix
-from repro.vt.reports import ScanReport
+
+if TYPE_CHECKING:
+    from repro.store.columnar import SeriesFrame
 
 #: The paper's strong-correlation threshold.
 STRONG_THRESHOLD = 0.8
 
 
-def build_result_matrix(
-    reports: Iterable[ScanReport], n_engines: int
-) -> np.ndarray:
-    """The paper's R matrix: scans × engines with values in {1, 0, −1}."""
-    rows = []
-    for report in reports:
-        row = np.frombuffer(report.labels, dtype=np.uint8).astype(np.int8)
-        rows.append(row)
-    if not rows:
+def build_result_matrix(labels: np.ndarray, n_engines: int) -> np.ndarray:
+    """The paper's R matrix from a (scans × engines) label plane.
+
+    Values are in {1, 0, −1}; the plane's byte 2 (undetected) becomes −1.
+    """
+    if len(labels) == 0:
         raise InsufficientDataError(1, 0, "reports for correlation")
-    matrix = np.vstack(rows)
-    if matrix.shape[1] != n_engines:
-        raise ValueError(
-            f"reports carry {matrix.shape[1]} engines, expected {n_engines}"
+    if labels.shape[1] != n_engines:
+        raise AnalysisError(
+            f"reports carry {labels.shape[1]} engines, expected {n_engines}"
         )
-    # Byte 2 encodes undetected; map it to the paper's −1.
-    out = matrix.astype(np.int8)
+    out = labels.astype(np.int8)
     out[out == 2] = -1
     return out
 
@@ -101,23 +102,20 @@ class CorrelationAnalysis:
 
 
 def correlation_analysis(
-    reports: Iterable[ScanReport],
+    frame: "SeriesFrame",
     engine_names: Sequence[str],
     threshold: float = STRONG_THRESHOLD,
 ) -> CorrelationAnalysis:
-    """Run the full §7.2 analysis over a report stream."""
-    matrix = build_result_matrix(reports, len(engine_names))
-    rho = spearman_matrix(matrix)
-    return CorrelationAnalysis(
-        engine_names=tuple(engine_names),
-        rho=rho,
-        threshold=threshold,
-        n_scans=matrix.shape[0],
-    )
+    """Run the full §7.2 analysis over every scan of ``frame``."""
+    labels, _ = frame.engine_planes(len(engine_names))
+    if len(frame.rows) < len(labels):
+        # A selected sub-frame: gather its scans, kept in stream order.
+        labels = labels[np.sort(frame.rows)]
+    return _analysis(labels, engine_names, threshold)
 
 
 def per_type_analyses(
-    reports: Iterable[ScanReport],
+    frame: "SeriesFrame",
     engine_names: Sequence[str],
     file_types: Sequence[str],
     threshold: float = STRONG_THRESHOLD,
@@ -125,16 +123,37 @@ def per_type_analyses(
 ) -> dict[str, CorrelationAnalysis]:
     """§7.2.2: one correlation analysis per file type.
 
-    Types with fewer than ``min_scans`` reports are skipped — ρ over a
-    handful of scans is noise.
+    A scan's type is its sample's file type.  Keys follow the order in
+    which each type first appears among the scans.  Types with fewer
+    than ``min_scans`` scans are skipped — ρ over a handful of scans is
+    noise.
     """
+    labels, _ = frame.engine_planes(len(engine_names))
+    names = list(dict.fromkeys(frame.file_types))
+    type_id = {name: i for i, name in enumerate(names)}
+    sample_type = np.fromiter((type_id[name] for name in frame.file_types),
+                              np.int64, count=frame.n_samples)
+    order = np.argsort(frame.rows, kind="stable")  # positions, stream order
+    rows = frame.rows[order]
+    row_type = np.repeat(sample_type, frame.counts())[order]
+    codes, first = np.unique(row_type, return_index=True)
     wanted = set(file_types)
-    grouped: dict[str, list[ScanReport]] = {}
-    for report in reports:
-        if report.file_type in wanted:
-            grouped.setdefault(report.file_type, []).append(report)
-    return {
-        ftype: correlation_analysis(batch, engine_names, threshold)
-        for ftype, batch in grouped.items()
-        if len(batch) >= min_scans
-    }
+    out: dict[str, CorrelationAnalysis] = {}
+    for code in codes[np.argsort(first)].tolist():
+        ftype = names[code]
+        picked = rows[row_type == code]
+        if ftype in wanted and len(picked) >= min_scans:
+            out[ftype] = _analysis(labels[picked], engine_names, threshold)
+    return out
+
+
+def _analysis(
+    plane: np.ndarray, engine_names: Sequence[str], threshold: float
+) -> CorrelationAnalysis:
+    matrix = build_result_matrix(plane, len(engine_names))
+    return CorrelationAnalysis(
+        engine_names=tuple(engine_names),
+        rho=spearman_matrix(matrix),
+        threshold=threshold,
+        n_scans=matrix.shape[0],
+    )

@@ -11,21 +11,25 @@ The per-engine, per-file-type **flip ratio** (Figure 10) is the number of
 flips divided by the number of consecutive response pairs for that engine
 on that type.
 
-The analysis is one pass over samples; per report, all 70 engines are
-handled with vectorised numpy operations on the dense label byte vector,
-so millions of reports stay fast in pure Python + numpy.
+The analysis reads a :class:`~repro.store.columnar.SeriesFrame`'s label
+and version planes one engine column at a time: each column is gathered
+in per-sample time order, its undetected entries dropped, and every
+count falls out of comparisons between neighbouring responses.  No
+per-report object is built, and temporaries stay proportional to one
+column of the analysed reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.vt.reports import ScanReport
+if TYPE_CHECKING:
+    from repro.store.columnar import SeriesFrame
 
-#: Byte value marking an unresponsive engine in the dense label vector.
+#: Byte value marking an unresponsive engine in the label plane.
 _UNDETECTED_BYTE = 2
 
 
@@ -125,11 +129,20 @@ class FlipStats:
 
 
 def analyze_flips(
-    sample_reports: Iterable[tuple[str, Sequence[ScanReport]]],
+    frame: "SeriesFrame",
     engine_names: Sequence[str],
 ) -> FlipStats:
-    """Run the full §7.1 flip analysis over grouped sample reports."""
+    """Run the full §7.1 flip analysis over every sample of ``frame``.
+
+    ``frame`` must carry planes as wide as ``engine_names``.  Per-type
+    entries appear in the order of the first sample of each type with
+    two or more reports.  Undetected results are dropped from an engine
+    column before neighbours are compared, so a 1, -1, 1 run is one pair
+    and no flip, matching the paper's sequence-of-valid-labels framing.
+    """
     n_engines = len(engine_names)
+    labels, versions = frame.engine_planes(n_engines)
+    counts = frame.counts()
     stats = FlipStats(
         engine_names=tuple(engine_names),
         flips_up=np.zeros(n_engines, dtype=np.int64),
@@ -137,63 +150,48 @@ def analyze_flips(
         pairs=np.zeros(n_engines, dtype=np.int64),
         hazards_010=np.zeros(n_engines, dtype=np.int64),
         hazards_101=np.zeros(n_engines, dtype=np.int64),
+        report_count=frame.n_reports,
+        sample_count=frame.n_samples,
     )
-    for _, reports in sample_reports:
-        stats.sample_count += 1
-        stats.report_count += len(reports)
-        if len(reports) < 2:
+    type_ids: dict[str, int] = {}
+    sample_type = np.zeros(frame.n_samples, np.int64)
+    for s in np.flatnonzero(counts >= 2).tolist():
+        sample_type[s] = type_ids.setdefault(frame.file_types[s],
+                                             len(type_ids))
+    n_types = len(type_ids)
+    if not n_types:  # no sample has a pair
+        return stats
+    type_flips = np.zeros((n_types, n_engines), np.int64)
+    type_pairs = np.zeros((n_types, n_engines), np.int64)
+    rows = frame.rows
+    sample_of = np.repeat(np.arange(frame.n_samples), counts)
+    for engine in range(n_engines):
+        # The engine's responses, samples contiguous, each in time order.
+        column = labels[rows, engine]
+        responded = np.flatnonzero(column != _UNDETECTED_BYTE)
+        verdict = column[responded]
+        owner = sample_of[responded]
+        paired = owner[1:] == owner[:-1]
+        later = verdict[1:]
+        flipped = paired & (later != verdict[:-1])
+        pair_type = sample_type[owner[1:]]
+        stats.pairs[engine] = np.count_nonzero(paired)
+        stats.flips_up[engine] = np.count_nonzero(flipped & (later == 1))
+        stats.flips_down[engine] = np.count_nonzero(flipped & (later == 0))
+        type_pairs[:, engine] = np.bincount(pair_type[paired],
+                                            minlength=n_types)
+        type_flips[:, engine] = np.bincount(pair_type[flipped],
+                                            minlength=n_types)
+        if not flipped.any():
             continue
-        _accumulate_sample(stats, reports, n_engines)
+        version = versions[rows[responded], engine]
+        stats.flips_with_update += int(np.count_nonzero(
+            flipped & (version[1:] != version[:-1])))
+        # Hazards: the response two back (same sample) equals the new one.
+        hazard = flipped[1:] & paired[:-1] & (verdict[2:] == verdict[:-2])
+        stats.hazards_010[engine] = np.count_nonzero(hazard & (verdict[2:] == 0))
+        stats.hazards_101[engine] = np.count_nonzero(hazard & (verdict[2:] == 1))
+    for t, ftype in enumerate(type_ids):
+        stats.per_type_flips[ftype] = type_flips[t]
+        stats.per_type_pairs[ftype] = type_pairs[t]
     return stats
-
-
-def _accumulate_sample(
-    stats: FlipStats, reports: Sequence[ScanReport], n_engines: int
-) -> None:
-    """Vectorised per-sample accumulation.
-
-    Tracks, per engine, the last and second-to-last *responded* verdicts
-    so undetected scans are transparent (a 1, -1, 1 run is one pair and
-    no flip, matching the paper's sequence-of-valid-labels framing).
-    """
-    ftype = reports[0].file_type
-    type_flips = stats.per_type_flips.get(ftype)
-    if type_flips is None:
-        type_flips = np.zeros(n_engines, dtype=np.int64)
-        stats.per_type_flips[ftype] = type_flips
-        stats.per_type_pairs[ftype] = np.zeros(n_engines, dtype=np.int64)
-    type_pairs = stats.per_type_pairs[ftype]
-
-    # Last two responded verdicts per engine; -1 marks "none yet".
-    last = np.full(n_engines, -1, dtype=np.int8)
-    second_last = np.full(n_engines, -1, dtype=np.int8)
-    last_version = np.zeros(n_engines, dtype=np.int64)
-
-    for report in reports:
-        labels = np.frombuffer(report.labels, dtype=np.uint8).astype(np.int8)
-        versions = np.asarray(report.versions, dtype=np.int64)
-        responded = labels != _UNDETECTED_BYTE
-
-        paired = responded & (last >= 0)
-        flipped = paired & (labels != last)
-        up = flipped & (labels == 1)
-        down = flipped & (labels == 0)
-
-        stats.pairs += paired
-        stats.flips_up += up
-        stats.flips_down += down
-        type_pairs += paired
-        type_flips += flipped
-
-        if flipped.any():
-            updated = flipped & (versions != last_version)
-            stats.flips_with_update += int(updated.sum())
-            # Hazards: the verdict two responses ago equals the new one.
-            hazard = flipped & (second_last >= 0) & (second_last == labels)
-            if hazard.any():
-                stats.hazards_010 += hazard & (labels == 0)
-                stats.hazards_101 += hazard & (labels == 1)
-
-        second_last = np.where(responded, last, second_last)
-        last = np.where(responded, labels, last)
-        last_version = np.where(responded, versions, last_version)

@@ -21,7 +21,9 @@ Decoding a v3 block yields a :class:`ColumnarBatch` — numpy arrays, one
 element per record — instead of per-report python objects.  The analysis
 kernels in :class:`SeriesFrame` (AV-Rank series grouping, the paper's
 stable/dynamic split, the δ/Δ extractions of §5.1-5.3) then run as
-vectorised array passes, and :meth:`ColumnarBatch.to_records` rebuilds
+vectorised array passes; a frame grouped with its label/version planes
+also feeds the §7 engine kernels (:mod:`repro.core.flips`,
+:mod:`repro.core.correlation`).  :meth:`ColumnarBatch.to_records` rebuilds
 the exact row-format record bytes, which is what keeps
 :meth:`~repro.store.reportstore.ReportStore.digest` bit-identical across
 the row and columnar paths.
@@ -41,7 +43,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.core.avrank import AVRankSeries
-from repro.errors import BlockAddressError, CorruptRecordError
+from repro.errors import AnalysisError, BlockAddressError, CorruptRecordError
 from repro.vt.clock import COLLECTION_MONTHS, MONTH_STARTS
 from repro.vt.reports import ScanReport
 
@@ -699,6 +701,15 @@ def decode_columnar_records(payload) -> list[bytes]:
 # ----------------------------------------------------------------------
 
 
+def _grown(plane: np.ndarray | None, shape: tuple[int, int], filled: int,
+           dtype) -> np.ndarray:
+    """A larger plane holding the first ``filled`` rows of ``plane``."""
+    out = np.empty(shape, dtype)
+    if plane is not None:
+        out[:filled] = plane[:filled]
+    return out
+
+
 @dataclass
 class SeriesFrame:
     """Every sample's AV-Rank trajectory as flat arrays.
@@ -711,6 +722,13 @@ class SeriesFrame:
     the streaming row pass yields them (completion order, ties by
     first-ingest rank), so :meth:`to_series` is bit-identical to the row
     path — the differential harness pins this.
+
+    A frame grouped from batches that carry planes also keeps the engine
+    verdicts and signature versions as ``labels``/``versions`` planes
+    (350 B per report at 70 engines), one row per report in *stream*
+    order, that of
+    :meth:`~repro.store.reportstore.ReportStore.iter_reports`; ``rows``
+    maps each frame position to its plane row.
     """
 
     sha256: list[str]
@@ -719,6 +737,11 @@ class SeriesFrame:
     offsets: np.ndarray        # i64 [S+1]
     times: np.ndarray          # i64 [N], grouped per sample, time-sorted
     ranks: np.ndarray          # i64 [N]
+    labels: np.ndarray | None = field(default=None, repr=False)    # u8 [R, W]
+    versions: np.ndarray | None = field(default=None, repr=False)  # <u4 [R, W]
+    rows: np.ndarray | None = field(default=None, repr=False)      # i64 [N]
+    #: Distinct fleet widths (engines per report) of the grouped stream.
+    widths: tuple[int, ...] = ()
 
     @property
     def n_samples(self) -> int:
@@ -741,6 +764,10 @@ class SeriesFrame:
         rank (the store's index insertion order); without it, first
         occurrence in the stream is used — identical for chronologically
         ingested stores.
+
+        When every batch carries its label and version planes the frame
+        keeps them too.  A stream whose reports disagree on the fleet
+        width keeps none; ``widths`` says why.
         """
         times_parts: list[np.ndarray] = []
         ranks_parts: list[np.ndarray] = []
@@ -748,26 +775,57 @@ class SeriesFrame:
         fresh_parts: list[np.ndarray] = []
         ftype_parts: list[np.ndarray] = []
         block_parts: list[np.ndarray] = []
+        widths: set[int] = set()
         names: dict[str, int] = {}
+        # The planes grow geometrically as batches arrive; rows [:filled]
+        # are in use.  (Concatenating per-batch parts at the end instead
+        # leaves them fragmenting the heap: +1.5 MB peak RSS at 10k
+        # reports.)
+        keep_planes = True
+        labels = versions = None
+        filled = 0
         for ordinal, batch in enumerate(batches):
             n = len(batch)
             if n == 0:
                 continue
             times_parts.append(batch.scan_time.astype(np.int64))
             ranks_parts.append(batch.positives.astype(np.int64))
-            sha_parts.append(batch.shas)
+            # A copy: the column is a view that would pin the whole
+            # decompressed block until the grouping ends.
+            sha_parts.append(batch.shas.copy())
             fresh_parts.append(batch.first_submission.astype(np.int64) >= 0)
             local = np.zeros(max(len(batch.ftypes), 1), np.int64)
             for i, name in enumerate(batch.ftypes):
                 local[i] = names.setdefault(name, len(names))
             ftype_parts.append(local[batch.ftype_codes.astype(np.int64)])
             block_parts.append(np.full(n, ordinal, np.int64))
+            widths.update(np.unique(batch.n_engines).tolist())
+            keep_planes = keep_planes and batch.has_planes and len(widths) == 1
+            if not keep_planes:
+                labels = versions = None
+                continue
+            (width,) = widths
+            if labels is None or filled + n > len(labels):
+                capacity = max(2 * filled, filled + n, 1024)
+                labels = _grown(labels, (capacity, width), filled, np.uint8)
+                versions = _grown(versions, (capacity, width), filled, "<u4")
+            labels[filled:filled + n] = batch.labels.reshape(n, width)
+            versions[filled:filled + n] = batch.versions.reshape(n, width)
+            filled += n
+        if keep_planes:
+            if labels is None:  # no reports at all
+                labels = np.zeros((0, 0), np.uint8)
+                versions = np.zeros((0, 0), "<u4")
+            labels, versions = labels[:filled], versions[:filled]
         if not times_parts:
             return cls(sha256=[], file_types=[],
                        fresh=np.zeros(0, bool),
                        offsets=np.zeros(1, np.int64),
                        times=np.zeros(0, np.int64),
-                       ranks=np.zeros(0, np.int64))
+                       ranks=np.zeros(0, np.int64),
+                       labels=labels,
+                       versions=versions,
+                       rows=None if labels is None else np.zeros(0, np.int64))
 
         times = np.concatenate(times_parts)
         ranks = np.concatenate(ranks_parts)
@@ -818,6 +876,10 @@ class SeriesFrame:
             offsets=offsets,
             times=times[perm],
             ranks=ranks[perm],
+            labels=labels,
+            versions=versions,
+            rows=None if labels is None else perm,
+            widths=tuple(sorted(widths)),
         )
 
     # ------------------------------------------------------------------
@@ -891,7 +953,8 @@ class SeriesFrame:
         """A sub-frame of the selected samples (mask or index array).
 
         Sample order is preserved, so kernels over the selection match
-        a python pass over the equivalent filtered series list.
+        a python pass over the equivalent filtered series list.  The
+        planes are shared, not copied: only ``rows`` is narrowed.
         """
         idx = np.flatnonzero(mask) if mask.dtype == np.bool_ \
             else np.asarray(mask, np.int64)
@@ -908,7 +971,28 @@ class SeriesFrame:
             offsets=offsets,
             times=self.times[pos],
             ranks=self.ranks[pos],
+            labels=self.labels,
+            versions=self.versions,
+            rows=None if self.rows is None else self.rows[pos],
+            widths=self.widths,
         )
+
+    def engine_planes(self, n_engines: int) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(labels, versions)`` planes, checked against a fleet.
+
+        Raises :class:`~repro.errors.AnalysisError` when the frame was
+        grouped without planes or its reports do not all carry exactly
+        ``n_engines`` verdicts — a per-engine analysis over the wrong
+        fleet would index the wrong columns.
+        """
+        if self.widths not in ((), (n_engines,)):
+            carried = " and ".join(str(w) for w in self.widths)
+            raise AnalysisError(
+                f"reports carry {carried} engine verdicts, but the fleet "
+                f"names {n_engines} engines")
+        if self.labels is None:
+            raise AnalysisError("frame was grouped without label planes")
+        return self.labels, self.versions
 
     def pairwise_diffs(self) -> tuple[np.ndarray, np.ndarray]:
         """All within-sample scan pairs: ``(intervals, rank_diffs)``.

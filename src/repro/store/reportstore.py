@@ -536,22 +536,23 @@ class ReportStore:
                 yield batch
 
     def series_frame(self) -> SeriesFrame:
-        """Every sample's AV-Rank trajectory as flat numpy arrays.
+        """Every sample's AV-Rank trajectory and label planes as arrays.
 
         The columnar replacement for
         ``collect_series(iter_sample_reports())``: same grouping, same
         time-sorting, same sample order (its :meth:`SeriesFrame.
-        to_series` is bit-identical to the row path), built from a
-        metadata-only streaming pass that never inflates the per-engine
-        planes or constructs per-report objects.
+        to_series` is bit-identical to the row path), built from one
+        streaming pass that decodes every block once and constructs no
+        per-report objects.  The frame also keeps the per-engine
+        label/version planes the §7 analyses read.
         """
         if self._index_ready:
-            return SeriesFrame.from_batches(self.iter_batches(planes=False),
+            return SeriesFrame.from_batches(self.iter_batches(),
                                             sample_ranks(self._index))
         # Deferred index (bulk ingest / v1 load): a rebuilt index would
         # rank samples by first occurrence in exactly the stream order
         # from_batches sees, so the rebuild can be skipped outright.
-        return SeriesFrame.from_batches(self.iter_batches(planes=False))
+        return SeriesFrame.from_batches(self.iter_batches())
 
     # ------------------------------------------------------------------
     # Cache control / instrumentation

@@ -9,6 +9,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.experiment import ExperimentData, run_experiment
+from repro.store.columnar import ColumnarBatch, SeriesFrame
 from repro.store.reportstore import ReportStore
 from repro.synth.scenario import ScenarioConfig, tiny_scenario
 from repro.vt.engines import EngineFleet, default_fleet
@@ -120,6 +121,12 @@ def make_report(
 @pytest.fixture()
 def report_factory():
     return make_report
+
+
+def make_frame(reports: list[ScanReport]) -> SeriesFrame:
+    """A report list grouped into a frame with planes, streamed in list
+    order — how report-list callers reach the §7 kernels."""
+    return SeriesFrame.from_batches([ColumnarBatch.from_reports(reports)])
 
 
 def make_sha(token: str) -> str:

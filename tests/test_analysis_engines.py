@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis.engines import (
     APPENDIX_FILE_TYPES,
-    dataset_s_reports,
+    dataset_s_frame,
     engine_correlation,
     engine_stability,
 )
@@ -12,22 +12,27 @@ from repro.analysis.engines import (
 
 @pytest.fixture(scope="module")
 def stability(experiment):
-    return engine_stability(experiment.store, experiment.engine_names)
+    return engine_stability(experiment.frame, experiment.engine_names)
 
 
 @pytest.fixture(scope="module")
 def correlation(experiment):
-    return engine_correlation(experiment.store, experiment.engine_names,
+    return engine_correlation(experiment.frame, experiment.engine_names,
                               min_scans=30)
 
 
 class TestDatasetSFilter:
     def test_membership_rules(self, experiment):
-        for _, reports in dataset_s_reports(experiment.store):
-            assert len(reports) >= 2
+        frame = dataset_s_frame(experiment.frame)
+        assert frame.n_samples > 0
+        for sha, offset, end in zip(frame.sha256, frame.offsets[:-1],
+                                    frame.offsets[1:], strict=True):
+            reports = experiment.store.report_series(sha)
+            assert end - offset == len(reports) >= 2
             assert reports[0].first_submission_date >= 0
             ranks = [r.positives for r in reports]
             assert max(ranks) > min(ranks)
+            assert frame.ranks[offset:end].tolist() == ranks
 
 
 class TestEngineStability:

@@ -8,9 +8,9 @@ from repro.core.correlation import (
     correlation_analysis,
     per_type_analyses,
 )
-from repro.errors import InsufficientDataError
+from repro.errors import AnalysisError, InsufficientDataError
 
-from conftest import make_report
+from conftest import make_frame, make_report
 
 NAMES = ("leader", "copier", "indep", "noisy")
 
@@ -31,64 +31,68 @@ def _reports(n=200, copy_fidelity=1.0, seed=0, file_type="TXT"):
     return reports
 
 
+def _plane(reports):
+    return make_frame(reports).labels
+
+
 class TestResultMatrix:
     def test_values_in_paper_alphabet(self):
         reports = [make_report(labels=[1, 0, -1, 0, 1])]
-        matrix = build_result_matrix(reports, 5)
+        matrix = build_result_matrix(_plane(reports), 5)
         assert matrix.tolist() == [[1, 0, -1, 0, 1]]
 
     def test_row_per_scan(self):
-        matrix = build_result_matrix(_reports(50), 4)
+        matrix = build_result_matrix(_plane(_reports(50)), 4)
         assert matrix.shape == (50, 4)
 
     def test_empty_rejected(self):
         with pytest.raises(InsufficientDataError):
-            build_result_matrix([], 4)
+            build_result_matrix(_plane([]), 4)
 
     def test_engine_count_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            build_result_matrix(_reports(5), 9)
+        with pytest.raises(AnalysisError):
+            build_result_matrix(_plane(_reports(5)), 9)
 
 
 class TestAnalysis:
     def test_copier_pair_is_strong(self):
-        analysis = correlation_analysis(_reports(400), NAMES)
+        analysis = correlation_analysis(make_frame(_reports(400)), NAMES)
         assert analysis.rho_of("leader", "copier") > 0.95
         assert ("leader", "copier") in {
             (a, b) for a, b, _ in analysis.strong_pairs()
         }
 
     def test_independent_pair_is_weak(self):
-        analysis = correlation_analysis(_reports(400), NAMES)
+        analysis = correlation_analysis(make_frame(_reports(400)), NAMES)
         assert abs(analysis.rho_of("leader", "indep")) < 0.3
 
     def test_imperfect_copier_below_perfect(self):
-        perfect = correlation_analysis(_reports(400, 1.0), NAMES)
-        sloppy = correlation_analysis(_reports(400, 0.8, seed=1), NAMES)
+        perfect = correlation_analysis(make_frame(_reports(400, 1.0)), NAMES)
+        sloppy = correlation_analysis(make_frame(_reports(400, 0.8, seed=1)), NAMES)
         assert (sloppy.rho_of("leader", "copier")
                 < perfect.rho_of("leader", "copier"))
 
     def test_strong_pairs_sorted_desc(self):
-        analysis = correlation_analysis(_reports(400), NAMES, threshold=0.1)
+        analysis = correlation_analysis(make_frame(_reports(400)), NAMES, threshold=0.1)
         values = [v for _, _, v in analysis.strong_pairs()]
         assert values == sorted(values, reverse=True)
 
     def test_groups_are_connected_components(self):
-        analysis = correlation_analysis(_reports(400), NAMES)
+        analysis = correlation_analysis(make_frame(_reports(400)), NAMES)
         groups = analysis.groups()
         assert ["copier", "leader"] in groups
 
     def test_involved_engines(self):
-        analysis = correlation_analysis(_reports(400), NAMES)
+        analysis = correlation_analysis(make_frame(_reports(400)), NAMES)
         assert analysis.involved_engines() >= {"leader", "copier"}
 
     def test_graph_carries_rho(self):
-        analysis = correlation_analysis(_reports(400), NAMES)
+        analysis = correlation_analysis(make_frame(_reports(400)), NAMES)
         graph = analysis.graph()
         assert graph["leader"]["copier"]["rho"] > 0.95
 
     def test_n_scans_recorded(self):
-        analysis = correlation_analysis(_reports(123), NAMES)
+        analysis = correlation_analysis(make_frame(_reports(123)), NAMES)
         assert analysis.n_scans == 123
 
 
@@ -96,12 +100,12 @@ class TestPerType:
     def test_groups_by_type_with_min_scans(self):
         reports = (_reports(100, file_type="TXT")
                    + _reports(10, file_type="PDF", seed=3))
-        out = per_type_analyses(reports, NAMES, ["TXT", "PDF"],
+        out = per_type_analyses(make_frame(reports), NAMES, ["TXT", "PDF"],
                                 min_scans=50)
         assert "TXT" in out
         assert "PDF" not in out  # only 10 scans
 
     def test_unrequested_types_excluded(self):
         reports = _reports(100, file_type="TXT")
-        out = per_type_analyses(reports, NAMES, ["PDF"], min_scans=1)
+        out = per_type_analyses(make_frame(reports), NAMES, ["PDF"], min_scans=1)
         assert out == {}

@@ -6,9 +6,15 @@ import pytest
 
 from repro.core.flips import analyze_flips
 
-from conftest import make_report, make_sha
+from conftest import make_frame, make_report, make_sha
 
 NAMES = ("e0", "e1", "e2", "e3", "e4")
+
+
+def _flips(grouped, names):
+    """The kernel over grouped reports, streamed in group order."""
+    reports = [report for _, group in grouped for report in group]
+    return analyze_flips(make_frame(reports), names)
 
 
 def _grouped(label_rows, versions_rows=None, file_type="TXT", sha="g"):
@@ -31,14 +37,14 @@ class TestFlipCounting:
             [0, 1, 0, 0, 0],
             [1, 0, 0, 0, 0],
         ])]
-        stats = analyze_flips(grouped, NAMES)
+        stats = _flips(grouped, NAMES)
         assert stats.total_flips_up == 1     # e0: 0 -> 1
         assert stats.total_flips_down == 1   # e1: 1 -> 0
         assert stats.total_flips == 2
 
     def test_no_flip_without_change(self):
         grouped = [_grouped([[1, 0, 0, 0, 0]] * 3)]
-        stats = analyze_flips(grouped, NAMES)
+        stats = _flips(grouped, NAMES)
         assert stats.total_flips == 0
         assert stats.pairs[0] == 2
 
@@ -49,7 +55,7 @@ class TestFlipCounting:
             [-1, 0, 0, 0, 0],
             [1, 0, 0, 0, 0],
         ])]
-        stats = analyze_flips(grouped, NAMES)
+        stats = _flips(grouped, NAMES)
         assert stats.flips_up[0] == 0
         assert stats.flips_down[0] == 0
         assert stats.pairs[0] == 1
@@ -60,12 +66,12 @@ class TestFlipCounting:
             [-1, 0, 0, 0, 0],
             [1, 0, 0, 0, 0],
         ])]
-        stats = analyze_flips(grouped, NAMES)
+        stats = _flips(grouped, NAMES)
         assert stats.flips_up[0] == 1
 
     def test_single_report_samples_skipped(self):
         grouped = [_grouped([[1, 1, 1, 1, 1]])]
-        stats = analyze_flips(grouped, NAMES)
+        stats = _flips(grouped, NAMES)
         assert stats.total_flips == 0
         assert stats.report_count == 1
         assert stats.sample_count == 1
@@ -78,7 +84,7 @@ class TestHazards:
             [1, 0, 0, 0, 0],
             [0, 0, 0, 0, 0],
         ])]
-        stats = analyze_flips(grouped, NAMES)
+        stats = _flips(grouped, NAMES)
         assert stats.hazards_010[0] == 1
         assert stats.hazards_101[0] == 0
         assert stats.total_hazards == 1
@@ -89,7 +95,7 @@ class TestHazards:
             [0, 0, 0, 0, 0],
             [1, 0, 0, 0, 0],
         ])]
-        stats = analyze_flips(grouped, NAMES)
+        stats = _flips(grouped, NAMES)
         assert stats.hazards_101[0] == 1
 
     def test_hazard_across_undetected_gap(self):
@@ -99,7 +105,7 @@ class TestHazards:
             [-1, 0, 0, 0, 0],
             [0, 0, 0, 0, 0],
         ])]
-        stats = analyze_flips(grouped, NAMES)
+        stats = _flips(grouped, NAMES)
         assert stats.hazards_010[0] == 1
 
     def test_monotone_sequences_have_no_hazards(self):
@@ -108,7 +114,7 @@ class TestHazards:
             [1, 1, 0, 0, 0],
             [1, 1, 0, 0, 0],
         ])]
-        assert analyze_flips(grouped, NAMES).total_hazards == 0
+        assert _flips(grouped, NAMES).total_hazards == 0
 
 
 class TestUpdateCoincidence:
@@ -117,7 +123,7 @@ class TestUpdateCoincidence:
             [[0, 0, 0, 0, 0], [1, 0, 0, 0, 0]],
             versions_rows=[[1, 1, 1, 1, 1], [2, 1, 1, 1, 1]],
         )]
-        stats = analyze_flips(grouped, NAMES)
+        stats = _flips(grouped, NAMES)
         assert stats.flips_with_update == 1
         assert stats.update_coincidence_rate == 1.0
 
@@ -126,13 +132,13 @@ class TestUpdateCoincidence:
             [[0, 0, 0, 0, 0], [1, 0, 0, 0, 0]],
             versions_rows=[[1, 1, 1, 1, 1], [1, 1, 1, 1, 1]],
         )]
-        stats = analyze_flips(grouped, NAMES)
+        stats = _flips(grouped, NAMES)
         assert stats.flips_with_update == 0
 
     def test_rate_nan_when_no_flips(self):
         grouped = [_grouped([[0, 0, 0, 0, 0]] * 2)]
         assert math.isnan(
-            analyze_flips(grouped, NAMES).update_coincidence_rate
+            _flips(grouped, NAMES).update_coincidence_rate
         )
 
 
@@ -143,7 +149,7 @@ class TestRatios:
             [1, 0, 0, 0, 0],
             [1, 0, 0, 0, 0],
         ])]
-        stats = analyze_flips(grouped, NAMES)
+        stats = _flips(grouped, NAMES)
         assert stats.flip_ratio("e0") == pytest.approx(0.5)
         assert stats.flip_ratio("e1") == 0.0
 
@@ -154,7 +160,7 @@ class TestRatios:
             _grouped([[0, 0, 0, 0, 0], [0, 0, 0, 0, 0]],
                      file_type="DEX", sha="dex"),
         ]
-        stats = analyze_flips(grouped, NAMES)
+        stats = _flips(grouped, NAMES)
         types, matrix = stats.flip_ratio_matrix(["ELF executable", "DEX"])
         assert types == ["ELF executable", "DEX"]
         assert matrix[0][0] == pytest.approx(1.0)
@@ -166,6 +172,6 @@ class TestRatios:
             [1, 0, 0, 0, 0],
             [0, 0, 0, 0, 0],
         ])]
-        stats = analyze_flips(grouped, NAMES)
+        stats = _flips(grouped, NAMES)
         assert stats.flippiest_engines(1)[0][0] == "e0"
         assert stats.stablest_engines(1)[0][0] != "e0"

@@ -10,8 +10,8 @@ from repro.errors import ConfigError, InsufficientDataError
 
 @pytest.fixture(scope="module")
 def scores(experiment):
-    stability = engine_stability(experiment.store, experiment.engine_names)
-    correlation = engine_correlation(experiment.store,
+    stability = engine_stability(experiment.frame, experiment.engine_names)
+    correlation = engine_correlation(experiment.frame,
                                      experiment.engine_names,
                                      file_types=())
     return score_engines(
@@ -64,7 +64,7 @@ class TestScoring:
 
     def test_empty_reports_rejected(self, scores, experiment):
         _, correlation = scores
-        stability = engine_stability(experiment.store,
+        stability = engine_stability(experiment.frame,
                                      experiment.engine_names)
         with pytest.raises(InsufficientDataError):
             score_engines([], stability.flips, correlation)

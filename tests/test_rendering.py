@@ -109,7 +109,7 @@ class TestExperimentRenderers:
 
     def test_fig10(self, experiment):
         stability = engines_mod.engine_stability(
-            experiment.store, experiment.engine_names
+            experiment.frame, experiment.engine_names
         )
         out = rendering.render_fig10(stability.flips,
                                      engines_mod.APPENDIX_FILE_TYPES)
@@ -118,7 +118,7 @@ class TestExperimentRenderers:
     @pytest.fixture(scope="class")
     def correlation(self, experiment):
         return engines_mod.engine_correlation(
-            experiment.store, experiment.engine_names, min_scans=30
+            experiment.frame, experiment.engine_names, min_scans=30
         )
 
     def test_fig11(self, correlation):

@@ -201,6 +201,18 @@ class TestPersistence:
         for sha in store.samples():
             assert loaded.report_series(sha) == store.report_series(sha)
 
+    def test_v1_series_frame_skips_the_rebuild(self, spread_store, tmp_path):
+        # The analysis frame ranks samples by first occurrence in the
+        # stream, so a deferred index stays deferred.
+        path = tmp_path / "v1.store"
+        spread_store.save(path, include_index=False)
+        loaded = ReportStore.load(path)
+        frame = loaded.series_frame()
+        assert not loaded._index_ready
+        expected = spread_store.series_frame()
+        assert frame.to_series() == expected.to_series()
+        assert (frame.labels[frame.rows] == expected.labels[expected.rows]).all()
+
     def test_v1_header_has_no_index_section(self, spread_store, tmp_path):
         import json
         import struct

@@ -1,5 +1,7 @@
 """Unit and integration tests for ReportStore (repro.store.reportstore)."""
 
+import struct
+
 import pytest
 
 from repro.errors import CorruptRecordError, ShardClosedError, UnknownSampleError
@@ -327,6 +329,29 @@ class TestPersistence:
             path.write_bytes(blob[:cut])
             with pytest.raises(CorruptRecordError):
                 ReportStore.load(path)
+
+    def test_damaged_month_report_count_spares_the_frame(self, store,
+                                                         tmp_path):
+        # The shard table's per-month report count is trusted for the
+        # store totals only; the analysis frame counts the blocks' own
+        # records, so a damaged count cannot break it.
+        _fill(store)
+        store.close()
+        path = tmp_path / "count.store"
+        store.save(path)
+        month = min(store.shards)
+        shard = store.shards[month]
+        entry = struct.pack("<iIq", month, len(shard.blocks),
+                            shard.report_count)
+        blob = path.read_bytes()
+        assert blob.count(entry) == 1
+        path.write_bytes(blob.replace(entry, struct.pack(
+            "<iIq", month, len(shard.blocks), shard.report_count + 5)))
+        loaded = ReportStore.load(path)
+        assert loaded.report_count == store.report_count + 5
+        frame = loaded.series_frame()
+        assert frame.n_reports == len(frame.labels) == store.report_count
+        assert frame.to_series() == store.series_frame().to_series()
 
     def test_corrupt_mmap_load_releases_the_mapping(self, store, tmp_path,
                                                     monkeypatch):
