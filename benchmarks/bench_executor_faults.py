@@ -106,8 +106,9 @@ def run_heartbeat_overhead(config, kind: str, workers: int) -> dict:
     """Tight heartbeat cadence vs heartbeats effectively off.
 
     The emitter throttles inside the worker's progress callback, so the
-    cost under test is one clock read per ``PROGRESS_EVERY`` events plus
-    one queue put per interval — the budget is ≤5% wall.
+    cost under test is one clock read per scan chunk
+    (``SCAN_CHUNK_REPORTS`` scans) plus one queue put per interval — the
+    budget is ≤5% wall.
     """
     quiet_policy = ExecutorPolicy(kind=kind, heartbeat_deadline=1e6)
     quiet_wall, _ = _timed_run(config, workers, quiet_policy)

@@ -10,7 +10,7 @@ Dual mode:
 * under pytest-benchmark (``pytest benchmarks/ --benchmark-only``) the
   scaling sweep runs once at the harness scale and prints the curve;
 * as a script (``python benchmarks/bench_parallel_scaling.py``) it runs
-  the sweep standalone and writes a schema'd ``BENCH_results.json`` —
+  the sweep standalone and writes a schema'd ``BENCH_parallel.json`` —
   the artifact the CI benchmarks job uploads.
 """
 
@@ -76,7 +76,7 @@ def run_metrics_overhead(n_samples: int, seed: int) -> dict:
 
 def run_scaling(n_samples: int, seed: int,
                 workers_list: tuple[int, ...]) -> dict:
-    """Run the sweep; returns the BENCH_results.json payload.
+    """Run the sweep; returns the BENCH_parallel.json payload.
 
     Worker count 1 is always measured first (it is the baseline every
     speedup is computed against) even if absent from ``workers_list``.
@@ -156,7 +156,7 @@ def test_parallel_scaling(benchmark):
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="Benchmark the sharded parallel scenario engine and "
-                    "write a schema'd BENCH_results.json.")
+                    "write a schema'd BENCH_parallel.json.")
     parser.add_argument("--samples", type=int,
                         default=int(os.environ.get(
                             "REPRO_BENCH_PARALLEL_SAMPLES",
@@ -167,8 +167,8 @@ def main(argv: list[str] | None = None) -> int:
                             str(w) for w in DEFAULT_WORKERS),
                         help="comma-separated worker counts "
                              "(default: 1,2,4,8)")
-    parser.add_argument("--output", default="BENCH_results.json",
-                        help="artifact path (default: BENCH_results.json)")
+    parser.add_argument("--output", default="BENCH_parallel.json",
+                        help="artifact path (default: BENCH_parallel.json)")
     parser.add_argument("--require-speedup", type=float, default=None,
                         metavar="X",
                         help="exit non-zero unless some parallel run "

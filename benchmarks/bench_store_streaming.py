@@ -10,7 +10,7 @@ helpers.  Both legs run the identical paper workload (samples scanned in
 interleaved waves, ~14 reports per sample as in the 847 M / 60 M ratio
 of Table 2) and must agree on the store digest *and* on every analysis
 result before either wall-clock counts; the throughput ratio is the
-headline number recorded in ``BENCH_results.json``.
+headline number recorded in ``BENCH_columnar.json``.
 
 **Streaming memory bound.**  The write-aware retrieval rebuild replaced
 "materialise every report in one dict" grouping with a block-order
@@ -434,8 +434,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=AB_SEED)
     parser.add_argument("--block-records", type=int,
                         default=AB_BLOCK_RECORDS)
-    parser.add_argument("--output", default="BENCH_results.json",
-                        help="artifact path (default: BENCH_results.json)")
+    parser.add_argument("--output", default="BENCH_columnar.json",
+                        help="artifact path (default: BENCH_columnar.json)")
     parser.add_argument("--require-speedup", type=float, default=None,
                         metavar="X",
                         help="exit non-zero unless the combined "

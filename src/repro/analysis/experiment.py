@@ -4,15 +4,17 @@ Reproduces the paper's data pipeline at scenario scale:
 
 1. generate the sample population and its scan schedule
    (:mod:`repro.synth`);
-2. replay every submission/rescan against the VirusTotal simulator in
-   global time order (:mod:`repro.vt`);
-3. consume the premium feed minute by minute into the report store
-   (:mod:`repro.store`), exactly as the authors' collection loop did;
+2. scan every sample's schedule against the VirusTotal simulator, a
+   fresh sample's first scan as an upload and every other as a rescan
+   (:mod:`repro.vt`), in array passes over many samples at once;
+3. ingest the scans into the report store (:mod:`repro.store`) in the
+   global time order the authors' minute-by-minute feed collection
+   would have stored them;
 4. expose the store plus one cached analysis frame (AV-Rank series,
    dataset *S* and the per-engine label planes, decoded in one pass) to
    the figure/table pipelines.
 
-The event loop itself lives in :mod:`repro.parallel.worker` so the
+The scan loop itself lives in :mod:`repro.parallel.worker` so the
 serial path and the sharded workers run literally the same code; with
 ``workers > 1`` the run fans out across processes and the shard stores
 are merged bit-identically to the serial result (see

@@ -682,28 +682,32 @@ class ReportStore:
                 "samples": len(self._index),
                 "bytes": len(index_payload),
             }
-        with path.open("wb") as fh:
-            fh.write(_FILE_MAGIC)
-            header_bytes = json.dumps(header).encode("utf-8")
-            fh.write(struct.pack("<I", len(header_bytes)))
-            fh.write(header_bytes)
-            if include_index:
-                fh.write(index_payload)
-            for month in sorted(self.shards):
-                shard = self.shards[month]
-                blocks = [self._transcoded(block, target_format)
-                          for block in shard.blocks]
-                buffered = shard.buffered_records()
-                if buffered:
-                    blocks.append(
-                        CompressedBlock.from_records(buffered, target_format))
-                fh.write(struct.pack("<iIqqq", month, len(blocks),
-                                     shard.report_count, shard.verbose_bytes,
-                                     shard.encoded_bytes))
-                for block in blocks:
-                    fh.write(struct.pack("<IIq", len(block.payload),
-                                         block.record_count, block.raw_bytes))
-                    fh.write(block.payload)
+        try:
+            with path.open("wb") as fh:
+                fh.write(_FILE_MAGIC)
+                header_bytes = json.dumps(header).encode("utf-8")
+                fh.write(struct.pack("<I", len(header_bytes)))
+                fh.write(header_bytes)
+                if include_index:
+                    fh.write(index_payload)
+                for month in sorted(self.shards):
+                    shard = self.shards[month]
+                    blocks = [self._transcoded(block, target_format)
+                              for block in shard.blocks]
+                    buffered = shard.buffered_records()
+                    if buffered:
+                        blocks.append(
+                            CompressedBlock.from_records(buffered, target_format))
+                    fh.write(struct.pack("<iIqqq", month, len(blocks),
+                                         shard.report_count, shard.verbose_bytes,
+                                         shard.encoded_bytes))
+                    for block in blocks:
+                        fh.write(struct.pack("<IIq", len(block.payload),
+                                             block.record_count, block.raw_bytes))
+                        fh.write(block.payload)
+        except OSError as exc:
+            raise StoreError(
+                f"cannot write store {path}: {exc.strerror or exc}") from exc
 
     @staticmethod
     def _transcoded(block: CompressedBlock, target_format: str) -> CompressedBlock:
@@ -744,7 +748,12 @@ class ReportStore:
         addresses are unaffected.
         """
         path = Path(path)
-        with path.open("rb") as fh:
+        try:
+            fh = path.open("rb")
+        except OSError as exc:
+            raise StoreError(
+                f"cannot read store {path}: {exc.strerror or exc}") from exc
+        with fh:
             if use_mmap:
                 mapping = _mmap.mmap(fh.fileno(), 0,
                                      access=_mmap.ACCESS_READ)

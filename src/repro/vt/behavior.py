@@ -34,7 +34,11 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 from repro.errors import ConfigError
 from repro.vt import clock
@@ -147,6 +151,47 @@ def _poisson(rng: random.Random, lam: float) -> int:
         k += 1
 
 
+class PlanTable(NamedTuple):
+    """A :class:`DetectionPlan` compiled for one fleet width.
+
+    ``times`` are the sorted distinct transition times; ``rows`` holds
+    one latent-verdict row per interval, so row ``bisect_right(times,
+    t)`` is every engine's verdict at ``t`` (row 0, before the first
+    transition, is all benign).  ``followers`` and ``leaders`` are the
+    plan's fired copy rules in follower order.
+    """
+
+    times: list[int]
+    rows: np.ndarray       #: uint8 [len(times) + 1, width]
+    followers: np.ndarray  #: int64 [copied]
+    leaders: np.ndarray    #: int64 [copied]
+
+    @classmethod
+    def compile(cls, plan: "DetectionPlan", width: int) -> "PlanTable":
+        # Applying every (when, verdict, engine) change in sorted order
+        # makes the last transition at or before t win, with ties at one
+        # time resolved in (when, verdict) order.
+        changes = sorted([(when, verdict, idx)
+                          for idx, trans in plan.transitions.items()
+                          for when, verdict in trans])
+        row = bytearray(width)
+        rows = bytearray(width)
+        times: list[int] = []
+        for when, verdict, idx in changes:
+            if not times or when != times[-1]:
+                if times:
+                    rows += row
+                times.append(when)
+            row[idx] = verdict
+        if times:
+            rows += row
+        followers = sorted(plan.copied)
+        return cls(times,
+                   np.frombuffer(bytes(rows), np.uint8).reshape(-1, width),
+                   np.array(followers, np.int64),
+                   np.array([plan.copied[f] for f in followers], np.int64))
+
+
 @dataclass
 class DetectionPlan:
     """Resolved verdict timelines for one sample across the fleet.
@@ -166,16 +211,34 @@ class DetectionPlan:
     #: without this, independent per-engine timeouts would cap copier
     #: correlations far below the paper's 0.95-0.99 (Figure 11).
     copied: dict[int, int] = field(default_factory=dict)
+    _table: PlanTable | None = field(default=None, init=False, repr=False,
+                                     compare=False)
+
+    def compile(self, width: int, keep: bool = False) -> PlanTable:
+        """The plan as a :class:`PlanTable` of ``width`` engines.
+
+        With ``keep`` the table is cached on the plan and reused by the
+        next call for the same width: a caller that comes back scan by
+        scan keeps it, one that scans a whole schedule at once does not.
+        """
+        table = self._table
+        if table is None or table.rows.shape[1] != width:
+            table = PlanTable.compile(self, width)
+            if keep:
+                self._table = table
+        return table
 
     def label_at(self, engine_idx: int, timestamp: int) -> int:
-        """Latent verdict (0/1) of an engine at ``timestamp``."""
-        label = 0
-        for when, verdict in self.transitions.get(engine_idx, ()):
-            if timestamp >= when:
-                label = verdict
-            else:
-                break
-        return label
+        """Latent verdict (0/1) of an engine at ``timestamp``.
+
+        Compiles the plan on every call; to look up many engines or
+        times, :meth:`compile` once instead.
+        """
+        if engine_idx not in self.transitions:
+            return 0
+        table = PlanTable.compile(self, max(self.transitions) + 1)
+        return int(table.rows[bisect_right(table.times, timestamp),
+                              engine_idx])
 
     def eventual_detectors(self) -> set[int]:
         """Engines whose final latent verdict is malicious."""

@@ -37,6 +37,9 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+
+import numpy as np
 
 from repro.errors import ConfigError
 from repro.vt import clock
@@ -328,6 +331,8 @@ class EngineFleet:
         self.index: dict[str, int] = {n: i for i, n in enumerate(self.names)}
         self.seed = seed
         self._validate_copy_rules()
+        #: Per-engine participation probabilities, in fleet order.
+        self.activity = np.array([e.activity for e in self.engines])
         self._schedules: list[list[int]] = [
             self._build_schedule(e) for e in self.engines
         ]
@@ -399,6 +404,31 @@ class EngineFleet:
         that actually delivers verdict changes.
         """
         return bisect_right(self._version_schedules[engine_idx], timestamp)
+
+    @cached_property
+    def _version_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The visible version schedules, compiled once.
+
+        The sorted union of every engine's bump times, and a
+        ``(bumps + 1) × engines`` table whose row
+        ``searchsorted(times, t, "right")`` is the version vector at
+        ``t`` — row 0 is the all-zero vector before the first bump.
+        """
+        times = np.unique(np.concatenate(
+            [np.zeros(0, np.int64), *self._version_schedules]))
+        table = np.zeros((len(times) + 1, len(self)), "<u4")
+        for idx, schedule in enumerate(self._version_schedules):
+            table[1:, idx] = np.searchsorted(schedule, times, side="right")
+        return times, table
+
+    def versions_at(self, timestamps: np.ndarray) -> np.ndarray:
+        """Version vectors at each timestamp, ``[len(timestamps), engines]``.
+
+        Row ``i`` equals ``[version_at(e, timestamps[i]) for e in
+        range(len(self))]``: one ``searchsorted`` plus a row gather.
+        """
+        times, table = self._version_table
+        return table[times.searchsorted(timestamps, side="right")]
 
     def version_schedule(self, name: str) -> list[int]:
         """All visible version-bump timestamps for the named engine."""

@@ -6,9 +6,13 @@ generated in that minute (§4.1).  :class:`PremiumFeed` reproduces that
 interface: it subscribes to a :class:`~repro.vt.service.VirusTotalService`
 and exposes the accumulated reports as per-minute batches.
 
-The feed is the *only* sanctioned path from the simulator into the report
-store — mirroring how the authors' pipeline never queried per-sample but
-consumed the firehose.
+The feed carries what :meth:`~repro.vt.service.VirusTotalService.upload`
+and :meth:`~repro.vt.service.VirusTotalService.rescan` generate, one
+report at a time: the collector (:mod:`repro.collect`) and trace replay
+consume it as the authors' pipeline consumed the firehose.  The
+experiment runner does not: it scans whole schedules through
+:meth:`~repro.vt.service.VirusTotalService.scan_batch` (which refuses to
+run while a feed is attached) and ingests the arrays directly.
 
 :class:`FeedArchive` models the real feed's bounded catch-up window: the
 service keeps every per-minute batch for a retention period (the real

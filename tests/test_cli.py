@@ -233,3 +233,43 @@ class TestLayoutInvariance:
         # Table 2 prints compressed sizes, which differ between layouts.
         assert (self._render(stores["columnar"], "all", capsys)
                 == self._render(stores["workers2"], "all", capsys))
+
+
+class TestStorePathErrors:
+    """A missing or unwritable store path is a typed error: exit 2 with a
+    message naming the path, never a traceback and exit 1 — so a script
+    can tell ``digest A MISSING`` from "digests DIFFER"."""
+
+    @pytest.fixture()
+    def missing(self, tmp_path):
+        return tmp_path / "missing.rpr"
+
+    def test_digest_of_missing_store(self, missing, capsys):
+        assert main(["digest", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read store" in err and str(missing) in err
+
+    def test_digest_against_missing_store(self, missing, tmp_path, capsys):
+        present = tmp_path / "present.rpr"
+        ReportStore().save(present)
+        assert main(["digest", str(present), str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert "DIFFER" not in captured.out
+        assert str(missing) in captured.err
+
+    @pytest.mark.parametrize("command", [
+        "overview", "dynamics", "stabilization", "engines", "all",
+        "calibrate", "metrics", "report"])
+    def test_store_commands_on_missing_store(self, missing, tmp_path,
+                                             command, capsys):
+        output = [str(tmp_path / "report.md")] if command == "report" else []
+        assert main(["--store", str(missing), command, *output]) == 2
+        assert "cannot read store" in capsys.readouterr().err
+
+    def test_generate_into_missing_directory(self, tmp_path, capsys):
+        target = tmp_path / "no" / "such" / "dir" / "x.rpr"
+        assert main(["--samples", "40", "--seed", "1", "generate",
+                     str(target)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot write store" in err and str(target) in err
+        assert not target.exists()

@@ -44,6 +44,7 @@ GOLDEN_SCALARS = {
     ("vt.report.total", ()): 637,
     ("store.ingest.bytes", ()): 274808,
     ("store.ingest.duplicates", ()): 0,
+    ("store.ingest.batch_records", ()): 637,
     ("store.reports", ()): 637,
     ("store.samples", ()): 150,
     ("store.fresh_samples", ()): 150,

@@ -225,7 +225,7 @@ def test_bench_artifact_schema(tmp_path):
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
 
-    out = tmp_path / "BENCH_results.json"
+    out = tmp_path / "BENCH_parallel.json"
     rc = bench.main(["--samples", "60", "--workers", "1,2",
                      "--output", str(out)])
     assert rc == 0
