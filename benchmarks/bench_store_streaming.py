@@ -2,15 +2,18 @@
 
 Two benches share this module:
 
-**Columnar ingest+scan throughput.**  The v3 columnar pipeline — array
-ingest (`ReportStore.ingest_arrays`), dictionary/delta block encoding
-and the `SeriesFrame` numpy kernels — against the row pipeline doing the
-same work with per-report `ScanReport` objects and the python analysis
-helpers.  Both legs run the identical paper workload (samples scanned in
-interleaved waves, ~14 reports per sample as in the 847 M / 60 M ratio
-of Table 2) and must agree on the store digest *and* on every analysis
-result before either wall-clock counts; the throughput ratio is the
-headline number recorded in ``BENCH_columnar.json``.
+**Columnar ingest+scan throughput.**  The array pipeline — bulk ingest
+(`ReportStore.ingest_arrays`), blocks frozen straight from array slices
+and the `SeriesFrame` numpy kernels — against the per-report pipeline
+doing the same work with `ScanReport` objects (`ReportStore.ingest`)
+and the python analysis helpers over `iter_sample_reports`.  Both legs
+write the one columnar block layout and run the identical paper
+workload (samples scanned in interleaved waves, ~14 reports per sample
+as in the 847 M / 60 M ratio of Table 2); they must agree on the store
+digest *and* on every analysis result before either wall-clock counts.
+The throughput ratio is the headline number recorded in
+``BENCH_columnar.json``, whose baseline leg keeps its historical
+``row_*`` keys.
 
 **Streaming memory bound.**  The write-aware retrieval rebuild replaced
 "materialise every report in one dict" grouping with a block-order
@@ -135,7 +138,7 @@ def _columnar_leg(work, width: int, block_records: int) -> ReportStore:
         labels=labels.ravel(),
         versions=versions.ravel(),
     )
-    store = ReportStore(block_records=block_records, block_format="columnar")
+    store = ReportStore(block_records=block_records)
     store.ingest_arrays(batch)
     store.close()
     return store
@@ -160,7 +163,7 @@ def _columnar_scan(store: ReportStore, thresholds, top_types) -> tuple:
 
 
 def _row_leg(work, width: int, block_records: int) -> ReportStore:
-    """Per-report ingest through the row path."""
+    """Per-report ``ScanReport`` ingest (the baseline leg)."""
     sample, times, sha_digests, ranks, ft_codes, fresh, labels, versions = work
     n = len(times)
     hexes = [sha_digests[i].tobytes().hex() for i in range(len(sha_digests))]
@@ -169,7 +172,7 @@ def _row_leg(work, width: int, block_records: int) -> ReportStore:
     sl, fl = sample.tolist(), ft_codes.tolist()
     lab_blob = labels.tobytes()
     vl = versions.tolist()
-    store = ReportStore(block_records=block_records, block_format="row")
+    store = ReportStore(block_records=block_records)
     for i in range(n):
         s = sl[i]
         store.ingest(ScanReport(
@@ -252,11 +255,11 @@ def run_columnar_ab(n_samples: int = AB_SAMPLES,
 
         digest = col_store.digest()
         if digest != row_store.digest():
-            raise AssertionError("columnar digest diverged from row")
+            raise AssertionError("array digest diverged from per-report")
         if list(col_metrics)[:9] != list(row_metrics)[:9]:
             raise AssertionError(
                 f"analysis mismatch: {col_metrics} != {row_metrics}")
-        # The row leg accumulates intervals in float days; allow one
+        # The per-report leg accumulates intervals in float days; allow one
         # minute of rounding drift on the sum.
         if abs(col_metrics[9] - row_metrics[9]) > 1:
             raise AssertionError(
@@ -304,21 +307,21 @@ def run_columnar_ab(n_samples: int = AB_SAMPLES,
 def render_columnar(results: dict) -> None:
     scenario = results["scenario"]
     say()
-    say(f"Columnar vs row ingest+scan bench "
+    say(f"Array vs per-report ingest+scan bench "
         f"(n={scenario['reports']:,} reports, "
         f"{scenario['n_samples']:,} samples x {scenario['scans_each']}, "
         f"{scenario['engines']} engines, block={scenario['block_records']}, "
         f"best of {scenario['reps_best_of']})")
     walls = {e["name"]: e["wall_seconds"] for e in results["benchmarks"]}
-    say(f"  columnar : ingest {walls['columnar_ingest']:7.3f}s  "
+    say(f"  arrays   : ingest {walls['columnar_ingest']:7.3f}s  "
         f"scan {walls['columnar_scan']:7.3f}s")
-    say(f"  row      : ingest {walls['row_ingest']:7.3f}s  "
+    say(f"  reports  : ingest {walls['row_ingest']:7.3f}s  "
         f"scan {walls['row_scan']:7.3f}s")
     sp = results["speedup"]
     say(f"  speedup  : ingest {sp['ingest']:5.1f}x  scan {sp['scan']:5.1f}x  "
         f"combined {sp['combined']:5.1f}x")
     say(f"  digest   : {results['dataset_digest'][:16]}… "
-        f"(row and columnar identical, all analyses equal)")
+        f"(both legs identical, all analyses equal)")
 
 
 def test_columnar_throughput(benchmark):
@@ -423,8 +426,8 @@ def test_streaming_memory_bound(benchmark):
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Benchmark the columnar (v3) store hot path against "
-                    "the row pipeline and write a schema'd results file.")
+        description="Benchmark the store's array hot path against "
+                    "per-report ingest and write a schema'd results file.")
     parser.add_argument("--samples", type=int, default=AB_SAMPLES,
                         help=f"sample count (default: {AB_SAMPLES})")
     parser.add_argument("--scans-each", type=int, default=AB_SCANS_EACH,

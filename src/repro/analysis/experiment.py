@@ -30,7 +30,6 @@ from repro.core.avrank import AVRankSeries, select_dataset_s
 from repro.obs import get_registry
 from repro.parallel.sharding import resolve_workers
 from repro.store.columnar import SeriesFrame
-from repro.store.merge import MergeStats
 from repro.store.reportstore import ReportStore
 from repro.synth.scenario import ScenarioConfig
 from repro.vt.engines import EngineFleet
@@ -53,8 +52,6 @@ class ExperimentData:
     events_executed: int = 0
     #: Worker processes that produced the store (1 = in-process serial).
     workers: int = 1
-    #: How the shard merge moved data (parallel runs only).
-    merge_stats: MergeStats | None = None
     #: The metrics registry the run recorded into (None when the caller
     #: ran without observability; possibly the process-wide registry).
     metrics: object | None = None

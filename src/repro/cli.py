@@ -36,7 +36,6 @@ Exit codes are uniform across subcommands (pytest convention):
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 import time
 
@@ -84,12 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--store", metavar="PATH",
                         help="load reports from a saved store instead of "
                              "generating")
-    parser.add_argument("--store-format", choices=("columnar", "row"),
-                        default="columnar",
-                        help="block layout for generated stores: columnar "
-                             "(v3, the fast path) or row (v2 legacy); the "
-                             "canonical digest is identical either way "
-                             "(default: columnar)")
     parser.add_argument("--workers", metavar="N|auto", default="1",
                         help="shard the scenario across N worker processes "
                              "('auto' = CPU count, capped by "
@@ -224,12 +217,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config(args: argparse.Namespace):
     if args.scenario == "paper":
-        config = paper_scenario(n_samples=args.samples, seed=args.seed)
-    else:
-        config = dynamics_scenario(n_samples=args.samples, seed=args.seed)
-    if config.block_format != args.store_format:
-        config = dataclasses.replace(config, block_format=args.store_format)
-    return config
+        return paper_scenario(n_samples=args.samples, seed=args.seed)
+    return dynamics_scenario(n_samples=args.samples, seed=args.seed)
 
 
 def _data(args: argparse.Namespace, metrics=None) -> ExperimentData:

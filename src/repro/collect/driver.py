@@ -146,8 +146,7 @@ def run_collection(
     if resume_from is not None:
         store = ReportStore.load(paths.store, reopen=True, metrics=metrics)
     else:
-        store_kwargs = {"block_records": config.block_records,
-                        "block_format": config.block_format}
+        store_kwargs = {"block_records": config.block_records}
         if config.store_cache_bytes is not None:
             store_kwargs["cache_bytes"] = config.store_cache_bytes
         store = ReportStore(metrics=metrics, **store_kwargs)

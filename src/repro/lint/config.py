@@ -156,6 +156,8 @@ DIGEST_ROOTS: tuple[str, ...] = (
     "repro.store.reportstore.ReportStore.ingest_arrays",
     "repro.store.reportstore.ReportStore.save",
     "repro.store.reportstore.ReportStore.digest",
+    "repro.store.merge.StreamingMerge.add",
+    "repro.store.merge.StreamingMerge.finish",
     "repro.parallel.worker.execute_range",
 )
 

@@ -29,15 +29,7 @@ from repro.parallel.scheduler import ExecutorPolicy, ShardScheduler
 from repro.parallel.sharding import partition_samples
 from repro.parallel.worker import ShardRun, _run_shard_task  # noqa: F401  (re-export)
 from repro.store.cache import DEFAULT_CACHE_BYTES
-from repro.store.merge import (
-    FrozenMonth,
-    FrozenShard,
-    MergeStats,
-    StreamingMerge,
-    concat_frozen,
-)
-from repro.store.reportstore import ReportStore
-from repro.synth.population import PopulationGenerator
+from repro.store.merge import FrozenShard, StreamingMerge
 from repro.synth.scenario import ScenarioConfig
 from repro.vt.engines import EngineFleet, default_fleet
 
@@ -65,42 +57,9 @@ def coerce_policy(executor) -> ExecutorPolicy:
         f"got {type(executor).__name__}")
 
 
-def frozen_shard_of(run: ShardRun, shas: list[str]) -> FrozenShard:
-    """Repackage one worker's result for the merge.
-
-    The merge key shipped by workers is ``(scan_time, global index)``;
-    the sample hash for the index is recomputed by the driver (it is a
-    pure function of ``(seed, index)``), which keeps worker payloads
-    free of 64-byte hash strings for every record.
-    """
-    months = {}
-    for month, sm in run.months.items():
-        months[month] = FrozenMonth(
-            blocks=sm.compressed_blocks(),
-            report_count=sm.report_count,
-            verbose_bytes=sm.verbose_bytes,
-            encoded_bytes=sm.encoded_bytes,
-            keys=sm.keys,
-            shas=[shas[index] for _, index in sm.keys],
-            scan_times=[when for when, _ in sm.keys],
-        )
-    return FrozenShard(months=months, sample_meta=run.sample_meta)
-
-
-def merge_shard_runs(
-    config: ScenarioConfig, runs: list[ShardRun], metrics=None
-) -> tuple[ReportStore, MergeStats]:
-    """Merge worker results into one sealed store in serial ingest order."""
-    generator = PopulationGenerator(config)
-    shas = [generator.sha_for(i) for i in range(config.n_samples)]
-    sources = [frozen_shard_of(run, shas)
-               for run in sorted(runs, key=lambda r: r.shard_index)]
-    cache_bytes = (config.store_cache_bytes
-                   if config.store_cache_bytes is not None
-                   else DEFAULT_CACHE_BYTES)
-    return concat_frozen(sources, block_records=config.block_records,
-                         cache_bytes=cache_bytes, metrics=metrics,
-                         block_format=config.block_format)
+def frozen_shard_of(run: ShardRun) -> FrozenShard:
+    """Repackage one worker's result for the merge."""
+    return FrozenShard(months=run.months)
 
 
 def run_parallel(
@@ -158,14 +117,11 @@ def run_parallel(
         for shard in ranges
     ]
 
-    generator = PopulationGenerator(config)
-    shas = [generator.sha_for(i) for i in range(config.n_samples)]
     cache_bytes = (config.store_cache_bytes
                    if config.store_cache_bytes is not None
                    else DEFAULT_CACHE_BYTES)
     streaming = StreamingMerge(block_records=config.block_records,
-                               cache_bytes=cache_bytes, metrics=metrics,
-                               block_format=config.block_format)
+                               cache_bytes=cache_bytes, metrics=metrics)
     snapshots: dict[int, object] = {}
     events_total = 0
 
@@ -174,7 +130,7 @@ def run_parallel(
         events_total += run.events_executed
         if with_metrics and run.metrics is not None:
             snapshots[run.shard_index] = run.metrics
-        streaming.add(frozen_shard_of(run, shas))
+        streaming.add(frozen_shard_of(run))
 
     engine = make_executor(
         kind, heartbeat_interval=policy.effective_heartbeat_interval)
@@ -184,7 +140,7 @@ def run_parallel(
     if with_metrics:
         for shard_index in sorted(snapshots):
             metrics.merge(snapshots[shard_index])
-    store, merge_stats = streaming.finish()
+    store = streaming.finish()
     store.publish_metrics()
     report.publish(get_registry())
     return ExperimentData(
@@ -194,7 +150,6 @@ def run_parallel(
         store=store,
         events_executed=events_total,
         workers=workers_started,
-        merge_stats=merge_stats,
         metrics=metrics,
         executor_report=report,
     )

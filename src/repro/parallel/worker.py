@@ -12,9 +12,9 @@ and the records are then ingested in global time order.
 
 :func:`run_shard` wraps ``execute_range`` for a worker process: it runs
 the shard, freezes the store, and repackages it as a picklable
-:class:`ShardRun` carrying the compressed blocks plus the per-record
-``(scan_time, global_sample_index)`` merge keys the driver needs to
-splice shards back together in serial order.
+:class:`ShardRun` carrying each month's compressed blocks plus one merge
+key per record — its global sample index — which, with the record's
+scan time, puts shards back together in serial order.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ import numpy as np
 from repro.obs import NULL_REGISTRY, MetricsRegistry, MetricsSnapshot
 from repro.parallel.sharding import ShardSpec
 from repro.store.columnar import ColumnarBatch, month_indices
+from repro.store.merge import FrozenMonth
 from repro.store.reportstore import ReportStore
-from repro.store.shard import CompressedBlock
 from repro.synth.population import PopulationGenerator
 from repro.synth.scenario import ScenarioConfig
 from repro.vt.engines import EngineFleet, default_fleet
@@ -41,12 +41,6 @@ from repro.vt.service import ScanBatch, VirusTotalService
 #: and a worker beats well inside the 30 s heartbeat deadline.
 SCAN_CHUNK_REPORTS = 2_000
 
-#: Merge key of one record: (scan_time, global sample index).  Unique
-#: across the whole scenario (a sample never has two scans in the same
-#: minute) and non-decreasing within a shard's per-month stream.
-MergeKey = tuple[int, int]
-
-
 @dataclass
 class RangeRun:
     """Everything one in-process scan-loop execution produced."""
@@ -55,32 +49,17 @@ class RangeRun:
     fleet: EngineFleet
     store: ReportStore
     events_executed: int
-    #: Per-month merge keys, one per ingested record in ingest order.
-    keys_by_month: dict[int, list[MergeKey]] = field(repr=False)
-
-
-@dataclass
-class ShardMonth:
-    """Picklable snapshot of one month of a worker's frozen store."""
-
-    blocks: list[tuple[bytes, int, int]]  # (payload, record_count, raw_bytes)
-    report_count: int
-    verbose_bytes: int
-    encoded_bytes: int
-    keys: list[MergeKey] = field(repr=False)
-
-    def compressed_blocks(self) -> list[CompressedBlock]:
-        return [CompressedBlock(payload, count, raw)
-                for payload, count, raw in self.blocks]
+    #: Per-month merge keys — each record's global sample index — one
+    #: per ingested record in ingest order.
+    keys_by_month: dict[int, np.ndarray] = field(repr=False)
 
 
 @dataclass
 class ShardRun:
-    """A worker's result: frozen month payloads plus merge metadata."""
+    """A worker's result: frozen month payloads plus their merge keys."""
 
     shard_index: int
-    months: dict[int, ShardMonth]
-    sample_meta: dict[str, tuple[str, bool]]
+    months: dict[int, FrozenMonth]
     events_executed: int
     report_count: int
     #: Snapshot of the worker's metrics registry (None when the driver
@@ -125,8 +104,7 @@ def execute_range(
         fleet = default_fleet(config.seed)
     service = VirusTotalService(fleet=fleet, params=config.behavior,
                                 seed=config.seed, metrics=metrics)
-    store_kwargs = {"block_records": config.block_records,
-                    "block_format": config.block_format}
+    store_kwargs = {"block_records": config.block_records}
     if config.store_cache_bytes is not None:
         store_kwargs["cache_bytes"] = config.store_cache_bytes
     store = ReportStore(metrics=metrics, **store_kwargs)
@@ -158,7 +136,7 @@ def execute_range(
     if times:
         scan_chunk(samples[first:], counts[first:])
 
-    keys_by_month: dict[int, list[MergeKey]] = {}
+    keys_by_month: dict[int, np.ndarray] = {}
     executed = sum(counts)
     metrics.counter("run.events.total").inc(executed)
     if executed:
@@ -167,8 +145,7 @@ def execute_range(
                                                   parts):
             store.ingest_arrays(batch)
             if collect_keys:
-                keys_by_month[month] = list(zip(
-                    batch.scan_time.tolist(), index_of[owner].tolist()))
+                keys_by_month[month] = index_of[owner]
     store.close()
 
     return RangeRun(service=service, fleet=fleet, store=store,
@@ -247,24 +224,15 @@ def run_shard(
                         collect_keys=True, metrics=registry,
                         progress=progress)
     store = run.store
-    months = {}
-    for month, mshard in store.shards.items():
-        months[month] = ShardMonth(
-            blocks=[(b.payload, b.record_count, b.raw_bytes)
-                    for b in mshard.blocks],
-            report_count=mshard.report_count,
-            verbose_bytes=mshard.verbose_bytes,
-            encoded_bytes=mshard.encoded_bytes,
-            keys=run.keys_by_month.get(month, []),
-        )
-    sample_meta = {
-        sha: (store.sample_file_type(sha), store.sample_is_fresh(sha))
-        for sha in store.samples()
+    months = {
+        month: FrozenMonth(blocks=list(mshard.blocks),
+                           report_count=mshard.report_count,
+                           keys=run.keys_by_month[month])
+        for month, mshard in store.shards.items()
     }
     return ShardRun(
         shard_index=shard.shard_index,
         months=months,
-        sample_meta=sample_meta,
         events_executed=run.events_executed,
         report_count=store.report_count,
         metrics=registry.snapshot() if registry is not None else None,

@@ -24,11 +24,11 @@ stable/dynamic split, the δ/Δ extractions of §5.1-5.3) then run as
 vectorised array passes; a frame grouped with its label/version planes
 also feeds the §7 engine kernels (:mod:`repro.core.flips`,
 :mod:`repro.core.correlation`).  :meth:`ColumnarBatch.to_records` rebuilds
-the exact row-format record bytes, which is what keeps
-:meth:`~repro.store.reportstore.ReportStore.digest` bit-identical across
-the row and columnar paths.
+the exact record bytes of :func:`repro.store.codec.encode_report`, which
+is what :meth:`~repro.store.reportstore.ReportStore.digest` hashes, so a
+store's digest does not depend on how its records were ingested.
 
-Everything here must satisfy the same corruption contract as the row
+Everything here must satisfy the same corruption contract as the record
 codec: any truncated, bit-flipped or out-of-range payload surfaces
 :class:`~repro.errors.CorruptRecordError`, never ``struct.error`` or
 ``IndexError``.
@@ -47,7 +47,7 @@ from repro.errors import AnalysisError, BlockAddressError, CorruptRecordError
 from repro.vt.clock import COLLECTION_MONTHS, MONTH_STARTS
 from repro.vt.reports import ScanReport
 
-#: Magic prefix of a columnar block payload (the row format uses RPR1).
+#: Magic prefix of a columnar block payload.
 COLUMNAR_MAGIC = b"RPR3"
 
 #: Fixed block header: magic, record count, total engine entries,
@@ -325,6 +325,45 @@ class ColumnarBatch:
             versions=np.concatenate(
                 [np.array(r.versions, "<u4") for r in reports])
             if any(len(r.versions) for r in reports) else np.zeros(0, "<u4"),
+        )
+
+    @classmethod
+    def concat(cls, batches: Sequence["ColumnarBatch"]) -> "ColumnarBatch":
+        """Every record of ``batches``, in order, as one batch.
+
+        The per-block file-type dictionaries merge in first-appearance
+        order.  Every batch must carry its planes.
+        """
+        if not batches:
+            return cls.empty()
+        if not all(batch.has_planes for batch in batches):
+            raise CorruptRecordError(
+                "cannot concatenate a metadata-only batch")
+        names: dict[str, int] = {}
+        codes = []
+        for batch in batches:
+            local = np.asarray([names.setdefault(name, len(names))
+                                for name in batch.ftypes], "<u2")
+            codes.append(local[batch.ftype_codes.astype(np.int64)])
+
+        def joined(column: str) -> np.ndarray:
+            return np.concatenate([getattr(batch, column)
+                                   for batch in batches])
+
+        return cls(
+            scan_time=joined("scan_time"),
+            positives=joined("positives"),
+            total=joined("total"),
+            first_submission=joined("first_submission"),
+            last_submission=joined("last_submission"),
+            last_analysis=joined("last_analysis"),
+            times_submitted=joined("times_submitted"),
+            n_engines=joined("n_engines"),
+            ftype_codes=np.concatenate(codes).astype("<u2"),
+            ftypes=tuple(names),
+            shas=joined("shas"),
+            labels=joined("labels"),
+            versions=joined("versions"),
         )
 
     # ------------------------------------------------------------------
@@ -689,11 +728,6 @@ def decode_columnar(payload, planes: bool = True) -> ColumnarBatch:
         labels=labels,
         versions=versions,
     )
-
-
-def decode_columnar_records(payload) -> list[bytes]:
-    """Decode a v3 payload straight to row-format record bytes."""
-    return decode_columnar(payload, planes=True).to_records()
 
 
 # ----------------------------------------------------------------------

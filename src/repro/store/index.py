@@ -15,15 +15,15 @@ This module makes the index a first-class persisted artefact:
 * :func:`encode_index` / :func:`decode_index` round-trip the whole index
   (addresses, scan times, and the per-sample metadata the paper stores
   separately) through a compact zlib-compressed binary section that
-  ``save()`` embeds in the store file (format v2) right after the JSON
-  header;
-* a v2 ``load()`` therefore touches **zero** blocks, and a point lookup
+  ``save()`` embeds in the store file right after the JSON header;
+* ``load()`` therefore touches **zero** blocks, and a point lookup
   (:meth:`~repro.store.reportstore.ReportStore.latest_report`) decodes at
   most one — the property the ``repro.serve`` front-end and its QPS
   benchmark are built on.
 
-Old (v1) files simply lack the section; the store falls back to building
-the index lazily from record peeks on first per-sample access.
+Bulk ingest and the shard merge defer the in-memory index; the store
+rebuilds it from metadata-only block decodes on first per-sample access
+or at ``save()``.
 """
 
 from __future__ import annotations

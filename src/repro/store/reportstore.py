@@ -10,15 +10,14 @@ blocks, and maintains two index structures the paper's pipeline also kept:
   than per report — the "stored separately to reduce data redundancy"
   optimisation from §4.1.
 
-The store can persist itself to a single file and reload it; the on-disk
-format is self-describing (JSON header + length-prefixed compressed
-blocks).  Since format v2 the per-sample index — addresses *and* scan
-times (:mod:`repro.store.index`) — is persisted right after the header,
-so loading touches no blocks and a point lookup
-(:meth:`latest_report` / :meth:`report_series`) decodes at most the
-blocks actually holding the sample's reports.  v1 files, which carry no
-index section, still load: the index is then rebuilt lazily from cheap
-record peeks on first per-sample access.
+The store can persist itself to a single file and reload it.  The one
+on-disk format, v3, is self-describing: a JSON header, the per-sample
+index — addresses *and* scan times (:mod:`repro.store.index`) — and then
+length-prefixed zlib-compressed columnar blocks, month by month.
+Loading touches no blocks, and a point lookup (:meth:`latest_report` /
+:meth:`report_series`) decodes at most the blocks actually holding the
+sample's reports.  The saved bytes are a pure function of the store's
+content: no read counter or other instrumentation state is written.
 
 Retrieval is **write-aware and memory-bounded**: the decoded-block LRU
 (:mod:`repro.store.cache`) admits only immutable frozen blocks — reads
@@ -30,9 +29,11 @@ store block by block instead of materialising every report at once.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import mmap as _mmap
+import os
 import struct
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -63,22 +64,10 @@ from repro.vt.clock import month_index, month_label
 from repro.vt.reports import ScanReport
 
 _FILE_MAGIC = b"RPRSTORE"
-#: Current on-disk format: v3 freezes blocks in the columnar layout
-#: (v2 introduced the embedded point-lookup index section, which v3
-#: keeps unchanged).
+#: The on-disk format :meth:`ReportStore.save` writes and
+#: :meth:`ReportStore.load` reads: columnar blocks plus the index
+#: section.  (v1 and v2, the retired row-block formats, are rejected.)
 _FILE_VERSION = 3
-#: Formats :meth:`ReportStore.load` accepts.  v1 (the original format)
-#: has no index section — the index is rebuilt lazily instead; v2 is
-#: row blocks plus the index; v3 is columnar blocks plus the index.
-_SUPPORTED_VERSIONS = (1, 2, 3)
-
-#: File version each block layout saves as by default.
-_VERSION_OF_FORMAT = {codec.BLOCK_FORMAT_ROW: 2,
-                      codec.BLOCK_FORMAT_COLUMNAR: 3}
-#: Block layout implied by each file version.
-_FORMAT_OF_VERSION = {1: codec.BLOCK_FORMAT_ROW,
-                      2: codec.BLOCK_FORMAT_ROW,
-                      3: codec.BLOCK_FORMAT_COLUMNAR}
 
 Address = tuple[int, int, int]  # (month, block, slot)
 
@@ -114,10 +103,8 @@ class ReportStore:
         block_records: int = DEFAULT_BLOCK_RECORDS,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
         metrics=None,
-        block_format: str = codec.BLOCK_FORMAT_COLUMNAR,
     ) -> None:
         self.block_records = block_records
-        self.block_format = codec.resolve_block_format(block_format)
         #: Keeps a memory-mapped file (and its buffer) alive for stores
         #: loaded with ``mmap=True``; block payloads are views into it.
         self._mmap = None
@@ -125,8 +112,8 @@ class ReportStore:
         self._index: dict[str, list[IndexEntry]] = {}
         self._sample_meta: dict[str, tuple[str, bool]] = {}
         self._scan_index: dict[str, set[int]] = {}
-        #: False only on a store loaded from a v1 file, until the first
-        #: per-sample access triggers the lazy rebuild.
+        #: False after a bulk :meth:`ingest_arrays` or a merge, until the
+        #: first per-sample access (or a save) triggers the rebuild.
         self._index_ready = True
         self._cache = BlockCache(max_bytes=cache_bytes)
         self._blocks_decoded = 0
@@ -221,7 +208,7 @@ class ReportStore:
         Digest-equivalent to ingesting ``batch``'s reports one by one in
         row order.
 
-        Index maintenance is deferred (like a v1 load): the per-sample
+        Index maintenance is deferred: the per-sample
         index rebuilds lazily on the first per-sample access instead of
         being updated record by record, which is what keeps this path
         fast for analytics ingest.
@@ -282,8 +269,7 @@ class ReportStore:
     def _shard(self, month: int) -> MonthlyShard:
         shard = self.shards.get(month)
         if shard is None:
-            shard = MonthlyShard(month, block_records=self.block_records,
-                                 block_format=self.block_format)
+            shard = MonthlyShard(month, block_records=self.block_records)
             self.shards[month] = shard
         return shard
 
@@ -462,16 +448,11 @@ class ReportStore:
         exactly one block is decoded on a cold cache (zero on a warm
         one) no matter how many months or reports the store holds.  Ties
         on the scan minute resolve to the last-ingested report, matching
-        the final element of :meth:`report_series`.
-
-        On a columnar store the block decodes straight to arrays and
-        only the hit slot is materialised; row stores keep the record
-        path.
+        the final element of :meth:`report_series`.  The block decodes
+        straight to arrays and only the hit slot is materialised.
         """
         month, block, slot, _ = latest_entry(self._entries(sha256))
-        if self.block_format == codec.BLOCK_FORMAT_COLUMNAR:
-            return self._batch(month, block).report(slot)
-        return codec.decode_report(self._block(month, block)[slot])
+        return self._batch(month, block).report(slot)
 
     def iter_reports(self) -> Iterator[ScanReport]:
         """All reports, month by month in ingest order."""
@@ -549,7 +530,7 @@ class ReportStore:
         if self._index_ready:
             return SeriesFrame.from_batches(self.iter_batches(),
                                             sample_ranks(self._index))
-        # Deferred index (bulk ingest / v1 load): a rebuilt index would
+        # Deferred index (bulk ingest or merge): a rebuilt index would
         # rank samples by first occurrence in exactly the stream order
         # from_batches sees, so the rebuild can be skipped outright.
         return SeriesFrame.from_batches(self.iter_batches())
@@ -616,9 +597,8 @@ class ReportStore:
     # ------------------------------------------------------------------
 
     @traced("store.save.seconds")
-    def save(self, path: str | Path, *, include_index: bool = True,
-             format_version: int | None = None) -> None:
-        """Write the store to a single self-describing file.
+    def save(self, path: str | Path) -> None:
+        """Write the store to a single self-describing v3 file.
 
         Non-mutating: saving a live (unclosed) store is a pure snapshot.
         Records still in a shard's open buffer are compressed into a tail
@@ -627,99 +607,63 @@ class ReportStore:
         afterwards.  (An earlier revision flushed each shard mid-save,
         silently changing the block layout of a live store.)
 
-        ``format_version`` picks the on-disk format explicitly:
-
-        * ``1`` — row blocks, no index section (the original layout);
-        * ``2`` — row blocks plus the embedded point-lookup index;
-        * ``3`` — columnar blocks plus the index (the default for
-          columnar stores).
-
-        ``None`` infers it from the store's own block layout (and from
-        ``include_index=False``, which keeps meaning "write a v1
-        file").  Blocks whose frozen layout differs from the target are
-        transcoded record-for-record; because both encoders are pure
-        functions of the record sequence (one fixed zlib level per
-        layout), the output
-        is byte-exact against a store that had always used the target
-        layout — v2 files written by a columnar store are
-        bit-identical to those written by a row store of the same
-        contents, and vice versa.
+        The write is atomic: the bytes go to a temporary file beside
+        ``path``, are flushed to disk, and then replace ``path`` in one
+        rename.  A failed save leaves the previous file untouched, and
+        saving over the file a store was memory-mapped from (``load(...,
+        use_mmap=True)``) is safe — the live mapping keeps the old file.
         """
         self._ensure_index()
         path = Path(path)
-        if format_version is None:
-            format_version = (1 if not include_index
-                              else _VERSION_OF_FORMAT[self.block_format])
-        if format_version not in _SUPPORTED_VERSIONS:
-            raise CorruptRecordError(
-                f"unsupported store version {format_version}")
-        if format_version == 1:
-            include_index = False
-        target_format = _FORMAT_OF_VERSION[format_version]
+        index_payload = encode_index(self._index, self._sample_meta)
         header = {
-            "version": format_version,
+            "version": _FILE_VERSION,
             "block_records": self.block_records,
             "months": sorted(self.shards),
-            # Retrieval-layer counters ride along so a save()+reopen
-            # cycle doesn't silently zero the instrumentation (they used
-            # to reset, making long-lived collector restarts look like
-            # cold caches).  Old files simply lack the key.
-            "retrieval_counters": {
-                "hits": self._cache.hits,
-                "misses": self._cache.misses,
-                "evictions": self._cache.evictions,
-                "invalidations": self._cache.invalidations,
-                "blocks_decoded": self._blocks_decoded,
-                "open_reads": self._open_reads,
-                "peak_stream_reports": self._peak_stream_reports,
-            },
-        }
-        index_payload = b""
-        if include_index:
-            index_payload = encode_index(self._index, self._sample_meta)
-            header["index"] = {
+            "index": {
                 "format": INDEX_FORMAT,
                 "samples": len(self._index),
                 "bytes": len(index_payload),
-            }
+            },
+        }
+        header_bytes = json.dumps(header).encode("utf-8")
+        # One temp name per process, beside the destination so the
+        # rename stays on one filesystem.
+        temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
-            with path.open("wb") as fh:
-                fh.write(_FILE_MAGIC)
-                header_bytes = json.dumps(header).encode("utf-8")
-                fh.write(struct.pack("<I", len(header_bytes)))
-                fh.write(header_bytes)
-                if include_index:
+            try:
+                with temp.open("wb") as fh:
+                    fh.write(_FILE_MAGIC)
+                    fh.write(struct.pack("<I", len(header_bytes)))
+                    fh.write(header_bytes)
                     fh.write(index_payload)
-                for month in sorted(self.shards):
-                    shard = self.shards[month]
-                    blocks = [self._transcoded(block, target_format)
-                              for block in shard.blocks]
-                    buffered = shard.buffered_records()
-                    if buffered:
-                        blocks.append(
-                            CompressedBlock.from_records(buffered, target_format))
-                    fh.write(struct.pack("<iIqqq", month, len(blocks),
-                                         shard.report_count, shard.verbose_bytes,
-                                         shard.encoded_bytes))
-                    for block in blocks:
-                        fh.write(struct.pack("<IIq", len(block.payload),
-                                             block.record_count, block.raw_bytes))
-                        fh.write(block.payload)
+                    for month in sorted(self.shards):
+                        self._write_month(fh, self.shards[month])
+                    fh.flush()
+                    os.fsync(fh.fileno())
+                os.replace(temp, path)
+            except BaseException:
+                with contextlib.suppress(OSError):
+                    temp.unlink()
+                raise
         except OSError as exc:
             raise StoreError(
                 f"cannot write store {path}: {exc.strerror or exc}") from exc
 
     @staticmethod
-    def _transcoded(block: CompressedBlock, target_format: str) -> CompressedBlock:
-        """The block as-is when already in the target layout, else re-encoded.
-
-        Dispatches on the block's own magic (not the shard's nominal
-        format) so stores holding mixed layouts — e.g. after a merge
-        spliced foreign blocks — still save a uniform, byte-exact file.
-        """
-        if codec.peek_block_format(block.payload) == target_format:
-            return block
-        return CompressedBlock.from_records(block.records(), target_format)
+    def _write_month(fh, shard: MonthlyShard) -> None:
+        """One month's section: accounting, then every block."""
+        blocks = list(shard.blocks)
+        buffered = shard.buffered_records()
+        if buffered:
+            blocks.append(CompressedBlock.from_records(buffered))
+        fh.write(struct.pack("<iIqqq", shard.month, len(blocks),
+                             shard.report_count, shard.verbose_bytes,
+                             shard.encoded_bytes))
+        for block in blocks:
+            fh.write(struct.pack("<IIq", len(block.payload),
+                                 block.record_count, block.raw_bytes))
+            fh.write(block.payload)
 
     @classmethod
     @traced("store.load.seconds")
@@ -727,12 +671,11 @@ class ReportStore:
              metrics=None, use_mmap: bool = False) -> "ReportStore":
         """Reload a store written by :meth:`save`.
 
-        A v2/v3 file carries its point-lookup index inline, so loading
-        decodes no blocks at all; a legacy v1 file (no index section)
-        loads too, deferring the index rebuild until the first
-        per-sample access actually needs it (lazy fallback).  The block
-        layout (row for v1/v2, columnar for v3) is taken from the file
-        version, so new appends and re-saves stay format-consistent.
+        The file carries its point-lookup index inline, so loading
+        decodes no blocks at all.  Any version other than v3 raises
+        :class:`~repro.errors.CorruptRecordError` naming it.  A loaded
+        store's retrieval counters start at zero: files written before
+        saves stopped carrying them still load, and the key is ignored.
 
         With ``use_mmap=True`` the file is memory-mapped and every block
         payload is a zero-copy view into the mapping: nothing but the
@@ -769,42 +712,27 @@ class ReportStore:
                 (header_len,) = struct.unpack("<I", reader.read(4))
                 header = json.loads(
                     bytes(reader.read(header_len)).decode("utf-8"))
-                if header["version"] not in _SUPPORTED_VERSIONS:
+                if header["version"] != _FILE_VERSION:
                     raise CorruptRecordError(
                         f"unsupported store version {header['version']}"
                     )
                 store = cls(block_records=header["block_records"],
-                            metrics=metrics,
-                            block_format=_FORMAT_OF_VERSION[header["version"]])
+                            metrics=metrics)
                 store._mmap = mapping
-                index_info = header.get("index")
-                index_payload = None
-                if index_info is not None:
-                    if index_info["format"] != INDEX_FORMAT:
-                        raise CorruptRecordError(
-                            f"unsupported store index format "
-                            f"{index_info['format']}")
-                    index_payload = reader.read(index_info["bytes"])
-                    if len(index_payload) != index_info["bytes"]:
-                        raise CorruptRecordError("truncated store index")
-                counters = header.get("retrieval_counters")
-                if counters:
-                    store._cache.hits = counters.get("hits", 0)
-                    store._cache.misses = counters.get("misses", 0)
-                    store._cache.evictions = counters.get("evictions", 0)
-                    store._cache.invalidations = counters.get(
-                        "invalidations", 0)
-                    store._blocks_decoded = counters.get("blocks_decoded", 0)
-                    store._open_reads = counters.get("open_reads", 0)
-                    store._peak_stream_reports = counters.get(
-                        "peak_stream_reports", 0)
+                index_info = header["index"]
+                if index_info["format"] != INDEX_FORMAT:
+                    raise CorruptRecordError(
+                        f"unsupported store index format "
+                        f"{index_info['format']}")
+                index_payload = reader.read(index_info["bytes"])
+                if len(index_payload) != index_info["bytes"]:
+                    raise CorruptRecordError("truncated store index")
                 for _ in header["months"]:
                     month, n_blocks, report_count, verbose, encoded = \
                         struct.unpack("<iIqqq", bytes(
                             reader.read(struct.calcsize("<iIqqq"))))
                     shard = MonthlyShard(month,
-                                         block_records=store.block_records,
-                                         block_format=store.block_format)
+                                         block_records=store.block_records)
                     for _ in range(n_blocks):
                         size, record_count, raw = struct.unpack(
                             "<IIq", bytes(reader.read(struct.calcsize("<IIq")))
@@ -820,16 +748,13 @@ class ReportStore:
                     shard.encoded_bytes = encoded
                     shard.closed = not reopen
                     store.shards[month] = shard
-                if index_payload is not None:
-                    index, meta = decode_index(bytes(index_payload))
-                    store._index = index
-                    store._sample_meta = meta
-                    store._scan_index = {
-                        sha: {entry[3] for entry in entries}
-                        for sha, entries in index.items()
-                    }
-                else:
-                    store._index_ready = False
+                index, meta = decode_index(bytes(index_payload))
+                store._index = index
+                store._sample_meta = meta
+                store._scan_index = {
+                    sha: {entry[3] for entry in entries}
+                    for sha, entries in index.items()
+                }
             except (StoreError, struct.error, ValueError, KeyError) as exc:
                 if mapping is not None:
                     # Payloads decoded before the error are exported
@@ -845,7 +770,8 @@ class ReportStore:
         return store
 
     def _ensure_index(self) -> None:
-        """Build the per-sample index if it was deferred (v1 file load)."""
+        """Build the per-sample index if it was deferred (bulk ingest or
+        merge)."""
         if not self._index_ready:
             self._rebuild_index()
 
@@ -853,12 +779,12 @@ class ReportStore:
         """Rebuild the per-sample index from the records themselves.
 
         One vectorised pass over metadata-only batches (covering open
-        buffers too — the bulk :meth:`ingest_arrays` path defers
-        indexing): all addresses, scan times and first-occurrence
+        buffers too — the bulk :meth:`ingest_arrays` path and the merge
+        defer indexing): all addresses, scan times and first-occurrence
         metadata come out of numpy gathers, and only the per-sample
         python dict entries are built in a loop.  Entry order, dict
-        insertion order and metadata choice are identical to what the
-        old per-record peek loop produced.
+        insertion order and metadata choice are identical to what
+        per-report :meth:`ingest` of the same record stream builds.
         """
         self._index.clear()
         self._sample_meta.clear()

@@ -7,11 +7,9 @@ random-access granularity: the store's per-sample index addresses a report
 as ``(month, block, slot)`` and only that block must be decompressed to
 fetch it.
 
-Blocks freeze in one of two layouts (see :mod:`repro.store.codec`): the
-row layout (RPR1, length-prefixed records) or the columnar layout (RPR3,
-dictionary/delta-encoded columns).  Both decode back to identical record
-bytes; readers dispatch on the block magic, so a shard can even hold a
-mix (e.g. after a merge spliced foreign blocks in).
+Blocks freeze in the columnar layout (RPR3, dictionary/delta-encoded
+columns, see :mod:`repro.store.columnar`), which decodes back to the
+exact record bytes of :mod:`repro.store.codec`.
 """
 
 from __future__ import annotations
@@ -33,22 +31,13 @@ if TYPE_CHECKING:
 #: Default records per compressed block.
 DEFAULT_BLOCK_RECORDS = 256
 
-#: zlib level: 6 is the sweet spot for these highly repetitive records.
-_ZLIB_LEVEL = 6
-
-#: Columnar blocks compress at level 1: the dictionary/delta/XOR
-#: pre-conditioning has already removed most entropy (the planes are
-#: near-all-zero), so the fast level costs ~1 point of ratio — still
-#: well below the row layout at level 6 — and halves the freeze cost.
-#: The store digest covers decompressed record bytes, so the level is
-#: not part of any byte-exactness contract *except* that every site
-#: freezing a columnar block must use the same one.
-_ZLIB_LEVEL_COLUMNAR = 1
-
-
-def _zlib_level(block_format: str) -> int:
-    return (_ZLIB_LEVEL_COLUMNAR
-            if block_format == codec.BLOCK_FORMAT_COLUMNAR else _ZLIB_LEVEL)
+#: zlib level of every block: the dictionary/delta/XOR pre-conditioning
+#: has already removed most entropy (the planes are near-all-zero), so
+#: the fast level costs about a point of ratio and halves the freeze
+#: cost.  The store digest covers decompressed record bytes, so the level
+#: is not part of the digest; it is part of the saved bytes, so every
+#: site freezing a block must use this one.
+_BLOCK_ZLIB_LEVEL = 1
 
 
 @dataclass(frozen=True)
@@ -75,20 +64,17 @@ class CompressedBlock:
     def batch(self, planes: bool = True) -> "ColumnarBatch":
         """Decode the block into a columnar batch.
 
-        With ``planes=False`` a columnar block only decompresses its
-        fixed-column prefix (the label/version planes stay compressed);
-        row blocks fall back to a full decode either way.
+        With ``planes=False`` only the fixed-column prefix is
+        decompressed (the label/version planes stay compressed).
         """
         return codec.decode_compressed_batch(self.payload, planes=planes)
 
     @classmethod
-    def from_records(
-        cls, records: list[bytes],
-        block_format: str = codec.BLOCK_FORMAT_ROW,
-    ) -> "CompressedBlock":
-        framed = codec.encode_block(records, block_format)
+    def from_records(cls, records: list[bytes]) -> "CompressedBlock":
+        """Freeze encoded records (the per-report ingest buffer)."""
+        framed = codec.encode_block(records)
         return cls(
-            payload=zlib.compress(framed, _zlib_level(block_format)),
+            payload=zlib.compress(framed, _BLOCK_ZLIB_LEVEL),
             record_count=len(records),
             raw_bytes=len(framed),
         )
@@ -97,15 +83,14 @@ class CompressedBlock:
     def from_batch(cls, batch: "ColumnarBatch") -> "CompressedBlock":
         """Freeze a columnar batch directly (no row materialisation).
 
-        Byte-identical to ``from_records(batch.to_records(),
-        BLOCK_FORMAT_COLUMNAR)``: the columnar encoding is a pure
-        function of the record sequence.
+        Byte-identical to ``from_records(batch.to_records())``: the
+        columnar encoding is a pure function of the record sequence.
         """
         from repro.store.columnar import encode_columnar
 
         framed = encode_columnar(batch)
         return cls(
-            payload=zlib.compress(framed, _ZLIB_LEVEL_COLUMNAR),
+            payload=zlib.compress(framed, _BLOCK_ZLIB_LEVEL),
             record_count=len(batch),
             raw_bytes=len(framed),
         )
@@ -118,13 +103,10 @@ class MonthlyShard:
     Appended records buffer until ``block_records`` accumulate, then the
     buffer freezes into a :class:`CompressedBlock`.  ``flush`` freezes a
     partial buffer; ``close`` flushes and rejects further appends.
-    ``block_format`` picks the layout new blocks freeze into; existing
-    blocks (e.g. loaded from disk) keep whatever layout they have.
     """
 
     month: int
     block_records: int = DEFAULT_BLOCK_RECORDS
-    block_format: str = codec.BLOCK_FORMAT_ROW
     blocks: list[CompressedBlock] = field(default_factory=list)
     _buffer: list[bytes] = field(default_factory=list, repr=False)
     closed: bool = False
@@ -179,12 +161,8 @@ class MonthlyShard:
             if len(self._buffer) >= self.block_records:
                 self.flush()
         while n - pos >= self.block_records:
-            chunk = batch.slice(pos, pos + self.block_records)
-            if self.block_format == codec.BLOCK_FORMAT_COLUMNAR:
-                self.blocks.append(CompressedBlock.from_batch(chunk))
-            else:
-                self.blocks.append(CompressedBlock.from_records(
-                    chunk.to_records(), self.block_format))
+            self.blocks.append(CompressedBlock.from_batch(
+                batch.slice(pos, pos + self.block_records)))
             pos += self.block_records
         if pos < n:
             self._buffer.extend(batch.slice(pos, n).to_records())
@@ -196,8 +174,7 @@ class MonthlyShard:
     def flush(self) -> None:
         """Freeze the open buffer into a compressed block."""
         if self._buffer:
-            self.blocks.append(
-                CompressedBlock.from_records(self._buffer, self.block_format))
+            self.blocks.append(CompressedBlock.from_records(self._buffer))
             self._buffer = []
             self.generation += 1
 
@@ -275,9 +252,9 @@ class MonthlyShard:
     def iter_batches(self, planes: bool = True) -> Iterator["ColumnarBatch"]:
         """Per-block columnar batches in order, buffer snapshot last.
 
-        The columnar analogue of :meth:`iter_record_blocks`: frozen
-        blocks decode straight to arrays (metadata-only when ``planes``
-        is off), the open buffer bulk-parses its records.
+        The array analogue of :meth:`iter_record_blocks`: frozen blocks
+        decode straight to arrays (metadata-only when ``planes`` is
+        off), the open buffer bulk-parses its records.
         """
         from repro.store.columnar import ColumnarBatch
 

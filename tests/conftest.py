@@ -10,7 +10,6 @@ import pytest
 
 from repro.analysis.experiment import ExperimentData, run_experiment
 from repro.store.columnar import ColumnarBatch, SeriesFrame
-from repro.store.reportstore import ReportStore
 from repro.synth.scenario import ScenarioConfig, tiny_scenario
 from repro.vt.engines import EngineFleet, default_fleet
 from repro.vt.reports import ScanReport
@@ -22,23 +21,13 @@ def fleet() -> EngineFleet:
     return default_fleet(seed=0)
 
 
-@pytest.fixture(scope="session", params=["row", "columnar"])
+@pytest.fixture(scope="session", params=["columnar"])
 def store_block_format(request) -> str:
-    """Both block layouts.  Store-bearing suites (index, merge, serve)
-    take this fixture so every contract runs against the row path *and*
-    the columnar v3 path without duplicated test bodies."""
+    """The store's block layout, as a test ID.  Columnar is the only
+    layout since the row layout was retired; the store-bearing suites
+    (index, merge, serve) that ran every contract over both layouts keep
+    this parameter so their test IDs stay stable."""
     return request.param
-
-
-@pytest.fixture()
-def store_factory(store_block_format):
-    """A :class:`ReportStore` constructor pinned to the active layout."""
-
-    def make(**kwargs) -> ReportStore:
-        kwargs.setdefault("block_format", store_block_format)
-        return ReportStore(**kwargs)
-
-    return make
 
 
 @pytest.fixture(scope="session")

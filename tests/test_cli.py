@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.analysis.experiment import run_experiment
+from repro.analysis.experiment import ExperimentData, run_experiment
 from repro.cli import main
+from repro.core.avrank import collect_series
 from repro.store.reportstore import ReportStore
 from repro.synth.scenario import tiny_scenario
 from repro.vt.engines import Engine, EngineFleet
@@ -113,14 +114,13 @@ def _stored_blocks(store: ReportStore) -> int:
 
 @pytest.fixture()
 def loaded_stores(monkeypatch):
-    """Every store ``ReportStore.load`` returns, with its decode count
-    at that moment (a v3 load restores the saved retrieval counters)."""
+    """Every store ``ReportStore.load`` returns."""
     loaded = []
     original = ReportStore.load.__func__
 
     def load(cls, *args, **kwargs):
         store = original(cls, *args, **kwargs)
-        loaded.append((store, store.cache_stats().blocks_decoded))
+        loaded.append(store)
         return store
 
     monkeypatch.setattr(ReportStore, "load", classmethod(load))
@@ -159,11 +159,11 @@ class TestFleetWidthMismatch:
         assert capsys.readouterr().out
 
 
-@pytest.fixture(scope="module", params=["row", "columnar"])
+@pytest.fixture(scope="module", params=["columnar"])
 def saved_store(request, tmp_path_factory):
     path = tmp_path_factory.mktemp("decode") / f"{request.param}.store"
-    assert main(["--samples", "250", "--seed", "6", "--store-format",
-                 request.param, "generate", str(path)]) == 0
+    assert main(["--samples", "250", "--seed", "6", "generate",
+                 str(path)]) == 0
     return path
 
 
@@ -181,9 +181,8 @@ class TestOneDecodePerRun:
         output = [str(tmp_path / "report.md")] if command == "report" else []
         # calibrate exits 1 when a band fails, which is noise at this scale.
         assert main(["--store", str(saved_store), command, *output]) in (0, 1)
-        (store, base), = loaded_stores
-        decoded = store.cache_stats().blocks_decoded - base
-        assert decoded == _stored_blocks(store) > 0
+        (store,) = loaded_stores
+        assert store.cache_stats().blocks_decoded == _stored_blocks(store) > 0
         assert built == []
 
     def test_generate_decodes_nothing(self, monkeypatch, tmp_path):
@@ -202,15 +201,15 @@ class TestOneDecodePerRun:
 
 
 class TestLayoutInvariance:
-    """Row, columnar and 2-worker stores of one seed render the same."""
+    """Serial and 2-worker stores of one seed render the same, and the
+    series figures match the per-report object path."""
 
     @pytest.fixture(scope="class")
     def stores(self, tmp_path_factory):
         base = tmp_path_factory.mktemp("layouts")
-        layouts = {"row": ["--store-format", "row"], "columnar": [],
-                   "workers2": ["--workers", "2"]}
+        runs = {"serial": [], "workers2": ["--workers", "2"]}
         paths = {}
-        for name, extra in layouts.items():
+        for name, extra in runs.items():
             paths[name] = base / f"{name}.store"
             assert main(["--samples", "300", "--seed", "4", *extra,
                          "generate", str(paths[name])]) == 0
@@ -227,11 +226,19 @@ class TestLayoutInvariance:
     def test_same_output_on_every_layout(self, stores, command, capsys):
         outputs = {name: self._render(path, command, capsys)
                    for name, path in stores.items()}
-        assert outputs["row"] == outputs["columnar"] == outputs["workers2"]
+        assert outputs["serial"] == outputs["workers2"]
+
+    @pytest.mark.parametrize("command", ["dynamics", "stabilization"])
+    def test_series_figures_match_per_report_path(self, stores, command,
+                                                  capsys, monkeypatch):
+        from_frame = self._render(stores["serial"], command, capsys)
+        monkeypatch.setattr(
+            ExperimentData, "series",
+            lambda data: collect_series(data.store.iter_sample_reports()))
+        assert self._render(stores["serial"], command, capsys) == from_frame
 
     def test_all_matches_across_workers(self, stores, capsys):
-        # Table 2 prints compressed sizes, which differ between layouts.
-        assert (self._render(stores["columnar"], "all", capsys)
+        assert (self._render(stores["serial"], "all", capsys)
                 == self._render(stores["workers2"], "all", capsys))
 
 

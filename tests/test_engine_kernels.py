@@ -178,7 +178,7 @@ _EDGE_STREAM = [
 ]
 
 
-def _store(stream, block_format: str, block_records: int = 3,
+def _store(stream, block_records: int = 3,
            close: bool = True) -> ReportStore:
     arrivals = []
     for i, (file_type, first, scans) in enumerate(stream):
@@ -189,8 +189,7 @@ def _store(stream, block_format: str, block_records: int = 3,
                 first_submission=first, n_engines=len(NAMES))
             arrivals.append(((arrival, i, j), report))
     arrivals.sort(key=lambda item: item[0])
-    store = ReportStore(block_records=block_records,
-                        block_format=block_format)
+    store = ReportStore(block_records=block_records)
     store.ingest_batch(report for _, report in arrivals)
     if close:
         store.close()
@@ -225,7 +224,7 @@ class TestFlipKernel:
     @example(stream=_EDGE_STREAM, block_records=2, close=True)
     def test_every_sample_matches_oracle(self, store_block_format, stream,
                                          block_records, close):
-        store = _store(stream, store_block_format, block_records, close)
+        store = _store(stream, block_records, close)
         assert_same_flips(analyze_flips(store.series_frame(), NAMES),
                           oracle_flips(store.iter_sample_reports(), NAMES))
 
@@ -234,7 +233,7 @@ class TestFlipKernel:
     @example(stream=_EDGE_STREAM, block_records=2)
     def test_dataset_s_matches_oracle(self, store_block_format, stream,
                                       block_records):
-        store = _store(stream, store_block_format, block_records)
+        store = _store(stream, block_records)
         expected = oracle_flips(
             oracle_dataset_s(store.iter_sample_reports()), NAMES)
         assert_same_flips(engine_stability(store.series_frame(), NAMES).flips,
@@ -242,7 +241,7 @@ class TestFlipKernel:
 
     def test_edge_stream_exercises_every_case(self, store_block_format):
         stats = analyze_flips(
-            _store(_EDGE_STREAM, store_block_format).series_frame(), NAMES)
+            _store(_EDGE_STREAM).series_frame(), NAMES)
         assert stats.hazards_010.sum() and stats.hazards_101.sum()
         assert 0 < stats.flips_with_update < stats.total_flips
         assert set(stats.per_type_pairs) == {"Win32 EXE", "Unlisted", "TXT"}
@@ -254,7 +253,7 @@ class TestCorrelationKernel:
     @example(stream=_EDGE_STREAM, block_records=2)
     def test_rho_matches_stacked_rows(self, store_block_format, stream,
                                       block_records):
-        store = _store(stream, store_block_format, block_records)
+        store = _store(stream, block_records)
         reports = list(store.iter_reports())
         assume(len(reports) >= 3)
         frame = store.series_frame()
@@ -283,7 +282,7 @@ class TestCorrelationKernel:
 
 class TestFramePlanes:
     def test_rows_read_each_report_in_time_order(self, store_block_format):
-        store = _store(_EDGE_STREAM, store_block_format, block_records=2)
+        store = _store(_EDGE_STREAM, block_records=2)
         frame = store.series_frame()
         for s, (sha, reports) in enumerate(store.iter_sample_reports()):
             assert frame.sha256[s] == sha
@@ -318,7 +317,7 @@ class TestFramePlanes:
             correlation_analysis(frame, NAMES)
 
     def test_metadata_only_batches_have_no_planes(self):
-        store = _store(_EDGE_STREAM, "columnar")
+        store = _store(_EDGE_STREAM)
         frame = SeriesFrame.from_batches(store.iter_batches(planes=False))
         assert frame.labels is None and frame.widths == (len(NAMES),)
         with pytest.raises(AnalysisError, match="without label planes"):

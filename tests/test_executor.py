@@ -35,8 +35,7 @@ from repro.parallel.sharding import (
     resolve_workers,
 )
 from repro.parallel.worker import run_shard
-from repro.store.merge import StreamingMerge, concat_frozen
-from repro.synth.population import PopulationGenerator
+from repro.store.merge import StreamingMerge
 from repro.synth.scenario import tiny_scenario
 
 
@@ -279,46 +278,35 @@ class TestStreamingMerge:
         config = tiny_scenario(n_samples=90, seed=21)
         shards = [s for s in partition_samples(config.n_samples, 6)
                   if s.size]
-        generator = PopulationGenerator(config)
-        shas = [generator.sha_for(i) for i in range(config.n_samples)]
         runs = [run_shard(config, shard) for shard in shards]
-        return config, shas, runs
+        return config, runs
 
-    def _frozen(self, shard_runs, order):
-        _, shas, runs = shard_runs
-        return [frozen_shard_of(runs[i], shas) for i in order]
+    @staticmethod
+    def _merged(shard_runs, order, tmp_path):
+        config, runs = shard_runs
+        streaming = StreamingMerge(block_records=config.block_records)
+        for i in order:
+            streaming.add(frozen_shard_of(runs[i]))
+        store = streaming.finish()
+        path = tmp_path / f"{'-'.join(map(str, order))}.store"
+        store.save(path)
+        return store, path.read_bytes()
 
-    def test_any_completion_order_matches_one_shot_concat(self, shard_runs):
-        config, _, runs = shard_runs
-        reference, ref_stats = concat_frozen(
-            self._frozen(shard_runs, range(len(runs))),
-            block_records=config.block_records)
-        ref_digest = reference.digest()
-        orders = [list(range(len(runs)))]
+    def test_any_completion_order_matches_one_shot_concat(self, shard_runs,
+                                                          tmp_path):
+        config, runs = shard_runs
+        reference, reference_bytes = self._merged(
+            shard_runs, list(range(len(runs))), tmp_path)
+        serial = run_experiment(config).store
+        assert reference.digest() == serial.digest()
+        assert reference.report_count == reference_count(runs)
         rng = random.Random(5)
         for _ in range(3):
             order = list(range(len(runs)))
             rng.shuffle(order)
-            orders.append(order)
-        for order in orders:
-            streaming = StreamingMerge(block_records=config.block_records)
-            for shard in self._frozen(shard_runs, order):
-                streaming.add(shard)
-            store, stats = streaming.finish()
-            assert store.digest() == ref_digest
-            assert store.report_count == reference.report_count
-            assert stats.records == ref_stats.records
-
-    def test_incremental_folding_bounds_held_runs(self, shard_runs):
-        config, _, runs = shard_runs
-        streaming = StreamingMerge(block_records=config.block_records)
-        for shard in self._frozen(shard_runs, range(len(runs))):
-            streaming.add(shard)
-            # The logarithmic run stack: never more runs than log2 + 1.
-            assert len(streaming._runs) <= max(1, len(runs))
-        assert streaming.folds >= 1
-        store, _ = streaming.finish()
-        assert store.report_count == reference_count(runs)
+            store, saved = self._merged(shard_runs, order, tmp_path)
+            assert store.digest() == reference.digest()
+            assert saved == reference_bytes
 
 
 def reference_count(runs) -> int:

@@ -10,7 +10,16 @@ the shipped tree.
 
 import textwrap
 
-from repro.lint import LintConfig, lint_modules, lint_source, render_text
+from repro.lint import (
+    CallGraph,
+    LintConfig,
+    analyze_module,
+    lint_modules,
+    lint_source,
+    render_text,
+)
+from repro.lint.config import DIGEST_ROOTS
+from repro.lint.engine import default_target, discover_files, read_source
 
 
 def run_modules(modules, select):
@@ -309,3 +318,13 @@ class TestLabelCardinality:
                 metrics.counter("reports.total", **labels)
         """, "repro/fix/labels.py", {"RPL105"})
         assert result.findings == []
+
+
+class TestDigestRoots:
+    def test_every_digest_root_resolves_in_src(self):
+        # CallGraph.reachable skips a root it cannot resolve, so a
+        # renamed root would silently drop its RPL103 coverage.
+        graph = CallGraph([analyze_module(str(path), read_source(path)).summary
+                           for path in discover_files([default_target()])])
+        assert [root for root in DIGEST_ROOTS
+                if root not in graph.functions] == []

@@ -69,8 +69,24 @@ def test_report_codec_round_trips(labels, scan_time, first_sub):
     assert codec.decode_report(codec.encode_report(report)) == report
 
 
-@given(st.lists(st.binary(max_size=200), max_size=30))
-def test_block_framing_round_trips(records):
+@given(st.lists(st.tuples(labels_strategy,
+                          st.integers(0, 10**9),
+                          st.sampled_from(["Win32 EXE", "PDF", ""])),
+                max_size=30))
+def test_block_framing_round_trips(rows):
+    records = [codec.encode_report(ScanReport(
+        sha256=f"{i % 256:02x}" * 32,
+        file_type=file_type,
+        scan_time=scan_time,
+        positives=sum(1 for v in labels if v == 1),
+        total=sum(1 for v in labels if v != -1),
+        labels=encode_labels(labels),
+        versions=tuple(range(len(labels))),
+        first_submission_date=0,
+        last_submission_date=0,
+        last_analysis_date=scan_time,
+        times_submitted=1,
+    )) for i, (labels, scan_time, file_type) in enumerate(rows)]
     assert codec.decode_block(codec.encode_block(records)) == records
 
 

@@ -40,8 +40,8 @@ class FakeClock:
         self.now += seconds
 
 
-def _tiny_store(block_format: str = "columnar") -> ReportStore:
-    store = ReportStore(block_records=4, block_format=block_format)
+def _tiny_store() -> ReportStore:
+    store = ReportStore(block_records=4)
     for i in range(6):
         sha = make_sha(f"serve{i}")
         for rep in range(3):
@@ -54,9 +54,7 @@ def _tiny_store(block_format: str = "columnar") -> ReportStore:
 
 @pytest.fixture()
 def store(store_block_format):
-    # The serving hot path runs against both block layouts: row decodes
-    # records, columnar decodes arrays and materialises only the hit slot.
-    return _tiny_store(store_block_format)
+    return _tiny_store()
 
 
 @pytest.fixture()

@@ -32,17 +32,6 @@ class TestRecordCodec:
         with pytest.raises(CorruptRecordError):
             codec.decode_report(blob[:20])
 
-    def test_peek_sha(self):
-        report = make_report(sha="ab" * 32)
-        assert codec.peek_sha(codec.encode_report(report)) == "ab" * 32
-
-    def test_peek_meta(self):
-        report = make_report(scan_time=4242, first_submission=-99)
-        sha, scan_time, first_sub = codec.peek_meta(
-            codec.encode_report(report)
-        )
-        assert (sha, scan_time, first_sub) == (report.sha256, 4242, -99)
-
 
 class TestVerboseEstimate:
     def test_verbose_size_scales_with_fleet(self):
@@ -72,7 +61,11 @@ class TestVerboseEstimate:
 
 class TestBlockFraming:
     def test_round_trip(self):
-        records = [b"alpha", b"", b"gamma" * 100]
+        records = [codec.encode_report(make_report(
+            sha=f"{i:02x}" * 32, file_type=ftype, labels=labels,
+            n_engines=len(labels)))
+            for i, (ftype, labels) in enumerate([
+                ("Win32 EXE", [1, 0, -1]), ("PDF", []), ("", [0] * 70)])]
         assert codec.decode_block(codec.encode_block(records)) == records
 
     def test_empty_block(self):
@@ -83,7 +76,7 @@ class TestBlockFraming:
             codec.decode_block(b"XXXX\x00\x00\x00\x00")
 
     def test_truncated_block_rejected(self):
-        framed = codec.encode_block([b"hello"])
+        framed = codec.encode_block([codec.encode_report(make_report())])
         with pytest.raises(CorruptRecordError):
             codec.decode_block(framed[:-2])
 

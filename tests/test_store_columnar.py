@@ -1,31 +1,30 @@
-"""Differential harness for the columnar (v3) hot path.
+"""Differential harness for the columnar (v3) store.
 
-The columnar pipeline is only allowed to exist because it is
-*indistinguishable* from the row pipeline at every observable seam:
+Columnar blocks are the store's only layout, so they are checked
+against the references that do not go through them:
 
-* store digests are bit-identical row vs columnar for the same report
-  stream (hand-built feeds, bulk array ingest, and full seeded scenario
-  runs);
+* store digests equal a digest computed straight from
+  :func:`~repro.store.codec.encode_report` bytes, for hand-built feeds,
+  bulk array ingest and full seeded scenario runs;
 * every analysis result a figure consumes — the AV-Rank series list,
   the stable/dynamic split, the δ/Δ extractions, label flips, the
-  pairwise pool — is equal whether computed by the python helpers over
-  the row store or the `SeriesFrame` numpy kernels over the columnar
-  one;
-* `save(format_version=...)` emits byte-exact files across source
-  layouts for every supported version, v1/v2 files load unchanged, and
-  v3 → load → save is idempotent;
+  pairwise pool — is equal whether computed by the `SeriesFrame` numpy
+  kernels or by the python helpers over the per-report object path
+  (``iter_sample_reports`` + ``collect_series``);
+* v3 save → load → save is idempotent, and v1/v2 files are rejected;
 * hostile v3 payloads (truncations, bit flips, out-of-range dictionary
   or sparse-plane indices) surface `CorruptRecordError`, never a bare
   struct.error/IndexError — the same contract `test_store_codec.py`
-  pins for the row codec.
+  pins for the record codec.
 
 A hypothesis property fuzzes the whole stack over random report streams
-× block sizes × format versions.
+× block sizes.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import hashlib
+import json
 import struct
 
 import numpy as np
@@ -34,14 +33,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_report, make_sha
-from repro.analysis.experiment import run_experiment
-from repro.core.avrank import collect_series
+from repro.core.avrank import collect_series, select_dataset_s
 from repro.core.metrics import pairwise_differences
 from repro.errors import CorruptRecordError
 from repro.store import codec, columnar
 from repro.store.columnar import ColumnarBatch, SeriesFrame, encode_columnar
 from repro.store.reportstore import ReportStore
-from repro.vt.clock import MINUTES_PER_DAY, MONTH_STARTS
+from repro.vt.clock import MINUTES_PER_DAY, MONTH_STARTS, month_index
+from repro.vt.filetypes import TOP20_FILE_TYPES
 
 # ---------------------------------------------------------------------------
 # Feed builders
@@ -78,9 +77,8 @@ def _feed(n_samples=12, scans_each=4, widths=(5, 5, 5), seed_tag="cf"):
     return reports
 
 
-def _store(reports, block_format, block_records=8) -> ReportStore:
-    store = ReportStore(block_records=block_records,
-                        block_format=block_format)
+def _store(reports, block_records=8) -> ReportStore:
+    store = ReportStore(block_records=block_records)
     for report in reports:
         store.ingest(report)
     store.close()
@@ -92,6 +90,22 @@ def _batch_of(reports) -> ColumnarBatch:
         [codec.encode_report(r) for r in reports])
 
 
+def _record_digest(reports) -> str:
+    """The canonical digest of ``reports`` ingested in order, computed
+    from :func:`codec.encode_report` bytes without any block."""
+    by_month: dict[int, list[bytes]] = {}
+    for report in reports:
+        by_month.setdefault(month_index(report.scan_time), []).append(
+            codec.encode_report(report))
+    h = hashlib.sha256()
+    for month in sorted(by_month):
+        h.update(struct.pack("<iq", month, len(by_month[month])))
+        for record in by_month[month]:
+            h.update(struct.pack("<I", len(record)))
+            h.update(record)
+    return h.hexdigest()
+
+
 # ---------------------------------------------------------------------------
 # Digest + analysis differentials
 
@@ -99,180 +113,150 @@ def _batch_of(reports) -> ColumnarBatch:
 class TestDifferentialDigest:
     def test_hand_built_feed_digest_identical(self):
         reports = _feed()
-        assert _store(reports, "row").digest() == \
-            _store(reports, "columnar").digest()
+        assert _store(reports).digest() == _record_digest(reports)
 
     def test_ragged_feed_digest_identical(self):
         reports = _feed(widths=(3, 5, 8))
-        assert _store(reports, "row").digest() == \
-            _store(reports, "columnar").digest()
+        assert _store(reports).digest() == _record_digest(reports)
 
-    def test_scenario_run_digest_identical(self, tiny_config, tiny_serial):
-        row_config = dataclasses.replace(tiny_config, block_format="row")
-        row_data = run_experiment(row_config)
-        assert tiny_serial.config.block_format == "columnar"
-        assert row_data.store.digest() == tiny_serial.store.digest()
+    def test_scenario_run_digest_identical(self, tiny_serial):
+        """The simulator's bulk array ingest stores exactly the record
+        bytes its reports encode to."""
+        store = tiny_serial.store
+        assert store.digest() == _record_digest(store.iter_reports())
 
-    def test_scenario_series_and_figures_identical(self, tiny_config,
-                                                   tiny_serial):
+    def test_scenario_series_and_figures_identical(self, tiny_serial):
         """The figure pipelines consume ``data.series()`` / dataset S —
-        equality here makes every downstream figure bit-identical."""
-        row_data = run_experiment(
-            dataclasses.replace(tiny_config, block_format="row"))
-        assert row_data.series() == tiny_serial.series()
-        assert row_data.dataset_s == tiny_serial.dataset_s
-        assert [s.sha256 for s in row_data.multi_report] == \
-            [s.sha256 for s in tiny_serial.multi_report]
+        equality with the per-report object path here makes every
+        downstream figure bit-identical."""
+        reference = collect_series(tiny_serial.store.iter_sample_reports())
+        assert tiny_serial.series() == reference
+        assert tiny_serial.dataset_s == select_dataset_s(
+            reference, frozenset(TOP20_FILE_TYPES))
+        assert [s.sha256 for s in tiny_serial.multi_report] == \
+            [s.sha256 for s in reference if s.multi]
 
     def test_series_frame_matches_row_collect(self, store_block_format):
-        reports = _feed()
-        store = _store(reports, store_block_format)
-        row_series = collect_series(
-            _store(reports, "row").iter_sample_reports())
-        assert store.series_frame().to_series() == row_series
+        store = _store(_feed())
+        assert store.series_frame().to_series() == \
+            collect_series(store.iter_sample_reports())
 
     def test_series_frame_on_unclosed_store(self):
         reports = _feed()
-        store = ReportStore(block_records=8, block_format="columnar")
+        store = ReportStore(block_records=8)
         for report in reports:
             store.ingest(report)  # no close(): open buffers included
-        row_series = collect_series(
-            _store(reports, "row").iter_sample_reports())
-        assert store.series_frame().to_series() == row_series
+        assert store.series_frame().to_series() == \
+            collect_series(_store(reports).iter_sample_reports())
 
 
 class TestIngestArraysEquivalence:
     def test_bulk_array_ingest_digest_matches_per_report(self):
         reports = _feed()
-        per_report = _store(reports, "columnar")
-        bulk = ReportStore(block_records=8, block_format="columnar")
+        per_report = _store(reports)
+        bulk = ReportStore(block_records=8)
         assert bulk.ingest_arrays(_batch_of(reports)) == len(reports)
         bulk.close()
         assert bulk.digest() == per_report.digest()
-
-    def test_bulk_ingest_into_row_store_matches(self):
-        reports = _feed()
-        bulk = ReportStore(block_records=8, block_format="row")
-        bulk.ingest_arrays(_batch_of(reports))
-        bulk.close()
-        assert bulk.digest() == _store(reports, "row").digest()
 
     def test_bulk_ingest_unsorted_months_matches(self):
         """The sorted-month slice fast path and the mask fallback agree."""
         reports = _feed()
         shuffled = reports[::-1]  # months now descend: mask path
-        bulk = ReportStore(block_records=8, block_format="columnar")
+        bulk = ReportStore(block_records=8)
         bulk.ingest_arrays(_batch_of(shuffled))
         bulk.close()
-        assert bulk.digest() == _store(shuffled, "columnar").digest()
+        assert bulk.digest() == _store(shuffled).digest()
 
     def test_bulk_ingest_tops_up_open_buffer(self):
         reports = _feed()
         split = 5  # mid-block: the batch must top up the open buffer
-        mixed = ReportStore(block_records=8, block_format="columnar")
+        mixed = ReportStore(block_records=8)
         for report in reports[:split]:
             mixed.ingest(report)
         mixed.ingest_arrays(_batch_of(reports[split:]))
         mixed.close()
-        assert mixed.digest() == _store(reports, "columnar").digest()
+        assert mixed.digest() == _store(reports).digest()
 
 
 # ---------------------------------------------------------------------------
-# Format-version round trips
+# File round trips
+
+
+def _header(blob: bytes) -> dict:
+    (header_len,) = struct.unpack_from("<I", blob, 8)
+    return json.loads(blob[12:12 + header_len])
 
 
 class TestFormatRoundTrips:
-    VERSIONS = (1, 2, 3)
-
-    def _save_pair(self, tmp_path, version):
-        reports = _feed()
-        out = {}
-        for fmt in ("row", "columnar"):
-            store = _store(reports, fmt)
-            path = tmp_path / f"{fmt}-v{version}.store"
-            if version == 1:
-                store.save(path, include_index=False)
-            else:
-                store.save(path, format_version=version)
-            out[fmt] = path.read_bytes()
-        return out
-
-    @pytest.mark.parametrize("version", VERSIONS)
-    def test_save_byte_exact_across_source_layouts(self, tmp_path, version):
-        pair = self._save_pair(tmp_path, version)
-        assert pair["row"] == pair["columnar"]
-
-    @pytest.mark.parametrize("version", VERSIONS)
-    def test_load_resave_idempotent(self, tmp_path, version):
-        original = self._save_pair(tmp_path, version)["columnar"]
+    def test_load_resave_idempotent(self, tmp_path):
         path = tmp_path / "first.store"
-        path.write_bytes(original)
-        loaded = ReportStore.load(path)
+        _store(_feed()).save(path)
         again = tmp_path / "again.store"
-        if version == 1:
-            loaded.save(again, include_index=False)
-        else:
-            loaded.save(again, format_version=version)
-        assert again.read_bytes() == original
+        ReportStore.load(path).save(again)
+        assert again.read_bytes() == path.read_bytes()
 
-    @pytest.mark.parametrize("version", VERSIONS)
-    def test_load_preserves_digest_and_reports(self, tmp_path, version):
+    def test_load_preserves_digest_and_reports(self, tmp_path):
         reports = _feed()
-        store = _store(reports, "columnar")
+        store = _store(reports)
         path = tmp_path / "s.store"
-        if version == 1:
-            store.save(path, include_index=False)
-        else:
-            store.save(path, format_version=version)
+        store.save(path)
         loaded = ReportStore.load(path)
         assert loaded.digest() == store.digest()
         sha = reports[0].sha256
         assert loaded.reports_for(sha) == store.reports_for(sha)
 
-    @pytest.mark.parametrize("version", VERSIONS)
-    def test_mmap_load_parity(self, tmp_path, version):
-        reports = _feed()
-        store = _store(reports, "columnar")
+    def test_mmap_load_parity(self, tmp_path):
+        store = _store(_feed())
         path = tmp_path / "s.store"
-        if version == 1:
-            store.save(path, include_index=False)
-        else:
-            store.save(path, format_version=version)
+        store.save(path)
         mm = ReportStore.load(path, use_mmap=True)
         assert mm.digest() == store.digest()
         for sha in list(mm.samples())[:3]:
             assert mm.latest_report(sha) == store.latest_report(sha)
 
     def test_saved_version_field_matches(self, tmp_path):
-        for version in self.VERSIONS:
-            blob = self._save_pair(tmp_path, version)["row"]
-            (header_len,) = struct.unpack_from("<I", blob, 8)
-            assert f'"version": {version}'.encode() in blob[12:12 + header_len]
+        path = tmp_path / "s.store"
+        _store(_feed()).save(path)
+        assert _header(path.read_bytes())["version"] == 3
 
     def test_byte_exactness_survives_symmetric_read_traffic(self, tmp_path):
-        """Reads bump the persisted retrieval counters, so byte-exact
-        saves require the two stores to have seen the *same* traffic —
-        asymmetric reads must change only the counter header, never the
-        index or block sections."""
+        """The same reports fed per report and by bulk array ingest save
+        to the same bytes after the same reads — and after different
+        reads too, since read traffic reaches no saved section."""
         reports = _feed()
-        row, col = _store(reports, "row"), _store(reports, "columnar")
-        sha = reports[0].sha256
-        for store in (row, col):
-            store.latest_report(sha)  # symmetric: one read each
+        per_report = _store(reports)
+        bulk = ReportStore(block_records=8)
+        bulk.ingest_arrays(_batch_of(reports))
+        bulk.close()
+        for store in (per_report, bulk):
+            store.latest_report(reports[0].sha256)  # symmetric: one read each
         paths = {}
-        for name, store in (("row", row), ("columnar", col)):
+        for name, store in (("per_report", per_report), ("bulk", bulk)):
             paths[name] = tmp_path / f"{name}.store"
-            store.save(paths[name], format_version=2)
-        assert paths["row"].read_bytes() == paths["columnar"].read_bytes()
+            store.save(paths[name])
+        assert paths["per_report"].read_bytes() == paths["bulk"].read_bytes()
 
-        # Asymmetric traffic: only the JSON header may differ.
-        row.latest_report(reports[1].sha256)
+        # Asymmetric traffic: the whole file, header included, is unchanged.
+        per_report.latest_report(reports[1].sha256)
         skewed = tmp_path / "skewed.store"
-        row.save(skewed, format_version=2)
-        a, b = skewed.read_bytes(), paths["columnar"].read_bytes()
-        (len_a,) = struct.unpack_from("<I", a, 8)
-        (len_b,) = struct.unpack_from("<I", b, 8)
-        assert a[12 + len_a:] == b[12 + len_b:]
+        per_report.save(skewed)
+        assert skewed.read_bytes() == paths["bulk"].read_bytes()
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_retired_versions_rejected(self, tmp_path, version):
+        path = tmp_path / "s.store"
+        _store(_feed()).save(path)
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack_from("<I", blob, 8)
+        header = _header(blob)
+        header["version"] = version
+        raw = json.dumps(header).encode()
+        path.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw
+                         + blob[12 + header_len:])
+        with pytest.raises(CorruptRecordError,
+                           match=f"unsupported store version {version}"):
+            ReportStore.load(path)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +492,7 @@ class TestV3CorruptionSurface:
     def test_store_level_block_corruption_surfaces(self, tmp_path):
         """A flipped byte inside a saved v3 file surfaces as corruption
         (or a digest change), never an internal error, when read back."""
-        store = _store(_feed(), "columnar")
+        store = _store(_feed())
         path = tmp_path / "s.store"
         store.save(path)
         blob = bytearray(path.read_bytes())
@@ -529,7 +513,7 @@ class TestKernelParity:
     @pytest.fixture()
     def frame_and_series(self):
         reports = _feed(n_samples=14, scans_each=5)
-        store = _store(reports, "columnar")
+        store = _store(reports)
         frame = store.series_frame()
         return frame, frame.to_series()
 
@@ -588,7 +572,7 @@ class TestKernelParity:
 
 
 # ---------------------------------------------------------------------------
-# Property fuzz: random streams × block sizes × format versions
+# Property fuzz: random streams × block sizes
 
 
 _report_strategy = st.builds(
@@ -611,34 +595,23 @@ _report_strategy = st.builds(
 class TestPropertyFuzz:
     @settings(max_examples=25, deadline=None)
     @given(reports=st.lists(_report_strategy, min_size=1, max_size=24),
-           block_records=st.integers(1, 6),
-           version=st.sampled_from([1, 2, 3]))
+           block_records=st.integers(1, 6))
     def test_random_streams_are_format_invariant(self, tmp_path_factory,
-                                                 reports, block_records,
-                                                 version):
+                                                 reports, block_records):
+        """Any stream survives blocks, the file format and the array
+        kernels unchanged: its digest is the record digest, its series
+        are the per-report path's, and a save reloads to both."""
         tmp_path = tmp_path_factory.mktemp("fuzz")
-        stores = {
-            fmt: _store(reports, fmt, block_records=block_records)
-            for fmt in ("row", "columnar")
-        }
-        # Saves come first: reads bump the persisted retrieval counters,
-        # and the two layouts account them differently.
-        saved = {}
-        for fmt, store in stores.items():
-            path = tmp_path / f"{fmt}.store"
-            if version == 1:
-                store.save(path, include_index=False)
-            else:
-                store.save(path, format_version=version)
-            saved[fmt] = path.read_bytes()
-        assert saved["row"] == saved["columnar"]
+        store = _store(reports, block_records=block_records)
+        assert store.digest() == _record_digest(reports)
+        assert store.series_frame().to_series() == \
+            collect_series(store.iter_sample_reports())
 
-        assert stores["row"].digest() == stores["columnar"].digest()
-        assert stores["columnar"].series_frame().to_series() == \
-            collect_series(stores["row"].iter_sample_reports())
-
-        reloaded = ReportStore.load(tmp_path / "columnar.store")
-        assert reloaded.digest() == stores["row"].digest()
+        path = tmp_path / "s.store"
+        store.save(path)
+        reloaded = ReportStore.load(path)
+        assert reloaded.digest() == store.digest()
+        assert list(reloaded.iter_reports()) == list(store.iter_reports())
 
     @settings(max_examples=25, deadline=None)
     @given(reports=st.lists(_report_strategy, min_size=0, max_size=16))

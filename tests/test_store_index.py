@@ -1,26 +1,24 @@
 """Tests for the persistent point-lookup index (repro.store.index).
 
-Covers the codec round-trip, the v2/v3 file formats, the v1 lazy-rebuild
-fallback, and the regression this layer exists for: single-hash lookups
-must decode only the blocks holding that sample's reports — never scan
-the store.  Every store-backed test runs against both block layouts via
-the ``store_block_format`` fixture (tests/conftest.py).
+Covers the codec round-trip, the index section of the v3 file, the
+deferred rebuild after bulk ingest, and the regression this layer exists
+for: single-hash lookups must decode only the blocks holding that
+sample's reports — never scan the store.
 """
 
 import pytest
 
 from repro.errors import ConfigError, CorruptRecordError, UnknownSampleError
 from repro.store import ReportQuery, ReportStore, decode_index, encode_index
+from repro.store.columnar import ColumnarBatch
 from repro.store.index import latest_entry, sample_ranks
 from tests.conftest import make_report, make_sha
 
 
 def _spread_store(block_records: int = 4, n_samples: int = 12,
-                  reports_per_sample: int = 3,
-                  block_format: str = "columnar") -> ReportStore:
+                  reports_per_sample: int = 3) -> ReportStore:
     """A store whose samples spread across many blocks and two months."""
-    store = ReportStore(block_records=block_records,
-                        block_format=block_format)
+    store = ReportStore(block_records=block_records)
     shas = [make_sha(f"s{i}") for i in range(n_samples)]
     for rep in range(reports_per_sample):
         for i, sha in enumerate(shas):
@@ -34,7 +32,15 @@ def _spread_store(block_records: int = 4, n_samples: int = 12,
 
 @pytest.fixture()
 def spread_store(store_block_format) -> ReportStore:
-    return _spread_store(block_format=store_block_format)
+    return _spread_store()
+
+
+def _bulk_copy(store: ReportStore) -> ReportStore:
+    """The same record stream through the bulk path (index deferred)."""
+    bulk = ReportStore(block_records=store.block_records)
+    bulk.ingest_arrays(ColumnarBatch.from_reports(list(store.iter_reports())))
+    bulk.close()
+    return bulk
 
 
 class TestCodec:
@@ -148,10 +154,10 @@ class TestPointLookup:
         decoded = store.cache_stats().blocks_decoded - before
         assert decoded == len(distinct_blocks)
 
-    def test_latest_report_sees_open_buffer(self, store_factory):
+    def test_latest_report_sees_open_buffer(self, store_block_format):
         """A point lookup on a live store reaches reports still in the
         unsealed buffer (served live, never cached)."""
-        store = store_factory(block_records=64)
+        store = ReportStore(block_records=64)
         sha = make_sha("live")
         store.ingest(make_report(sha=sha, scan_time=10))
         store.ingest(make_report(sha=sha, scan_time=20))
@@ -188,53 +194,32 @@ class TestPersistence:
         assert loaded.cache_stats().blocks_decoded == \
             store.cache_stats().blocks_decoded
 
-    def test_v1_file_still_loads_with_lazy_rebuild(self, spread_store,
-                                                   tmp_path):
+    def test_deferred_index_rebuilds_on_first_access(self, spread_store):
         store = spread_store
-        path = tmp_path / "v1.store"
-        store.save(path, include_index=False)
-        loaded = ReportStore.load(path)
-        assert not loaded._index_ready
+        bulk = _bulk_copy(store)
+        assert not bulk._index_ready
         # First per-sample access triggers the rebuild; results match.
-        assert list(loaded.samples()) == list(store.samples())
-        assert loaded._index_ready
+        assert list(bulk.samples()) == list(store.samples())
+        assert bulk._index_ready
         for sha in store.samples():
-            assert loaded.report_series(sha) == store.report_series(sha)
+            assert bulk.report_series(sha) == store.report_series(sha)
+            assert bulk.sample_is_fresh(sha) == store.sample_is_fresh(sha)
 
-    def test_v1_series_frame_skips_the_rebuild(self, spread_store, tmp_path):
+    def test_deferred_series_frame_skips_the_rebuild(self, spread_store):
         # The analysis frame ranks samples by first occurrence in the
         # stream, so a deferred index stays deferred.
-        path = tmp_path / "v1.store"
-        spread_store.save(path, include_index=False)
-        loaded = ReportStore.load(path)
-        frame = loaded.series_frame()
-        assert not loaded._index_ready
+        bulk = _bulk_copy(spread_store)
+        frame = bulk.series_frame()
+        assert not bulk._index_ready
         expected = spread_store.series_frame()
         assert frame.to_series() == expected.to_series()
         assert (frame.labels[frame.rows] == expected.labels[expected.rows]).all()
 
-    def test_v1_header_has_no_index_section(self, spread_store, tmp_path):
-        import json
-        import struct
-
-        store = spread_store
-        v1 = tmp_path / "v1.store"
-        indexed = tmp_path / "indexed.store"
-        store.save(v1, include_index=False)
-        store.save(indexed)
-
-        def header_of(path):
-            blob = path.read_bytes()
-            (hlen,) = struct.unpack_from("<I", blob, 8)
-            return json.loads(blob[12:12 + hlen])
-
-        h1, h2 = header_of(v1), header_of(indexed)
-        assert h1["version"] == 1 and "index" not in h1
-        # A default save carries the layout's native version: row → v2,
-        # columnar → v3 — both with the embedded index.
-        expected = 3 if store.block_format == "columnar" else 2
-        assert h2["version"] == expected and h2["index"]["samples"] == \
-            store.sample_count
+    def test_deferred_index_saves_the_same_file(self, spread_store, tmp_path):
+        per_report, bulk = tmp_path / "a.store", tmp_path / "b.store"
+        spread_store.save(per_report)
+        _bulk_copy(spread_store).save(bulk)
+        assert bulk.read_bytes() == per_report.read_bytes()
 
     def test_corrupt_index_section_rejected(self, spread_store, tmp_path):
         import json

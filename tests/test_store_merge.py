@@ -1,21 +1,24 @@
-"""Frozen-shard merge: block splicing, interleave, validation.
+"""Shard merge: differential against serial ingest, plus validation.
 
-Built on hand-made frozen shards so the block-splice fast path and the
-record-level interleave can each be forced deliberately — the end-to-end
-equivalence gate lives in ``test_parallel.py``.
+Built on hand-made frozen shards, so shard contents, block sizes and
+arrival order can be chosen freely — the end-to-end equivalence gate
+over real worker runs lives in ``test_parallel.py``.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_report, make_sha
-from repro.errors import ConfigError
+from repro.errors import ConfigError, CorruptRecordError
 from repro.store import codec
-from repro.store.merge import FrozenMonth, FrozenShard, concat_frozen
+from repro.store.merge import FrozenMonth, FrozenShard, StreamingMerge
 from repro.store.reportstore import ReportStore
 from repro.store.shard import CompressedBlock
-from repro.vt.clock import month_index
+from repro.vt.clock import MONTH_STARTS, month_index
 
 BLOCK = 4  # tiny block size so a handful of reports spans several blocks
 
@@ -30,101 +33,60 @@ def _reports(indices, scan_time_of):
     return out
 
 
-def _freeze(keyed_reports, block_records=BLOCK,
-            block_format=codec.BLOCK_FORMAT_COLUMNAR) -> FrozenShard:
-    """Package ``(key, report)`` pairs the way a worker would."""
+def _freeze(keyed_reports, block_records=BLOCK) -> FrozenShard:
+    """Package ``(key, report)`` pairs the way a worker would: each
+    month's records in key order, frozen in blocks, one key each."""
     by_month: dict[int, list] = {}
-    for key, report in keyed_reports:
+    for key, report in sorted(keyed_reports, key=lambda kr: kr[0]):
         by_month.setdefault(month_index(report.scan_time), []).append(
             (key, report))
     months = {}
     for month, items in by_month.items():
         records = [codec.encode_report(r) for _, r in items]
         months[month] = FrozenMonth(
-            blocks=[CompressedBlock.from_records(records[i:i + block_records],
-                                                 block_format)
+            blocks=[CompressedBlock.from_records(records[i:i + block_records])
                     for i in range(0, len(records), block_records)],
             report_count=len(records),
-            verbose_bytes=sum(codec.verbose_json_size(r) for _, r in items),
-            encoded_bytes=sum(len(rec) for rec in records),
-            keys=[k for k, _ in items],
-            shas=[r.sha256 for _, r in items],
-            scan_times=[r.scan_time for _, r in items],
+            keys=np.array([index for (_, index), _ in items], np.int64),
         )
-    meta = {}
-    for _, r in keyed_reports:
-        meta.setdefault(r.sha256, (r.file_type, r.first_submission_date >= 0))
-    return FrozenShard(months=months, sample_meta=meta)
+    return FrozenShard(months=months)
 
 
-def _serial_reference(all_keyed, block_records=BLOCK,
-                      block_format=codec.BLOCK_FORMAT_COLUMNAR) -> ReportStore:
+def _merge(shards, block_records=BLOCK) -> ReportStore:
+    merge = StreamingMerge(block_records=block_records)
+    for shard in shards:
+        merge.add(shard)
+    return merge.finish()
+
+
+def _serial_reference(all_keyed, block_records=BLOCK) -> ReportStore:
     """What serial ingest of the same records in key order produces."""
-    store = ReportStore(block_records=block_records,
-                        block_format=block_format)
+    store = ReportStore(block_records=block_records)
     for _, report in sorted(all_keyed, key=lambda kr: kr[0]):
         store.ingest(report)
     store.close()
     return store
 
 
+def _payloads(store: ReportStore) -> list:
+    return [(month, [block.payload for block in store.shards[month].blocks])
+            for month in sorted(store.shards)]
+
+
 def test_interleaved_merge_matches_serial_ingest(store_block_format):
-    fmt = store_block_format
     a = _reports(range(0, 10, 2), lambda i: 1000 + i)   # even minutes
     b = _reports(range(1, 10, 2), lambda i: 1000 + i)   # odd minutes
-    merged, stats = concat_frozen(
-        [_freeze(a, block_format=fmt), _freeze(b, block_format=fmt)],
-        block_records=BLOCK, block_format=fmt)
-    reference = _serial_reference(a + b, block_format=fmt)
+    merged = _merge([_freeze(a), _freeze(b)])
+    reference = _serial_reference(a + b)
     assert merged.digest() == reference.digest()
     assert merged.report_count == 10
-    assert stats.records == 10
-    # Fully interleaved: nothing can splice, every block decompresses.
-    assert stats.blocks_spliced == 0
-    assert stats.blocks_decompressed == len(_freeze(a).months[0].blocks) + \
-        len(_freeze(b).months[0].blocks)
-
-
-def test_disjoint_full_blocks_splice_without_decompression(
-        store_block_format):
-    fmt = store_block_format
-    a = _reports(range(0, 8), lambda i: 1000 + i)       # 2 full blocks
-    b = _reports(range(8, 16), lambda i: 2000 + i)      # strictly later
-    merged, stats = concat_frozen(
-        [_freeze(a, block_format=fmt), _freeze(b, block_format=fmt)],
-        block_records=BLOCK, block_format=fmt)
-    reference = _serial_reference(a + b, block_format=fmt)
-    assert merged.digest() == reference.digest()
-    # Spliced blocks are adopted untouched, so the merged file equals
-    # the serial reference byte for byte in either layout.
-    assert stats.blocks_spliced == 4
-    assert stats.blocks_decompressed == 0
-    assert stats.blocks_recompressed == 0
-    assert [b.payload for s in merged.shards.values() for b in s.blocks] == \
-        [b.payload for s in reference.shards.values() for b in s.blocks]
-
-
-def test_partial_tail_block_interleaves(store_block_format):
-    fmt = store_block_format
-    a = _reports(range(0, 6), lambda i: 1000 + i)       # 1 full + 1 partial
-    b = _reports(range(6, 12), lambda i: 2000 + i)
-    merged, stats = concat_frozen(
-        [_freeze(a, block_format=fmt), _freeze(b, block_format=fmt)],
-        block_records=BLOCK, block_format=fmt)
-    assert merged.digest() == \
-        _serial_reference(a + b, block_format=fmt).digest()
-    # a's full first block splices; its 2-record tail forces the buffer
-    # open, so b's records re-block from there.
-    assert stats.blocks_spliced == 1
-    assert stats.blocks_decompressed >= 1
-    assert stats.blocks_recompressed >= 1
+    assert _payloads(merged) == _payloads(reference)
 
 
 def test_merged_store_is_sealed_and_indexed():
     a = _reports(range(0, 5), lambda i: 1000 + i)
     b = _reports(range(5, 9), lambda i: 1500 + i)
-    merged, _ = concat_frozen([_freeze(a), _freeze(b)],
-                              block_records=BLOCK)
+    merged = _merge([_freeze(a), _freeze(b)])
     assert merged.closed
     assert merged.sample_count == 9
     for _key, report in a + b:
@@ -136,24 +98,21 @@ def test_merged_store_is_sealed_and_indexed():
 
 
 def test_multi_month_merge_keeps_months_separate():
-    from repro.vt.clock import MONTH_STARTS
-
     month_minutes = MONTH_STARTS[1]
     a = _reports(range(0, 4), lambda i: 100 + i)
     b = _reports(range(4, 8), lambda i: month_minutes + 100 + i)
-    merged, stats = concat_frozen([_freeze(a), _freeze(b)],
-                                  block_records=BLOCK)
-    assert stats.months == 2
+    merged = _merge([_freeze(a), _freeze(b)])
     assert sorted(merged.shards) == [month_index(100),
                                      month_index(month_minutes + 100)]
     assert merged.digest() == _serial_reference(a + b).digest()
 
 
 def test_empty_sources_merge_to_empty_store():
-    merged, stats = concat_frozen([], block_records=BLOCK)
+    merged = _merge([])
     assert merged.report_count == 0
-    assert stats.records == 0
+    assert merged.shards == {}
     assert merged.closed
+    assert _merge([FrozenShard(months={})]).digest() == merged.digest()
 
 
 def test_frozen_month_rejects_mismatched_metadata():
@@ -163,19 +122,26 @@ def test_frozen_month_rejects_mismatched_metadata():
         FrozenMonth(
             blocks=[CompressedBlock.from_records(records)],
             report_count=3,
-            verbose_bytes=0,
-            encoded_bytes=0,
-            keys=[k for k, _ in keyed],
-            shas=[r.sha256 for _, r in keyed[:2]],  # one sha short
-            scan_times=[r.scan_time for _, r in keyed],
+            keys=np.array([i for (_, i), _ in keyed[:2]]),  # one key short
         )
+
+
+def test_block_disagreeing_with_its_keys_rejected():
+    keyed = _reports(range(4), lambda i: 1000 + i)
+    records = [codec.encode_report(r) for _, r in keyed]
+    honest = CompressedBlock.from_records(records[:3])
+    # The block header claims 4 records; its payload holds 3.
+    lying = CompressedBlock(honest.payload, 4, honest.raw_bytes)
+    month = FrozenMonth(blocks=[lying], report_count=4,
+                        keys=np.arange(4, dtype=np.int64))
+    with pytest.raises(CorruptRecordError, match="keys were shipped"):
+        _merge([FrozenShard(months={month_index(1000): month})])
 
 
 def test_merge_accounting_matches_serial():
     a = _reports(range(0, 7), lambda i: 1000 + 3 * i)
     b = _reports(range(7, 13), lambda i: 1001 + 3 * i)
-    merged, _ = concat_frozen([_freeze(a), _freeze(b)],
-                              block_records=BLOCK)
+    merged = _merge([_freeze(a), _freeze(b)])
     reference = _serial_reference(a + b)
     month = month_index(1000)
     assert merged.shards[month].verbose_bytes == \
@@ -183,3 +149,77 @@ def test_merge_accounting_matches_serial():
     assert merged.shards[month].encoded_bytes == \
         reference.shards[month].encoded_bytes
     assert merged.stats().total_reports == reference.stats().total_reports
+
+
+# ---------------------------------------------------------------------------
+# Differential property: any split, any arrival order, any block size
+
+
+#: Scan minutes shared by every sample: three months, a few minutes in
+#: each, so samples collide on minutes and span month boundaries.
+_MINUTES = [MONTH_STARTS[m] + offset for m in (0, 1, 3) for offset in range(4)]
+
+
+@st.composite
+def _sample(draw, index: int):
+    """One sample's scans: distinct minutes, one fleet width, ranks drawn."""
+    width = draw(st.sampled_from([3, 5]))
+    minutes = draw(st.lists(st.sampled_from(_MINUTES), min_size=1,
+                            max_size=5, unique=True))
+    file_type = draw(st.sampled_from(["Win32 EXE", "PDF", "Android"]))
+    first = draw(st.sampled_from([-1, 0]))
+    out = []
+    for when in minutes:
+        labels = draw(st.lists(st.sampled_from([-1, 0, 1]),
+                               min_size=width, max_size=width))
+        out.append(((when, index), make_report(
+            sha=make_sha(f"merge{index}"), file_type=file_type,
+            scan_time=when, labels=labels,
+            versions=[draw(st.integers(1, 3))] * width,
+            first_submission=first, n_engines=width)))
+    return out
+
+
+@st.composite
+def _split_streams(draw):
+    n_samples = draw(st.integers(1, 10))
+    samples = [draw(_sample(i)) for i in range(n_samples)]
+    n_shards = draw(st.integers(1, 6))
+    owner = draw(st.lists(st.integers(0, n_shards - 1),
+                          min_size=n_samples, max_size=n_samples))
+    order = draw(st.permutations(range(n_shards)))
+    return samples, n_shards, owner, order
+
+
+@settings(max_examples=60, deadline=None)
+@given(split=_split_streams(), block_records=st.sampled_from([1, 2, 3, 8, 256]))
+def test_merge_equals_serial_ingest_in_key_order(tmp_path_factory, split,
+                                                 block_records):
+    samples, n_shards, owner, order = split
+    per_shard: list[list] = [[] for _ in range(n_shards)]
+    for sample, shard in zip(samples, owner):
+        per_shard[shard] += sample  # a sample never splits across shards
+    shards = [_freeze(keyed, block_records) for keyed in per_shard]
+    merged = _merge([shards[i] for i in order], block_records)
+    every = [kr for sample in samples for kr in sample]
+    serial = _serial_reference(every, block_records)
+
+    assert merged.digest() == serial.digest()
+    assert _payloads(merged) == _payloads(serial)
+
+    # The deferred index rebuilds on first access and answers exactly
+    # like the index serial ingest built report by report.
+    assert list(merged.samples()) == list(serial.samples())
+    for sha in serial.samples():
+        assert merged.reports_for(sha) == serial.reports_for(sha)
+        assert merged.latest_report(sha) == serial.latest_report(sha)
+        assert merged.sample_file_type(sha) == serial.sample_file_type(sha)
+        assert merged.sample_is_fresh(sha) == serial.sample_is_fresh(sha)
+        for when in _MINUTES:
+            assert merged.has_report(sha, when) == serial.has_report(sha, when)
+
+    tmp_path = tmp_path_factory.mktemp("merge")
+    merged.save(tmp_path / "merged.store")
+    serial.save(tmp_path / "serial.store")
+    assert (tmp_path / "merged.store").read_bytes() == \
+        (tmp_path / "serial.store").read_bytes()

@@ -1,10 +1,21 @@
 """Unit and integration tests for ReportStore (repro.store.reportstore)."""
 
+import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.errors import CorruptRecordError, ShardClosedError, UnknownSampleError
+import repro
+from repro.errors import (
+    CorruptRecordError,
+    ShardClosedError,
+    StoreError,
+    UnknownSampleError,
+)
 from repro.store.reportstore import ReportStore
 from repro.vt import clock
 
@@ -390,63 +401,51 @@ class TestPersistence:
         assert reloaded.total_reports == original.total_reports
         assert reloaded.verbose_bytes == original.verbose_bytes
 
-    def test_reopen_carries_retrieval_counters(self, store, tmp_path):
-        # Regression: a save()+reopen cycle used to zero the cache
-        # counters, making collector restarts look like cold caches.
-        _fill(store, n_samples=6, scans_each=2)
-        store.close()
-        store.reports_for(make_sha("s1"))  # miss + decode
-        store.reports_for(make_sha("s1"))  # hit
-        list(store.iter_sample_reports())  # streaming high-water mark
-        before = store.cache_stats()
-        assert before.hits > 0 and before.misses > 0
-        assert before.blocks_decoded > 0
-        assert before.peak_stream_reports > 0
+    def test_saved_bytes_ignore_read_traffic(self, tmp_path):
+        """Saved bytes are a pure function of content: read counters are
+        neither written nor restored, and a header written when they were
+        (the ``retrieval_counters`` key) still loads, the key ignored."""
+        quiet, busy = ReportStore(block_records=4), ReportStore(block_records=4)
+        for live in (quiet, busy):
+            _fill(live, n_samples=6, scans_each=2)
+            live.close()
+        busy.reports_for(make_sha("s1"))  # miss + decode
+        busy.reports_for(make_sha("s1"))  # hit
+        list(busy.iter_sample_reports())  # streaming high-water mark
+        assert busy.cache_stats().blocks_decoded > 0
+        quiet_path, busy_path = tmp_path / "quiet.store", tmp_path / "busy.store"
+        quiet.save(quiet_path)
+        busy.save(busy_path)
+        assert busy_path.read_bytes() == quiet_path.read_bytes()
+        assert ReportStore.load(busy_path).cache_stats().blocks_decoded == 0
 
-        path = tmp_path / "carry.store"
-        store.save(path)
-        reopened = ReportStore.load(path, reopen=True)
-        after = reopened.cache_stats()
-        assert after.hits == before.hits
-        assert after.misses == before.misses
-        assert after.evictions == before.evictions
-        assert after.invalidations == before.invalidations
-        assert after.blocks_decoded == before.blocks_decoded
-        assert after.open_reads == before.open_reads
-        assert after.peak_stream_reports == before.peak_stream_reports
+        blob = busy_path.read_bytes()
+        (header_len,) = struct.unpack_from("<I", blob, 8)
+        header = json.loads(blob[12:12 + header_len])
+        old = {key: header[key] for key in ("version", "block_records",
+                                             "months")}
+        old["retrieval_counters"] = {"hits": 7, "misses": 3,
+                                     "blocks_decoded": 3}
+        old["index"] = header["index"]
+        raw = json.dumps(old).encode()
+        old_path = tmp_path / "old.store"
+        old_path.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw
+                             + blob[12 + header_len:])
+        loaded = ReportStore.load(old_path, reopen=True)
+        assert loaded.digest() == busy.digest()
+        stats = loaded.cache_stats()
+        assert stats.hits == stats.misses == stats.blocks_decoded == 0
 
-    def test_sealed_load_also_carries_counters(self, store, tmp_path):
+    def test_load_tolerates_missing_counter_header(self, store, tmp_path):
+        # Saves write no ``retrieval_counters`` key; such a file loads
+        # and its counters start at zero.
         _fill(store)
-        store.close()
-        store.reports_for(make_sha("s0"))
-        before = store.cache_stats()
-        path = tmp_path / "sealed.store"
+        store.reports_for(make_sha("s0"))  # traffic the file must not keep
+        path = tmp_path / "plain.store"
         store.save(path)
-        loaded = ReportStore.load(path)
-        assert loaded.cache_stats().misses == before.misses
-        assert loaded.cache_stats().blocks_decoded == before.blocks_decoded
-
-    def test_load_tolerates_missing_counter_header(self, store, tmp_path,
-                                                   monkeypatch):
-        # Files written before the counters existed must still load
-        # (header key absent → counters start at zero).
-        import json as json_mod
-
-        import repro.store.reportstore as rs_mod
-
-        real_dumps = json_mod.dumps
-
-        def strip_counters(obj, *args, **kwargs):
-            if isinstance(obj, dict) and "retrieval_counters" in obj:
-                obj = {k: v for k, v in obj.items()
-                       if k != "retrieval_counters"}
-            return real_dumps(obj, *args, **kwargs)
-
-        _fill(store)
-        path = tmp_path / "old.store"
-        monkeypatch.setattr(rs_mod.json, "dumps", strip_counters)
-        store.save(path)
-        monkeypatch.undo()
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack_from("<I", blob, 8)
+        assert "retrieval_counters" not in json.loads(blob[12:12 + header_len])
         loaded = ReportStore.load(path)
         assert loaded.report_count == store.report_count
         assert loaded.cache_stats().hits == 0
@@ -550,3 +549,55 @@ class TestReopen:
         final = ReportStore.load(second)
         assert final.report_count == store.report_count + 1
         assert final.reports_for(extra.sha256) == [extra]
+
+
+#: Loads a store memory-mapped, saves it over its own file, and prints
+#: the live store's digest and the reloaded file's.
+_SAVE_OVER_MMAP = """
+import sys
+from repro.store.reportstore import ReportStore
+live = ReportStore.load(sys.argv[1], use_mmap=True)
+live.save(sys.argv[1])
+print(live.digest())
+print(ReportStore.load(sys.argv[1]).digest())
+"""
+
+
+class TestAtomicSave:
+    def test_save_over_own_mmap(self, tiny_store, tmp_path):
+        # In a subprocess: an in-place rewrite of a mapped file raises
+        # SIGBUS, which would kill the test runner itself.
+        path = tmp_path / "mapped.store"
+        tiny_store.save(path)
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-c", _SAVE_OVER_MMAP, str(path)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == [tiny_store.digest()] * 2
+
+    def test_failed_save_keeps_old_file(self, store, tmp_path, monkeypatch):
+        path = tmp_path / "s.store"
+        _fill(store)
+        store.save(path)
+        before = path.read_bytes()
+        _fill(store, n_samples=5)
+
+        def torn(fh, shard):
+            fh.write(b"partial")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(ReportStore, "_write_month", staticmethod(torn))
+        with pytest.raises(StoreError, match=f"cannot write store {path}"):
+            store.save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["s.store"]
+
+    def test_new_file_gets_default_permissions(self, store, tmp_path):
+        umask = os.umask(0o022)
+        os.umask(umask)
+        path = tmp_path / "s.store"
+        _fill(store)
+        store.save(path)
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask

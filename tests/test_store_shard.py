@@ -2,12 +2,19 @@
 
 import pytest
 
+from conftest import make_report, make_sha
 from repro.errors import ShardClosedError
+from repro.store.codec import encode_report
 from repro.store.shard import CompressedBlock, MonthlyShard
 
 
 def _records(n: int) -> list[bytes]:
-    return [f"record-{i:04d}".encode() * 3 for i in range(n)]
+    return [encode_report(make_report(sha=make_sha(f"record-{i}"),
+                                      scan_time=1000 + i))
+            for i in range(n)]
+
+
+A, B, C = _records(3)
 
 
 class TestCompressedBlock:
@@ -18,7 +25,8 @@ class TestCompressedBlock:
         assert block.record_count == 10
 
     def test_compression_shrinks_repetitive_data(self):
-        block = CompressedBlock.from_records([b"x" * 1000] * 20)
+        wide = encode_report(make_report(n_engines=70))
+        block = CompressedBlock.from_records([wide] * 20)
         assert block.compressed_bytes < block.raw_bytes / 10
 
 
@@ -46,7 +54,7 @@ class TestMonthlyShard:
 
     def test_record_at_out_of_range(self):
         shard = MonthlyShard(month=0, block_records=3)
-        shard.append(b"x", 10)
+        shard.append(A, 10)
         with pytest.raises(IndexError):
             shard.record_at(5, 0)
         with pytest.raises(IndexError):
@@ -61,18 +69,18 @@ class TestMonthlyShard:
 
     def test_flush_freezes_partial_buffer(self):
         shard = MonthlyShard(month=0, block_records=100)
-        shard.append(b"a", 10)
+        shard.append(A, 10)
         shard.flush()
         assert len(shard.blocks) == 1
         assert shard.blocks[0].record_count == 1
 
     def test_close_seals_shard(self):
         shard = MonthlyShard(month=0)
-        shard.append(b"a", 10)
+        shard.append(A, 10)
         shard.close()
         assert shard.closed
         with pytest.raises(ShardClosedError):
-            shard.append(b"b", 10)
+            shard.append(B, 10)
 
     def test_accounting(self):
         shard = MonthlyShard(month=2, block_records=2)
@@ -87,10 +95,10 @@ class TestMonthlyShard:
         # Regression: the open buffer's raw record bytes used to be
         # reported as "compressed" size, skewing Table 2 ratios.
         shard = MonthlyShard(month=0, block_records=100)
-        shard.append(b"z" * 50, 10)
+        shard.append(A, 10)
         assert shard.compressed_bytes == 0
-        assert shard.buffered_bytes == 50
-        assert shard.stored_bytes == 50
+        assert shard.buffered_bytes == len(A)
+        assert shard.stored_bytes == len(A)
         shard.flush()
         assert shard.buffered_bytes == 0
         assert shard.compressed_bytes > 0
@@ -99,8 +107,8 @@ class TestMonthlyShard:
     def test_generation_bumps_on_append_and_flush(self):
         shard = MonthlyShard(month=0, block_records=100)
         assert shard.generation == 0
-        shard.append(b"a", 1)
-        shard.append(b"b", 1)
+        shard.append(A, 1)
+        shard.append(B, 1)
         assert shard.generation == 2
         shard.flush()
         assert shard.generation == 3
@@ -109,15 +117,15 @@ class TestMonthlyShard:
 
     def test_buffered_records_is_a_snapshot(self):
         shard = MonthlyShard(month=0, block_records=100)
-        shard.append(b"a", 1)
+        shard.append(A, 1)
         snapshot = shard.buffered_records()
-        shard.append(b"b", 1)
-        assert snapshot == [b"a"]
-        assert shard.buffered_records() == [b"a", b"b"]
+        shard.append(B, 1)
+        assert snapshot == [A]
+        assert shard.buffered_records() == [A, B]
 
     def test_iter_record_blocks_covers_frozen_and_open(self):
         shard = MonthlyShard(month=0, block_records=2)
-        for r in (b"r0", b"r1", b"r2"):
+        for r in (A, B, C):
             shard.append(r, 1)
         blocks = list(shard.iter_record_blocks())
-        assert blocks == [(0, [b"r0", b"r1"]), (1, [b"r2"])]
+        assert blocks == [(0, [A, B]), (1, [C])]
