@@ -19,66 +19,31 @@ Quickstart::
     stable, dynamic = split_stable_dynamic(data.series())
 """
 
-from repro._version import __version__
-from repro.analysis.experiment import ExperimentData, run_experiment
-from repro.collect import FeedCollector, run_collection
-from repro.core.avrank import AVRankSeries, collect_series, split_stable_dynamic
-from repro.core.aggregation import (
-    PercentageAggregator,
-    ThresholdAggregator,
-    TrustedEnginesAggregator,
-    WeightedVoteAggregator,
-)
-from repro.core.categorize import categorize, category_distribution
-from repro.core.correlation import correlation_analysis
-from repro.core.flips import analyze_flips
-from repro.core.monitor import StabilityCriteria, StabilityMonitor
-from repro.core.stabilization import avrank_stabilization, label_stabilization
-from repro.store.reportstore import ReportStore
-from repro.faults import FaultPlan, standard_chaos_plan
-from repro.synth.scenario import (
-    ScenarioConfig,
-    chaos_scenario,
-    dynamics_scenario,
-    paper_scenario,
-    tiny_scenario,
-)
-from repro.vt.api import VTClient
-from repro.vt.engines import default_fleet
-from repro.vt.feed import PremiumFeed
-from repro.vt.service import VirusTotalService
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "__version__",
-    "ExperimentData",
-    "run_experiment",
-    "FeedCollector",
-    "run_collection",
-    "FaultPlan",
-    "standard_chaos_plan",
-    "AVRankSeries",
-    "collect_series",
-    "split_stable_dynamic",
-    "PercentageAggregator",
-    "ThresholdAggregator",
-    "TrustedEnginesAggregator",
-    "WeightedVoteAggregator",
-    "categorize",
-    "category_distribution",
-    "correlation_analysis",
-    "analyze_flips",
-    "StabilityCriteria",
-    "StabilityMonitor",
-    "avrank_stabilization",
-    "label_stabilization",
-    "ReportStore",
-    "ScenarioConfig",
-    "chaos_scenario",
-    "dynamics_scenario",
-    "paper_scenario",
-    "tiny_scenario",
-    "VTClient",
-    "default_fleet",
-    "PremiumFeed",
-    "VirusTotalService",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "_version": ("__version__",),
+    "analysis.experiment": ("ExperimentData", "run_experiment"),
+    "collect.collector": ("FeedCollector",),
+    "collect.driver": ("run_collection",),
+    "faults.plan": ("FaultPlan", "standard_chaos_plan"),
+    "core.avrank": ("AVRankSeries", "collect_series", "split_stable_dynamic"),
+    "core.aggregation": (
+        "PercentageAggregator", "ThresholdAggregator",
+        "TrustedEnginesAggregator", "WeightedVoteAggregator",
+    ),
+    "core.categorize": ("categorize", "category_distribution"),
+    "core.correlation": ("correlation_analysis",),
+    "core.flips": ("analyze_flips",),
+    "core.monitor": ("StabilityCriteria", "StabilityMonitor"),
+    "core.stabilization": ("avrank_stabilization", "label_stabilization"),
+    "store.reportstore": ("ReportStore",),
+    "synth.scenario": (
+        "ScenarioConfig", "chaos_scenario", "dynamics_scenario",
+        "paper_scenario", "tiny_scenario",
+    ),
+    "vt.api": ("VTClient",),
+    "vt.engines": ("default_fleet",),
+    "vt.feed": ("PremiumFeed",),
+    "vt.service": ("VirusTotalService",),
+})

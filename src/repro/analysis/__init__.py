@@ -10,6 +10,8 @@ store: :mod:`repro.analysis.dataset` (Tables 2-3, Figure 1),
 benchmark harness prints.
 """
 
-from repro.analysis.experiment import ExperimentData, run_experiment
+from repro._lazy import lazy_exports
 
-__all__ = ["ExperimentData", "run_experiment"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "experiment": ("ExperimentData", "run_experiment"),
+})

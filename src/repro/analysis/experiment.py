@@ -25,16 +25,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from repro.core.avrank import AVRankSeries, select_dataset_s
 from repro.obs import get_registry
 from repro.parallel.sharding import resolve_workers
 from repro.store.columnar import SeriesFrame
 from repro.store.reportstore import ReportStore
-from repro.synth.scenario import ScenarioConfig
-from repro.vt.engines import EngineFleet
+from repro.vt.engines import ENGINE_NAMES
 from repro.vt.filetypes import TOP20_FILE_TYPES
-from repro.vt.service import VirusTotalService
+
+if TYPE_CHECKING:
+    from repro.synth.scenario import ScenarioConfig
+    from repro.vt.engines import EngineFleet
+    from repro.vt.service import VirusTotalService
 
 
 @dataclass
@@ -42,7 +46,9 @@ class ExperimentData:
     """Everything an analysis pipeline needs from one scenario run."""
 
     config: ScenarioConfig
-    fleet: EngineFleet
+    #: The fleet that scanned the store; ``None`` when the store was
+    #: loaded from disk, whose reports name no engines.
+    fleet: EngineFleet | None
     #: The live service of a serial in-process run.  ``None`` when the
     #: store was produced by parallel workers (their services die with
     #: the worker processes) or loaded from disk; no analysis pipeline
@@ -62,7 +68,9 @@ class ExperimentData:
 
     @property
     def engine_names(self) -> tuple[str, ...]:
-        return self.fleet.names
+        """The fleet's engine names; the default fleet's for a loaded
+        store (they do not depend on the fleet's seed)."""
+        return self.fleet.names if self.fleet is not None else ENGINE_NAMES
 
     @cached_property
     def frame(self) -> SeriesFrame:

@@ -38,28 +38,20 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from typing import TYPE_CHECKING
 
-from repro.analysis import dataset as dataset_mod
-from repro.errors import ConfigError, LintError, ReproError
-from repro.analysis import dynamics as dynamics_mod
-from repro.analysis import engines as engines_mod
-from repro.analysis import rendering, stabilization as stab_mod
-from repro.analysis.experiment import ExperimentData, run_experiment
 # Unused here since the analyses read ExperimentData.frame, but kept as a
 # module attribute: perfbench/traced.py wraps repro.cli.collect_series.
 from repro.core.avrank import collect_series  # noqa: F401
-from repro.obs import (
-    MetricsRegistry,
-    jsonl_lines,
-    prometheus_text,
-    render_summary,
-    write_jsonl,
-    write_prometheus,
-)
-from repro.store.reportstore import ReportStore
-from repro.synth.scenario import dynamics_scenario, paper_scenario
-from repro.vt.feed import DEFAULT_ARCHIVE_RETENTION_MINUTES
-from repro.vt.engines import default_fleet
+from repro.errors import ConfigError, LintError, ReproError
+from repro.vt.clock import DEFAULT_ARCHIVE_RETENTION_MINUTES
+
+if TYPE_CHECKING:
+    from repro.analysis.experiment import ExperimentData
+
+# Each command imports what it runs inside its own function, so that
+# ``--help`` and ``lint`` never load numpy and ``generate`` loads no
+# figure analysis (docs/architecture.md, "Startup and imports").
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -216,13 +208,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args: argparse.Namespace):
+    from repro.synth.scenario import dynamics_scenario, paper_scenario
+
     if args.scenario == "paper":
         return paper_scenario(n_samples=args.samples, seed=args.seed)
     return dynamics_scenario(n_samples=args.samples, seed=args.seed)
 
 
+def _run(args: argparse.Namespace, metrics=None) -> ExperimentData:
+    from repro.analysis.experiment import run_experiment
+
+    return run_experiment(_config(args), workers=_workers(args),
+                          metrics=metrics, executor=_executor(args))
+
+
 def _data(args: argparse.Namespace, metrics=None) -> ExperimentData:
     if args.store:
+        from repro.analysis.experiment import ExperimentData
+        from repro.store.reportstore import ReportStore
+
         store = ReportStore.load(args.store, metrics=metrics)
         if metrics is not None:
             # No run happened: the registry carries only the loaded
@@ -234,7 +238,7 @@ def _data(args: argparse.Namespace, metrics=None) -> ExperimentData:
                 raise
         return ExperimentData(
             config=_config(args),
-            fleet=default_fleet(args.seed),
+            fleet=None,  # engine names are the default fleet's
             service=None,  # analyses never need the live service
             store=store,
             metrics=metrics,
@@ -242,8 +246,7 @@ def _data(args: argparse.Namespace, metrics=None) -> ExperimentData:
     # Wall time below is operator-facing elapsed display only; it never
     # feeds simulation state or stored bytes.
     started = time.perf_counter()  # reprolint: disable=RPL001 - display only
-    data = run_experiment(_config(args), workers=_workers(args),
-                          metrics=metrics, executor=_executor(args))
+    data = _run(args, metrics)
     elapsed = time.perf_counter() - started  # reprolint: disable=RPL001 - display only
     print(f"[generated {data.store.report_count:,} reports from "
           f"{data.store.sample_count:,} samples in "
@@ -263,8 +266,8 @@ def _executor(args: argparse.Namespace):
     """
     if not args.executor_chaos:
         return args.executor
-    from repro.faults import standard_executor_chaos_plan
-    from repro.parallel import ExecutorPolicy
+    from repro.faults.executor import standard_executor_chaos_plan
+    from repro.parallel.scheduler import ExecutorPolicy
 
     return ExecutorPolicy(
         kind=args.executor,
@@ -288,6 +291,8 @@ def _workers(args: argparse.Namespace) -> int | str:
 
 
 def cmd_overview(data: ExperimentData) -> None:
+    from repro.analysis import dataset as dataset_mod, rendering
+
     print(rendering.render_table2(data.store.stats()))
     print()
     print(rendering.render_table3(
@@ -298,6 +303,8 @@ def cmd_overview(data: ExperimentData) -> None:
 
 
 def cmd_dynamics(data: ExperimentData) -> None:
+    from repro.analysis import dynamics as dynamics_mod, rendering
+
     series, dataset_s = data.series(), data.dataset_s
     print(rendering.render_fig2(dynamics_mod.stable_dynamic_split(series)))
     print()
@@ -314,6 +321,8 @@ def cmd_dynamics(data: ExperimentData) -> None:
 
 
 def cmd_stabilization(data: ExperimentData) -> None:
+    from repro.analysis import rendering, stabilization as stab_mod
+
     dataset_s = data.dataset_s
     print(rendering.render_obs8(
         stab_mod.avrank_stabilization_profile(dataset_s)))
@@ -323,6 +332,8 @@ def cmd_stabilization(data: ExperimentData) -> None:
 
 
 def cmd_engines(data: ExperimentData) -> None:
+    from repro.analysis import engines as engines_mod, rendering
+
     names = data.engine_names
     stability = engines_mod.engine_stability(data.frame, names)
     print(rendering.render_fig10(stability.flips,
@@ -335,8 +346,8 @@ def cmd_engines(data: ExperimentData) -> None:
 
 
 def cmd_collect(args: argparse.Namespace, metrics=None) -> int:
-    from repro.collect import auto_resume_minute, run_collection
-    from repro.faults import standard_chaos_plan
+    from repro.collect.driver import auto_resume_minute, run_collection
+    from repro.faults.plan import standard_chaos_plan
 
     config = _config(args)
     if args.chaos:
@@ -380,6 +391,8 @@ def cmd_collect(args: argparse.Namespace, metrics=None) -> int:
 
 
 def _write_metrics(registry, path: str) -> None:
+    from repro.obs.export import write_jsonl, write_prometheus
+
     if path.endswith(".prom"):
         write_prometheus(registry, path)
     else:
@@ -388,19 +401,11 @@ def _write_metrics(registry, path: str) -> None:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint import (
-        LintConfig,
-        apply_baseline,
-        default_target,
-        lint_paths,
-        lint_paths_cached,
-        parse_select,
-        read_baseline,
-        render_json,
-        render_rules,
-        render_text,
-        write_baseline,
-    )
+    from repro.lint.baseline import apply_baseline, read_baseline, write_baseline
+    from repro.lint.cache import lint_paths_cached
+    from repro.lint.config import LintConfig, parse_select
+    from repro.lint.engine import default_target, lint_paths
+    from repro.lint.report import render_json, render_rules, render_text
 
     # Bare --explain keeps its original meaning (the rule table); with
     # explicit --paths it switches the findings report to evidence mode.
@@ -440,7 +445,9 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace, metrics=None) -> int:
-    from repro.serve import ReportServer, TenantRegistry
+    from repro.serve.auth import TenantRegistry
+    from repro.serve.http import ReportServer
+    from repro.store.reportstore import ReportStore
     from repro.vt.feed import FeedArchive
 
     store = ReportStore.load(args.store_path, metrics=metrics,
@@ -478,6 +485,8 @@ def cmd_serve(args: argparse.Namespace, metrics=None) -> int:
 
 
 def cmd_digest(args: argparse.Namespace) -> int:
+    from repro.store.reportstore import ReportStore
+
     digest = ReportStore.load(args.path).digest()
     if args.path2 is None:
         print(digest)
@@ -493,6 +502,8 @@ def cmd_digest(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace, registry) -> int:
+    from repro.obs.export import jsonl_lines, prometheus_text, render_summary
+
     _data(args, metrics=registry)
     if args.format == "jsonl":
         print("\n".join(jsonl_lines(registry)))
@@ -505,8 +516,11 @@ def cmd_metrics(args: argparse.Namespace, registry) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    registry = (MetricsRegistry()
-                if args.metrics_out or args.command == "metrics" else None)
+    registry = None
+    if args.metrics_out or args.command == "metrics":
+        from repro.obs.registry import MetricsRegistry
+
+        registry = MetricsRegistry()
     try:
         status = _dispatch(args, registry)
     except ReproError as exc:
@@ -529,8 +543,7 @@ def _dispatch(args: argparse.Namespace, registry) -> int:
     if args.command == "serve":
         return cmd_serve(args, metrics=registry)
     if args.command == "generate":
-        data = run_experiment(_config(args), workers=_workers(args),
-                              metrics=registry, executor=_executor(args))
+        data = _run(args, registry)
         data.store.save(args.output)
         print(f"saved {data.store.report_count:,} reports to {args.output}")
         return 0

@@ -49,7 +49,7 @@ from repro.errors import (
     ServiceUnavailableError,
     TransientError,
 )
-from repro.obs import NULL_REGISTRY
+from repro.obs.registry import NULL_REGISTRY
 from repro.store import codec
 from repro.vt.reports import ScanReport
 

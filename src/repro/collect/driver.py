@@ -25,17 +25,15 @@ from repro.collect.backoff import BackoffPolicy
 from repro.collect.checkpoint import load_checkpoint
 from repro.collect.collector import CollectorStats, FeedCollector
 from repro.errors import CheckpointError
-from repro.faults import ChaosFeed, FaultPlan, chaos_wrap
+from repro.faults.chaos import ChaosFeed, chaos_wrap
+from repro.faults.plan import FaultPlan
 from repro.store.reportstore import ReportStore
 from repro.synth.population import PopulationGenerator
 from repro.synth.scenario import ScenarioConfig
 from repro.vt.api import VTClient
 from repro.vt.engines import EngineFleet, default_fleet
-from repro.vt.feed import (
-    DEFAULT_ARCHIVE_RETENTION_MINUTES,
-    FeedArchive,
-    PremiumFeed,
-)
+from repro.vt.clock import DEFAULT_ARCHIVE_RETENTION_MINUTES
+from repro.vt.feed import FeedArchive, PremiumFeed
 from repro.vt.service import VirusTotalService
 
 #: Default checkpoint cadence: once per simulated day.

@@ -21,78 +21,28 @@ given per-sample sequences of VirusTotal scan reports, it measures
 * label aggregation strategies (§3.1, :mod:`repro.core.aggregation`).
 """
 
-from repro.core.avrank import AVRankSeries, collect_series, split_stable_dynamic
-from repro.core.metrics import (
-    adjacent_deltas,
-    overall_delta,
-    pairwise_differences,
-)
-from repro.core.categorize import (
-    BLACK,
-    GRAY,
-    WHITE,
-    categorize,
-    category_distribution,
-)
-from repro.core.stabilization import (
-    AVRankStabilization,
-    LabelStabilization,
-    avrank_stabilization,
-    label_stabilization,
-)
-from repro.core.flips import FlipStats, analyze_flips
-from repro.core.correlation import (
-    CorrelationAnalysis,
-    build_result_matrix,
-    correlation_analysis,
-)
-from repro.core.aggregation import (
-    PercentageAggregator,
-    ThresholdAggregator,
-    TrustedEnginesAggregator,
-    WeightedVoteAggregator,
-)
-from repro.core.causes import CauseBreakdown, attribute_causes
-from repro.core.recommend import recommend_threshold_ranges
-from repro.core.reliability import EngineScore, score_engines, select_trusted
-from repro.core.monitor import (
-    LiveSampleMonitor,
-    StabilityCriteria,
-    StabilityMonitor,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AVRankSeries",
-    "collect_series",
-    "split_stable_dynamic",
-    "adjacent_deltas",
-    "overall_delta",
-    "pairwise_differences",
-    "WHITE",
-    "BLACK",
-    "GRAY",
-    "categorize",
-    "category_distribution",
-    "AVRankStabilization",
-    "LabelStabilization",
-    "avrank_stabilization",
-    "label_stabilization",
-    "FlipStats",
-    "analyze_flips",
-    "CorrelationAnalysis",
-    "build_result_matrix",
-    "correlation_analysis",
-    "PercentageAggregator",
-    "ThresholdAggregator",
-    "TrustedEnginesAggregator",
-    "WeightedVoteAggregator",
-    "CauseBreakdown",
-    "attribute_causes",
-    "recommend_threshold_ranges",
-    "EngineScore",
-    "score_engines",
-    "select_trusted",
-    "LiveSampleMonitor",
-    "StabilityCriteria",
-    "StabilityMonitor",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "avrank": ("AVRankSeries", "collect_series", "split_stable_dynamic"),
+    "metrics": ("adjacent_deltas", "overall_delta", "pairwise_differences"),
+    "categorize": (
+        "WHITE", "BLACK", "GRAY", "categorize", "category_distribution",
+    ),
+    "stabilization": (
+        "AVRankStabilization", "LabelStabilization", "avrank_stabilization",
+        "label_stabilization",
+    ),
+    "flips": ("FlipStats", "analyze_flips"),
+    "correlation": (
+        "CorrelationAnalysis", "build_result_matrix", "correlation_analysis",
+    ),
+    "aggregation": (
+        "PercentageAggregator", "ThresholdAggregator",
+        "TrustedEnginesAggregator", "WeightedVoteAggregator",
+    ),
+    "causes": ("CauseBreakdown", "attribute_causes"),
+    "recommend": ("recommend_threshold_ranges",),
+    "reliability": ("EngineScore", "score_engines", "select_trusted"),
+    "monitor": ("LiveSampleMonitor", "StabilityCriteria", "StabilityMonitor"),
+})

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import AnalysisError, InsufficientDataError
@@ -49,7 +48,7 @@ def build_result_matrix(labels: np.ndarray, n_engines: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CorrelationAnalysis:
-    """Pairwise engine correlations plus the strong-correlation graph."""
+    """Pairwise engine correlations and the strong-correlation groups."""
 
     engine_names: tuple[str, ...]
     rho: np.ndarray
@@ -77,19 +76,27 @@ class CorrelationAnalysis:
         pairs.sort(key=lambda item: item[2], reverse=True)
         return pairs
 
-    def graph(self) -> nx.Graph:
-        """The strong-correlation graph (Figure 11 / Figure 12)."""
-        g = nx.Graph()
-        for first, second, value in self.strong_pairs():
-            g.add_edge(first, second, rho=value)
-        return g
-
     def groups(self) -> list[list[str]]:
-        """Connected components of the graph — the Tables 4-8 groups,
-        largest first, members sorted by name."""
-        components = [sorted(c) for c in nx.connected_components(self.graph())]
-        components.sort(key=lambda c: (-len(c), c))
-        return components
+        """Connected components of the strong-correlation graph, whose
+        edges are :meth:`strong_pairs` — the Tables 4-8 groups, largest
+        first, members sorted by name."""
+        parent: dict[str, str] = {}
+
+        def root(name: str) -> str:
+            while parent[name] != name:
+                parent[name] = parent[parent[name]]
+                name = parent[name]
+            return name
+
+        for first, second, _ in self.strong_pairs():
+            parent.setdefault(first, first)
+            parent.setdefault(second, second)
+            parent[root(first)] = root(second)
+        members: dict[str, list[str]] = {}
+        for name in parent:
+            members.setdefault(root(name), []).append(name)
+        return sorted((sorted(group) for group in members.values()),
+                      key=lambda group: (-len(group), group))
 
     def involved_engines(self) -> set[str]:
         """Engines appearing in at least one strong pair (the paper found

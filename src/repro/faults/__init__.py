@@ -16,41 +16,14 @@ hangs past the heartbeat deadline, corrupted shard payloads — keyed by
 bit-reproducible.  :mod:`repro.parallel` is that consumer.
 """
 
-from repro.faults.chaos import (
-    ChaosClient,
-    ChaosFeed,
-    ChaosStore,
-    chaos_wrap,
-)
-from repro.faults.executor import (
-    ExecutorFaultPlan,
-    hashed_chance,
-    hashed_fraction,
-    standard_executor_chaos_plan,
-)
-from repro.faults.injectors import corrupt_payload, corrupt_report
-from repro.faults.plan import (
-    FaultPlan,
-    OutageWindow,
-    keyed_chance,
-    keyed_fraction,
-    standard_chaos_plan,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ChaosClient",
-    "ChaosFeed",
-    "ChaosStore",
-    "chaos_wrap",
-    "corrupt_payload",
-    "corrupt_report",
-    "ExecutorFaultPlan",
-    "FaultPlan",
-    "OutageWindow",
-    "hashed_chance",
-    "hashed_fraction",
-    "keyed_chance",
-    "keyed_fraction",
-    "standard_chaos_plan",
-    "standard_executor_chaos_plan",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "chaos": ("ChaosClient", "ChaosFeed", "ChaosStore", "chaos_wrap"),
+    "injectors": ("corrupt_payload", "corrupt_report"),
+    "executor": ("ExecutorFaultPlan", "standard_executor_chaos_plan"),
+    "plan": (
+        "FaultPlan", "OutageWindow", "hashed_chance", "hashed_fraction",
+        "standard_chaos_plan",
+    ),
+})

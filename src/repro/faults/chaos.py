@@ -20,7 +20,7 @@ from __future__ import annotations
 from repro.errors import ServiceUnavailableError, TransientError
 from repro.faults.injectors import corrupt_report
 from repro.faults.plan import FaultPlan
-from repro.obs import NULL_REGISTRY
+from repro.obs.registry import NULL_REGISTRY
 from repro.store.reportstore import ReportStore
 from repro.vt.api import VTClient
 from repro.vt.feed import PremiumFeed

@@ -35,10 +35,10 @@ faulty prefix is guaranteed to make progress.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
+from repro.faults.plan import hashed_chance, hashed_fraction
 
 _RATE_FIELDS = (
     "crash_before_result_rate",
@@ -46,28 +46,6 @@ _RATE_FIELDS = (
     "hang_rate",
     "corrupt_payload_rate",
 )
-
-
-def hashed_fraction(seed: int, *key: object) -> float:
-    """A deterministic uniform draw in ``[0, 1)`` keyed on ``(seed, key)``.
-
-    sha256-based rather than the crc32 draw the delivery-fault layer
-    uses (:func:`repro.faults.plan.keyed_fraction`): executor keys are
-    short, highly structured strings (``shard-007``), and crc32 — a
-    linear code — is visibly non-uniform over them, which would make
-    fault rates wildly inaccurate.  The executor probes this a handful
-    of times per shard attempt, so the hash cost is irrelevant here.
-    """
-    token = f"{seed}|" + "|".join(str(k) for k in key)
-    digest = hashlib.sha256(token.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") / float(2 ** 64)
-
-
-def hashed_chance(seed: int, rate: float, *key: object) -> bool:
-    """A deterministic Bernoulli draw keyed on ``(seed, key)``."""
-    if rate <= 0.0:
-        return False
-    return hashed_fraction(seed, *key) < rate
 
 
 @dataclass(frozen=True)

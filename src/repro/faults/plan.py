@@ -17,32 +17,35 @@ fails, so a collector with a deeper retry budget always makes progress.
 
 from __future__ import annotations
 
+import hashlib
 import random
-import zlib
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
 from repro.vt.clock import MINUTES_PER_DAY
 
-_HASH_SPACE = float(2 ** 32)
 
-
-def keyed_fraction(seed: int, *key: object) -> float:
+def hashed_fraction(seed: int, *key: object) -> float:
     """A deterministic uniform draw in ``[0, 1)`` keyed on ``(seed, key)``.
 
-    crc32 hashing instead of ``random.Random(...)`` keeps per-decision
-    cost to one hash of a short string — the fault layer probes this on
-    hot paths (once per simulated minute, once per shard attempt).
+    The one keyed draw of the fault layer: delivery faults, executor
+    faults and the scheduler's backoff jitter all use it.  sha256 keeps
+    the draws of related keys independent — a retry's draw
+    (``attempt=1``) says nothing about the first attempt's, and two
+    fault kinds on one delivery co-occur at the product of their
+    rates — which a linear hash such as crc32 does not.  A draw costs
+    about twice a crc32 one, and only a rate above zero pays it.
     """
     token = f"{seed}|" + "|".join(str(k) for k in key)
-    return zlib.crc32(token.encode("utf-8")) / _HASH_SPACE
+    digest = hashlib.sha256(token.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big") / float(2 ** 64)
 
 
-def keyed_chance(seed: int, rate: float, *key: object) -> bool:
+def hashed_chance(seed: int, rate: float, *key: object) -> bool:
     """A deterministic Bernoulli draw keyed on ``(seed, key)``."""
     if rate <= 0.0:
         return False
-    return keyed_fraction(seed, *key) < rate
+    return hashed_fraction(seed, *key) < rate
 
 
 @dataclass(frozen=True)
@@ -116,7 +119,7 @@ class FaultPlan:
 
     def _chance(self, rate: float, *key: object) -> bool:
         """A deterministic Bernoulli draw keyed on ``(seed, key)``."""
-        return keyed_chance(self.seed, rate, *key)
+        return hashed_chance(self.seed, rate, *key)
 
     @property
     def disabled(self) -> bool:

@@ -28,29 +28,12 @@ the serial run's, for every K, every executor kind — and under any
 injected crash/hang/corruption chaos the retry budget survives.
 """
 
-from repro.parallel.executors import (
-    EXECUTOR_KINDS,
-    fork_available,
-    make_executor,
-    resolve_kind,
-)
-from repro.parallel.scheduler import ExecutorPolicy, ExecutorReport, ShardScheduler
-from repro.parallel.sharding import ShardSpec, partition_samples, resolve_workers
-from repro.parallel.worker import RangeRun, ShardRun, execute_range, run_shard
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EXECUTOR_KINDS",
-    "ExecutorPolicy",
-    "ExecutorReport",
-    "RangeRun",
-    "ShardRun",
-    "ShardScheduler",
-    "ShardSpec",
-    "execute_range",
-    "fork_available",
-    "make_executor",
-    "partition_samples",
-    "resolve_kind",
-    "resolve_workers",
-    "run_shard",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "executors": ("EXECUTOR_KINDS", "make_executor", "resolve_kind"),
+    "executors.pool": ("fork_available",),
+    "scheduler": ("ExecutorPolicy", "ExecutorReport", "ShardScheduler"),
+    "sharding": ("ShardSpec", "partition_samples", "resolve_workers"),
+    "worker": ("RangeRun", "ShardRun", "execute_range", "run_shard"),
+})

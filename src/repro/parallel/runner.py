@@ -23,7 +23,7 @@ from __future__ import annotations
 from repro.errors import ConfigError
 from repro.obs import get_registry
 from repro.parallel.executors import make_executor
-from repro.parallel.executors import fork_available as _pool_fork_available
+from repro.parallel.executors.pool import fork_available as _pool_fork_available
 from repro.parallel.executors.base import ShardTask
 from repro.parallel.scheduler import ExecutorPolicy, ShardScheduler
 from repro.parallel.sharding import partition_samples

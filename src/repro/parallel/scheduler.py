@@ -17,7 +17,7 @@ Failure handling is bounded and accounted:
   shard retries, and the honest digest the worker declared becomes the
   checkpoint the retry must reproduce;
 * every retry waits out a seeded keyed backoff
-  (:func:`repro.faults.plan.keyed_fraction`, so chaos runs back off
+  (:func:`repro.faults.plan.hashed_fraction`, so chaos runs back off
   identically run-to-run), and a range that exhausts
   ``max_attempts`` is marked dead; once everything else drains the run
   raises :class:`~repro.errors.ShardFailedError` listing *all* dead
@@ -45,7 +45,7 @@ from typing import Callable
 
 from repro.errors import ConfigError, ShardDigestError, ShardFailedError
 from repro.faults.executor import ExecutorFaultPlan
-from repro.faults.plan import keyed_fraction
+from repro.faults.plan import hashed_fraction
 from repro.obs import get_registry
 from repro.parallel.executors.base import (
     Claimed,
@@ -293,8 +293,8 @@ class ShardScheduler:
         self.report.retried += 1
         # Seeded keyed jitter: deterministic per (seed, key, attempt), so
         # a chaos replay backs off identically.
-        jitter = 0.5 + keyed_fraction(state.task.config.seed, "backoff",
-                                      state.task.key, next_attempt)
+        jitter = 0.5 + hashed_fraction(state.task.config.seed, "backoff",
+                                       state.task.key, next_attempt)
         state.ready_at = now + (self._policy.retry_backoff
                                 * (2 ** (next_attempt - 1)) * jitter)
 

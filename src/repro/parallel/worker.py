@@ -24,7 +24,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.obs import NULL_REGISTRY, MetricsRegistry, MetricsSnapshot
+from repro.obs.registry import NULL_REGISTRY, MetricsRegistry, MetricsSnapshot
 from repro.parallel.sharding import ShardSpec
 from repro.store.columnar import ColumnarBatch, month_indices
 from repro.store.merge import FrozenMonth

@@ -37,7 +37,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Iterable, Mapping
 
 from repro.errors import ArchiveExpiredError, UnknownSampleError
-from repro.obs import NULL_REGISTRY
+from repro.obs.registry import NULL_REGISTRY
 from repro.serve.auth import Tenant, TenantRegistry
 from repro.serve.ratelimit import ClockFn, TenantLimiter
 from repro.vt.feed import FeedArchive

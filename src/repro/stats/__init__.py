@@ -8,32 +8,14 @@ scratch — fractional ranking with ties, the t-approximation p-value — and
 the test suite cross-validates each against scipy.
 """
 
-from repro.stats.bootstrap import ConfidenceInterval, bootstrap_ci, fraction_ci
-from repro.stats.cdf import EmpiricalCDF
-from repro.stats.descriptive import (
-    BoxplotStats,
-    boxplot_stats,
-    mean,
-    median,
-    quantile,
-    stdev,
-)
-from repro.stats.ranking import fractional_ranks
-from repro.stats.spearman import SpearmanResult, spearman, spearman_matrix
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ConfidenceInterval",
-    "bootstrap_ci",
-    "fraction_ci",
-    "EmpiricalCDF",
-    "BoxplotStats",
-    "boxplot_stats",
-    "mean",
-    "median",
-    "quantile",
-    "stdev",
-    "fractional_ranks",
-    "SpearmanResult",
-    "spearman",
-    "spearman_matrix",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "bootstrap": ("ConfidenceInterval", "bootstrap_ci", "fraction_ci"),
+    "cdf": ("EmpiricalCDF",),
+    "descriptive": (
+        "BoxplotStats", "boxplot_stats", "mean", "median", "quantile", "stdev",
+    ),
+    "ranking": ("fractional_ranks",),
+    "spearman": ("SpearmanResult", "spearman", "spearman_matrix"),
+})

@@ -12,35 +12,16 @@ back the numpy analysis kernels; :mod:`repro.store.merge` combines the
 stores of parallel shards.
 """
 
-from repro.store.cache import BlockCache, CacheStats
-from repro.store.codec import decode_report, encode_report, verbose_json_size
-from repro.store.columnar import ColumnarBatch, SeriesFrame
-from repro.store.index import IndexEntry, decode_index, encode_index, sample_ranks
-from repro.store.merge import FrozenMonth, FrozenShard, StreamingMerge
-from repro.store.query import ReportQuery
-from repro.store.reportstore import ReportStore
-from repro.store.shard import CompressedBlock, MonthlyShard
-from repro.store.stats import MonthStats, StoreStats
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ColumnarBatch",
-    "SeriesFrame",
-    "decode_report",
-    "encode_report",
-    "sample_ranks",
-    "verbose_json_size",
-    "decode_index",
-    "encode_index",
-    "BlockCache",
-    "CacheStats",
-    "IndexEntry",
-    "ReportQuery",
-    "FrozenMonth",
-    "FrozenShard",
-    "StreamingMerge",
-    "ReportStore",
-    "CompressedBlock",
-    "MonthlyShard",
-    "MonthStats",
-    "StoreStats",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "columnar": ("ColumnarBatch", "SeriesFrame"),
+    "codec": ("decode_report", "encode_report", "verbose_json_size"),
+    "index": ("IndexEntry", "decode_index", "encode_index", "sample_ranks"),
+    "cache": ("BlockCache", "CacheStats"),
+    "query": ("ReportQuery",),
+    "merge": ("FrozenMonth", "FrozenShard", "StreamingMerge"),
+    "reportstore": ("ReportStore",),
+    "shard": ("CompressedBlock", "MonthlyShard"),
+    "stats": ("MonthStats", "StoreStats"),
+})

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ConfigError, CorruptRecordError
-from repro.obs import traced
+from repro.obs.timing import traced
 from repro.store.cache import DEFAULT_CACHE_BYTES
 from repro.store.columnar import ColumnarBatch
 from repro.store.reportstore import ReportStore

@@ -46,7 +46,8 @@ from repro.errors import (
     StoreError,
     UnknownSampleError,
 )
-from repro.obs import NULL_REGISTRY, traced
+from repro.obs.registry import NULL_REGISTRY
+from repro.obs.timing import traced
 from repro.store import codec, columnar
 from repro.store.cache import DEFAULT_CACHE_BYTES, BlockCache, CacheStats
 from repro.store.columnar import ColumnarBatch, SeriesFrame

@@ -9,31 +9,15 @@ submission/rescan schedules (:mod:`repro.synth.submissions`) and scenario
 presets bundling everything (:mod:`repro.synth.scenario`).
 """
 
-from repro.synth.scenario import (
-    ScenarioConfig,
-    chaos_scenario,
-    dynamics_scenario,
-    paper_scenario,
-    tiny_scenario,
-)
-from repro.synth.population import PopulationGenerator, SampleSpec
-from repro.synth.trace import (
-    export_scenario_trace,
-    export_trace,
-    load_trace,
-    replay_trace,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ScenarioConfig",
-    "chaos_scenario",
-    "dynamics_scenario",
-    "paper_scenario",
-    "tiny_scenario",
-    "PopulationGenerator",
-    "SampleSpec",
-    "export_scenario_trace",
-    "export_trace",
-    "load_trace",
-    "replay_trace",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "scenario": (
+        "ScenarioConfig", "chaos_scenario", "dynamics_scenario",
+        "paper_scenario", "tiny_scenario",
+    ),
+    "population": ("PopulationGenerator", "SampleSpec"),
+    "trace": (
+        "export_scenario_trace", "export_trace", "load_trace", "replay_trace",
+    ),
+})

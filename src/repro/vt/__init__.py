@@ -12,70 +12,25 @@ APIs whose update rules the paper's Table 1 documents
 (:mod:`repro.vt.feed`).
 """
 
-from repro.vt.clock import (
-    COLLECTION_END,
-    COLLECTION_MONTHS,
-    COLLECTION_START,
-    MINUTES_PER_DAY,
-    SimulationClock,
-    day_of,
-    minute_of_day,
-    minutes,
-    month_index,
-    month_label,
-)
-from repro.vt.filetypes import (
-    FILE_TYPES,
-    PE_FILE_TYPES,
-    TOP20_FILE_TYPES,
-    FileTypeProfile,
-    file_type_profile,
-    is_pe_type,
-)
-from repro.vt.engines import Engine, EngineFleet, default_fleet
-from repro.vt.samples import Sample, sha256_of
-from repro.vt.reports import (
-    LABEL_BENIGN,
-    LABEL_MALICIOUS,
-    LABEL_UNDETECTED,
-    EngineResult,
-    ScanReport,
-)
-from repro.vt.service import VirusTotalService
-from repro.vt.api import ReportAPI, RescanAPI, UploadAPI, VTClient
-from repro.vt.feed import PremiumFeed
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "COLLECTION_END",
-    "COLLECTION_MONTHS",
-    "COLLECTION_START",
-    "MINUTES_PER_DAY",
-    "SimulationClock",
-    "day_of",
-    "minute_of_day",
-    "minutes",
-    "month_index",
-    "month_label",
-    "FILE_TYPES",
-    "PE_FILE_TYPES",
-    "TOP20_FILE_TYPES",
-    "FileTypeProfile",
-    "file_type_profile",
-    "is_pe_type",
-    "Engine",
-    "EngineFleet",
-    "default_fleet",
-    "Sample",
-    "sha256_of",
-    "LABEL_BENIGN",
-    "LABEL_MALICIOUS",
-    "LABEL_UNDETECTED",
-    "EngineResult",
-    "ScanReport",
-    "VirusTotalService",
-    "ReportAPI",
-    "RescanAPI",
-    "UploadAPI",
-    "VTClient",
-    "PremiumFeed",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "clock": (
+        "COLLECTION_END", "COLLECTION_MONTHS", "COLLECTION_START",
+        "MINUTES_PER_DAY", "SimulationClock", "day_of", "minute_of_day",
+        "minutes", "month_index", "month_label",
+    ),
+    "filetypes": (
+        "FILE_TYPES", "PE_FILE_TYPES", "TOP20_FILE_TYPES", "FileTypeProfile",
+        "file_type_profile", "is_pe_type",
+    ),
+    "engines": ("ENGINE_NAMES", "Engine", "EngineFleet", "default_fleet"),
+    "samples": ("Sample", "sha256_of"),
+    "reports": (
+        "LABEL_BENIGN", "LABEL_MALICIOUS", "LABEL_UNDETECTED", "EngineResult",
+        "ScanReport",
+    ),
+    "service": ("VirusTotalService",),
+    "api": ("ReportAPI", "RescanAPI", "UploadAPI", "VTClient"),
+    "feed": ("PremiumFeed",),
+})

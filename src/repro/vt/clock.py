@@ -29,6 +29,12 @@ COLLECTION_MONTHS = 14
 MINUTES_PER_HOUR = 60
 MINUTES_PER_DAY = 24 * MINUTES_PER_HOUR
 
+#: How long the feed archive retains per-minute batches (the real
+#: premium feed allows catch-up fetches for the last 7 days).  Defined
+#: here rather than in :mod:`repro.vt.feed` so the CLI parser can read
+#: it without importing the service.
+DEFAULT_ARCHIVE_RETENTION_MINUTES = 7 * MINUTES_PER_DAY
+
 #: Cumulative minute offset at the start of each month of the window.
 #: _MONTH_STARTS[i] is the timestamp of the first minute of month i, and the
 #: final entry is the (exclusive) end of the window.

@@ -303,6 +303,11 @@ def _fleet_engines() -> list[Engine]:
     return engines
 
 
+#: The default fleet's engine names, in fleet order.  They do not depend
+#: on the schedule seed, so reading a saved store needs no fleet.
+ENGINE_NAMES: tuple[str, ...] = tuple(e.name for e in _fleet_engines())
+
+
 class EngineFleet:
     """An immutable, ordered collection of engines plus update schedules.
 

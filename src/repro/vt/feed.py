@@ -28,13 +28,9 @@ from collections import deque
 from typing import Iterator
 
 from repro.errors import ArchiveExpiredError, FeedNotAttachedError, PermissionError_
-from repro.vt.clock import MINUTES_PER_DAY
+from repro.vt.clock import DEFAULT_ARCHIVE_RETENTION_MINUTES
 from repro.vt.reports import ScanReport
 from repro.vt.service import VirusTotalService
-
-#: How long the feed archive retains per-minute batches (the real
-#: premium feed allows catch-up fetches for the last 7 days).
-DEFAULT_ARCHIVE_RETENTION_MINUTES = 7 * MINUTES_PER_DAY
 
 
 class PremiumFeed:

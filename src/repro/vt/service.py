@@ -43,7 +43,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from repro.errors import ConfigError, NotFoundError
-from repro.obs import NULL_REGISTRY
+from repro.obs.registry import NULL_REGISTRY
 from repro.vt.behavior import BehaviorContext, BehaviorParams, PlanTable, build_plan
 from repro.vt.clock import MINUTES_PER_DAY
 from repro.vt.engines import EngineFleet, default_fleet

@@ -21,6 +21,31 @@ def fleet() -> EngineFleet:
     return default_fleet(seed=0)
 
 
+@pytest.fixture(scope="session")
+def src_analyses():
+    """reprolint's per-file analyses of the shipped package, made once:
+    the self-check and call-graph tests read these instead of each
+    linting all of ``src/`` again."""
+    from repro.lint.engine import (
+        analyze_module,
+        default_target,
+        discover_files,
+        read_source,
+    )
+
+    return [analyze_module(str(path), read_source(path))
+            for path in discover_files([default_target()])]
+
+
+@pytest.fixture(scope="session")
+def src_lint(src_analyses):
+    """``lint_paths([default_target()])``, finished from the shared
+    per-file analyses."""
+    from repro.lint.engine import finish_program
+
+    return finish_program(src_analyses)
+
+
 @pytest.fixture(scope="session", params=["columnar"])
 def store_block_format(request) -> str:
     """The store's block layout, as a test ID.  Columnar is the only

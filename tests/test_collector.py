@@ -14,6 +14,8 @@ from repro.collect import (
     save_checkpoint,
 )
 from repro.errors import CheckpointError, CollectError, ConfigError, TransientError
+from repro.faults.chaos import ChaosFeed
+from repro.faults.plan import FaultPlan
 from repro.store import codec
 from repro.store.reportstore import ReportStore
 from repro.vt.api import VTClient
@@ -242,6 +244,22 @@ class TestFeedCollector:
         with pytest.raises(CollectError):
             collector.step(0)
         assert collector.stats().store_retries == 3  # every attempt failed
+
+    def test_injected_transients_can_abandon_a_poll(self, service):
+        # A retry fails at the configured rate too, so a two-attempt
+        # budget abandons about rate² of the polls; finalize backfills
+        # every abandoned minute from the archive.
+        feed, store, client = self._pipeline(service)
+        for minute in range(0, 500, 5):
+            _upload(service, f"s{minute}", minute)
+        chaos = ChaosFeed(feed, FaultPlan(seed=3, transient_rate=0.2))
+        collector = FeedCollector(chaos, store, client,
+                                  backoff=BackoffPolicy(max_attempts=2))
+        collector.run(range(500))
+        stats = collector.stats()
+        assert 0 < stats.polls_abandoned < 50  # 500 × 0.2² = 20 expected
+        assert stats.pending_gap_minutes == 0
+        assert store.report_count == 100
 
     def test_persist_and_resume(self, service, tmp_path):
         feed, store, client = self._pipeline(service)

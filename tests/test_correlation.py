@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.correlation import (
+    STRONG_THRESHOLD,
+    CorrelationAnalysis,
     build_result_matrix,
     correlation_analysis,
     per_type_analyses,
@@ -86,10 +89,11 @@ class TestAnalysis:
         analysis = correlation_analysis(make_frame(_reports(400)), NAMES)
         assert analysis.involved_engines() >= {"leader", "copier"}
 
-    def test_graph_carries_rho(self):
+    def test_strong_pairs_carry_rho(self):
         analysis = correlation_analysis(make_frame(_reports(400)), NAMES)
-        graph = analysis.graph()
-        assert graph["leader"]["copier"]["rho"] > 0.95
+        rho = {(a, b): value for a, b, value in analysis.strong_pairs()}
+        assert rho[("leader", "copier")] > 0.95
+        assert rho[("leader", "copier")] == analysis.rho_of("leader", "copier")
 
     def test_n_scans_recorded(self):
         analysis = correlation_analysis(make_frame(_reports(123)), NAMES)
@@ -109,3 +113,57 @@ class TestPerType:
         reports = _reports(100, file_type="TXT")
         out = per_type_analyses(make_frame(reports), NAMES, ["PDF"], min_scans=1)
         assert out == {}
+
+
+def _scipy_groups(analysis: CorrelationAnalysis) -> list[list[str]]:
+    """The oracle: scipy's connected components of the strong graph,
+    restricted to engines with at least one strong pair."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    upper = np.triu(analysis.rho, k=1)
+    strong = np.isfinite(upper) & (upper > analysis.threshold)
+    _, labels = connected_components(csr_matrix(strong), directed=False)
+    involved = strong.any(axis=0) | strong.any(axis=1)
+    members: dict[int, list[str]] = {}
+    for i in np.flatnonzero(involved):
+        members.setdefault(int(labels[i]), []).append(analysis.engine_names[i])
+    return sorted((sorted(group) for group in members.values()),
+                  key=lambda group: (-len(group), group))
+
+
+#: ρ values: NaN (an engine that never varies), exactly the threshold
+#: (not strong: the test is strict), its float neighbours, and the rest.
+_RHO = st.one_of(
+    st.just(float("nan")),
+    st.just(STRONG_THRESHOLD),
+    st.sampled_from([np.nextafter(STRONG_THRESHOLD, 1.0),
+                     np.nextafter(STRONG_THRESHOLD, 0.0), 1.0]),
+    st.floats(-1.0, 1.0),
+)
+
+
+@st.composite
+def _analyses(draw):
+    n = draw(st.integers(0, 12))
+    rho = np.full((n, n), np.nan)
+    for i in range(n):
+        rho[i, i] = 1.0
+        for j in range(i + 1, n):
+            rho[i, j] = rho[j, i] = draw(_RHO)
+    # Shuffled names, so sorting by name is not sorting by column.
+    names = draw(st.permutations([f"engine{k:02d}" for k in range(n)]))
+    return CorrelationAnalysis(engine_names=tuple(names), rho=rho,
+                               threshold=STRONG_THRESHOLD, n_scans=100)
+
+
+class TestGroupsDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(_analyses())
+    def test_groups_match_scipy_components(self, analysis):
+        assert analysis.groups() == _scipy_groups(analysis)
+
+    def test_value_at_threshold_is_not_an_edge(self):
+        rho = np.array([[1.0, STRONG_THRESHOLD], [STRONG_THRESHOLD, 1.0]])
+        analysis = CorrelationAnalysis(("a", "b"), rho, STRONG_THRESHOLD, 10)
+        assert analysis.groups() == []

@@ -210,9 +210,8 @@ class TestExecutorFaultPlan:
             assert not plan.corrupts_payload(key, 3)
 
     def test_hashed_fraction_is_roughly_uniform(self):
-        # The reason the executor plan hashes with sha256 instead of the
-        # delivery layer's crc32: structured shard keys must still draw
-        # uniformly, or configured rates are fiction.
+        # Structured shard keys must still draw uniformly, or configured
+        # rates are fiction.
         draws = [hashed_fraction(0, "exec", "crash_before",
                                  f"shard-{i:03d}", 0) for i in range(400)]
         hits = sum(1 for d in draws if d < 0.15)

@@ -109,6 +109,63 @@ class TestFaultPlan:
         assert not plan.in_outage(99) and not plan.in_outage(200)
 
 
+def _binomial_ok(hits: int, trials: int, rate: float,
+                 sigmas: float = 4.0) -> bool:
+    """Whether ``hits`` of ``trials`` is within ``sigmas`` standard
+    deviations of a Binomial(trials, rate) mean."""
+    mean = trials * rate
+    return abs(hits - mean) <= sigmas * (mean * (1.0 - rate)) ** 0.5
+
+
+class TestRealisedRates:
+    """The configured rate is the rate that occurs: per decision, for a
+    retry after a failure, and for two fault kinds on one delivery."""
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("rate", [0.01, 0.05, 0.2])
+    def test_poll_retry_after_failure_fails_at_the_rate(self, seed, rate):
+        plan = FaultPlan(seed=seed, transient_rate=rate)
+        minutes = 40_000
+        failed = [m for m in range(minutes) if plan.poll_fails(m, 0)]
+        assert _binomial_ok(len(failed), minutes, rate)
+        again = sum(plan.poll_fails(m, 1) for m in failed)
+        assert _binomial_ok(again, len(failed), rate)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_api_and_store_retries_fail_at_the_rate(self, seed):
+        rate = 0.2
+        plan = FaultPlan(seed=seed, transient_rate=rate,
+                         store_failure_rate=rate)
+        shas = [sha256_of(f"delivery-{i}") for i in range(10_000)]
+        api = [s for s in shas if plan.api_fails("report", s, 0)]
+        store = [s for i, s in enumerate(shas)
+                 if plan.store_write_fails(s, i, 0)]
+        assert _binomial_ok(len(api), len(shas), rate)
+        assert _binomial_ok(len(store), len(shas), rate)
+        assert _binomial_ok(sum(plan.api_fails("report", s, 1) for s in api),
+                            len(api), rate)
+        index = {s: i for i, s in enumerate(shas)}
+        assert _binomial_ok(
+            sum(plan.store_write_fails(s, index[s], 1) for s in store),
+            len(store), rate)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_fault_kinds_on_one_delivery_are_independent(self, seed):
+        rate = 0.05
+        plan = FaultPlan(seed=seed, drop_rate=rate, duplicate_rate=rate,
+                         corrupt_rate=rate)
+        deliveries = [(sha256_of(f"delivery-{i}"), i) for i in range(50_000)]
+        dup = [plan.duplicates(s, t) for s, t in deliveries]
+        bad = [plan.corrupts(s, t) for s, t in deliveries]
+        drop = [plan.drops(s, t) for s, t in deliveries]
+        n = len(deliveries)
+        for kind in (dup, bad, drop):
+            assert _binomial_ok(sum(kind), n, rate)
+        for other in (bad, drop):
+            both = sum(a and b for a, b in zip(dup, other, strict=True))
+            assert _binomial_ok(both, n, rate * rate)
+
+
 class TestInjectors:
     def test_corrupt_payload_always_undecodable(self):
         report = make_report(labels=[1, 0, -1, 0, 1])
@@ -175,6 +232,22 @@ class TestChaosFeed:
             feed.poll(until_minute=1)
         assert first.value.status == 429
         assert second.value.status == 500
+
+    def test_retry_fails_again_at_the_rate(self, service):
+        # The second attempt's 500 is as common as two independent
+        # failures in a row.
+        plan = FaultPlan(seed=3, transient_rate=0.2)
+        feed = self._feed(service, plan)
+        feed.attach()
+        statuses = []
+        for minute in range(1, 2001):
+            while True:
+                try:
+                    feed.poll(until_minute=minute)
+                    break
+                except TransientError as exc:
+                    statuses.append(exc.status)
+        assert _binomial_ok(statuses.count(500), 2000, 0.2 * 0.2)
 
     def test_duplicates_are_appended(self, service):
         plan = FaultPlan(duplicate_rate=1.0)

@@ -13,13 +13,11 @@ import textwrap
 from repro.lint import (
     CallGraph,
     LintConfig,
-    analyze_module,
     lint_modules,
     lint_source,
     render_text,
 )
 from repro.lint.config import DIGEST_ROOTS
-from repro.lint.engine import default_target, discover_files, read_source
 
 
 def run_modules(modules, select):
@@ -321,10 +319,9 @@ class TestLabelCardinality:
 
 
 class TestDigestRoots:
-    def test_every_digest_root_resolves_in_src(self):
+    def test_every_digest_root_resolves_in_src(self, src_analyses):
         # CallGraph.reachable skips a root it cannot resolve, so a
         # renamed root would silently drop its RPL103 coverage.
-        graph = CallGraph([analyze_module(str(path), read_source(path)).summary
-                           for path in discover_files([default_target()])])
+        graph = CallGraph([analysis.summary for analysis in src_analyses])
         assert [root for root in DIGEST_ROOTS
                 if root not in graph.functions] == []

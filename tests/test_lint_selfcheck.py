@@ -13,8 +13,12 @@ the outputs.  Three assertions:
    fail assertion 1).
 3. The JSON report is byte-deterministic across consecutive runs, the
    same bar :mod:`repro.obs.export` holds metric exports to.
+
+The tests share one session-scoped lint of the package (``src_lint`` in
+``conftest.py``); the determinism test lints it once more to compare.
 """
 
+import copy
 from pathlib import Path
 
 from repro.lint import (
@@ -32,9 +36,8 @@ from repro.lint import (
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_package_is_lint_clean():
-    target = default_target()
-    result = lint_paths([target])
+def test_package_is_lint_clean(src_lint):
+    result = src_lint
     assert result.files_checked > 50, "self-check must see the whole package"
     pretty = render_text(result)
     assert result.findings == [], (
@@ -43,7 +46,7 @@ def test_package_is_lint_clean():
     )
 
 
-def test_shipped_baseline_is_empty_and_not_stale():
+def test_shipped_baseline_is_empty_and_not_stale(src_lint):
     # The shrink-only ratchet, fully ratcheted: the checked-in baseline
     # holds zero accepted findings, and applying it changes nothing.
     baseline_path = REPO_ROOT / "lint-baseline.json"
@@ -52,18 +55,19 @@ def test_shipped_baseline_is_empty_and_not_stale():
         "lint-baseline.json must stay empty — fix findings instead of "
         "baselining them"
     )
-    result = apply_baseline(lint_paths([default_target()]), entries)
+    # apply_baseline mutates its argument; the session result is shared.
+    result = apply_baseline(copy.deepcopy(src_lint), entries)
     assert result.findings == []
     assert result.baselined == []
     assert result.baseline_stale == []
 
 
-def test_suppressions_are_rare_and_accounted():
+def test_suppressions_are_rare_and_accounted(src_lint):
     # Pragmas are an escape hatch, not a lifestyle: the sanctioned
     # suppressions are the CLI's display-only elapsed-time banners
     # (RPL001) and the chaos layer's bounded endpoint-name label
     # (RPL105).  If this ceiling is hit, audit before raising it.
-    result = lint_paths([default_target()])
+    result = src_lint
     assert 0 < len(result.suppressed) <= 10
     allowed = {"RPL001"} | (FLOW_CODES & {"RPL105"})
     assert {f.code for f in result.suppressed} <= allowed
@@ -76,10 +80,9 @@ def test_suppressions_are_rare_and_accounted():
     assert len(flow_suppressed) <= 2
 
 
-def test_json_report_is_byte_deterministic():
-    target = default_target()
-    first = render_json(lint_paths([target]))
-    second = render_json(lint_paths([target]))
+def test_json_report_is_byte_deterministic(src_lint):
+    first = render_json(src_lint)
+    second = render_json(lint_paths([default_target()]))
     assert first.encode("utf-8") == second.encode("utf-8")
     head = first.splitlines()[0]
     assert '"schema":"reprolint/2"' in head
