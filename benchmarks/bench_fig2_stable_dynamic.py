@@ -18,7 +18,7 @@ from conftest import run_once, say
 
 def test_fig2_stable_dynamic_split(benchmark, bench_data):
     split = run_once(
-        benchmark, partial(stable_dynamic_split, bench_data.series())
+        benchmark, partial(stable_dynamic_split, bench_data.frame)
     )
     say()
     say(render_fig2(split))

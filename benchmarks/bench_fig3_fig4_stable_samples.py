@@ -17,7 +17,7 @@ from conftest import run_once, say
 
 def test_fig3_fig4_stable_sample_profile(benchmark, bench_data):
     profile = run_once(
-        benchmark, partial(stable_sample_profile, bench_data.series())
+        benchmark, partial(stable_sample_profile, bench_data.frame)
     )
     say()
     say(render_fig3_fig4(profile))

@@ -6,7 +6,7 @@ Two benches share this module:
 (`ReportStore.ingest_arrays`), blocks frozen straight from array slices
 and the `SeriesFrame` numpy kernels — against the per-report pipeline
 doing the same work with `ScanReport` objects (`ReportStore.ingest`)
-and the python analysis helpers over `iter_sample_reports`.  Both legs
+and python per-series references over `iter_sample_reports`.  Both legs
 write the one columnar block layout and run the identical paper
 workload (samples scanned in interleaved waves, ~14 reports per sample
 as in the 847 M / 60 M ratio of Table 2); they must agree on the store
@@ -45,8 +45,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.core.avrank import collect_series, select_dataset_s, split_stable_dynamic
-from repro.core.metrics import pairwise_differences
+from repro.core.avrank import collect_series, split_stable_dynamic
 from repro.store.columnar import ColumnarBatch
 from repro.store.reportstore import ReportStore
 from repro.vt.clock import MINUTES_PER_DAY
@@ -152,13 +151,20 @@ def _columnar_scan(store: ReportStore, thresholds, top_types) -> tuple:
     s_mask = frame.dataset_s_mask(top_types)
     sub = frame.select(s_mask)
     intervals, diffs = sub.pairwise_diffs()
+    # Label flips: B<->M changes between a sample's consecutive scans.
+    within = np.ones(frame.n_reports - 1, bool)
+    within[frame.offsets[1:-1] - 1] = False  # pairs straddling samples
+    flips = []
+    for t in thresholds:
+        malicious = frame.ranks >= t
+        flips.append(int(((malicious[1:] != malicious[:-1]) & within).sum()))
     return (int(frame.stable_mask().sum()),
             int(frame.dynamic_mask().sum()),
             int(delta[multi].sum()),
             int(frame.adjacent_deltas().sum()),
             int(s_mask.sum()),
             int(frame.span_minutes().sum()),
-            tuple(frame.label_flips(t) for t in thresholds),
+            tuple(flips),
             len(diffs), int(diffs.sum()), int(intervals.sum()))
 
 
@@ -203,16 +209,25 @@ def _row_scan(store: ReportStore, thresholds, top_types) -> tuple:
             lab = s.labels_under(t)
             count += sum(1 for a, b in zip(lab, lab[1:]) if a != b)
         flips.append(count)
-    dataset_s = select_dataset_s(series, top_types)
-    pairs = pairwise_differences(dataset_s, max_pairs_per_sample=10 ** 9)
-    interval_minutes = round(sum(pairs.interval_days) * MINUTES_PER_DAY)
+    dataset_s = [s for s in series
+                 if s.multi and s.fresh and s.delta_overall > 0
+                 and s.file_type in top_types]
+    interval_days: list[float] = []
+    rank_diffs: list[int] = []
+    for s in dataset_s:
+        for i in range(s.n):
+            for j in range(i + 1, s.n):
+                interval_days.append((s.times[j] - s.times[i])
+                                     / MINUTES_PER_DAY)
+                rank_diffs.append(abs(s.ranks[j] - s.ranks[i]))
+    interval_minutes = round(sum(interval_days) * MINUTES_PER_DAY)
     return (len(stable), len(dynamic),
             sum(s.delta_overall for s in series if s.multi),
             sum(d for s in series for d in s.adjacent_deltas()),
             len(dataset_s),
             sum(s.span_minutes for s in series),
             tuple(flips),
-            len(pairs), sum(pairs.rank_diffs), interval_minutes)
+            len(rank_diffs), sum(rank_diffs), interval_minutes)
 
 
 def run_columnar_ab(n_samples: int = AB_SAMPLES,

@@ -31,8 +31,8 @@ BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "1"))
 @pytest.fixture(scope="session")
 def bench_data() -> ExperimentData:
     data = run_experiment(dynamics_scenario(BENCH_SAMPLES, seed=BENCH_SEED))
-    # Materialise the series cache once, outside any timed region.
-    data.series()
+    # Decode the frame and select dataset S once, outside any timed region.
+    data.dataset_s
     return data
 
 

@@ -25,7 +25,7 @@ from repro.core.recommend import best_range, recommend_threshold_ranges
 
 data = run_experiment(dynamics_scenario(n_samples=4_000, seed=7))
 dataset_s = data.dataset_s
-print(f"analysing {len(dataset_s):,} fresh dynamic samples")
+print(f"analysing {dataset_s.n_samples:,} fresh dynamic samples")
 
 # ---------------------------------------------------------------------------
 # 1. Gray-fraction curves, overall and for PE files (Figure 8).
@@ -68,8 +68,8 @@ reputable = TrustedEnginesAggregator(
 
 agree = total = 0
 flips_by_strategy = {name: 0 for name in ("t>=10", "25%", "trusted")}
-for series in dataset_s[:1000]:
-    reports = data.store.reports_for(series.sha256)
+for sha in dataset_s.sha256[:1000]:
+    reports = data.store.reports_for(sha)
     final = reports[-1]
     verdicts = (threshold.is_malicious(final),
                 percentage.is_malicious(final),

@@ -67,16 +67,15 @@ class CalibrationReport:
 
 def calibration_report(data: ExperimentData) -> CalibrationReport:
     """Grade a run against the paper's headline numbers."""
-    series = data.series()
-    dataset_s = data.dataset_s
+    frame, dataset_s = data.frame, data.dataset_s
 
-    split = dynamics_mod.stable_dynamic_split(series)
-    stable_profile = dynamics_mod.stable_sample_profile(series)
+    split = dynamics_mod.stable_dynamic_split(frame)
+    stable_profile = dynamics_mod.stable_sample_profile(frame)
     deltas = dynamics_mod.delta_distributions(dataset_s)
     impact = dynamics_mod.threshold_impact(dataset_s)
     avrank_stab = stab_mod.avrank_stabilization_profile(dataset_s)
     label_stab = stab_mod.label_stabilization_profile(dataset_s)
-    stability = engine_stability(data.frame, data.engine_names)
+    stability = engine_stability(frame, data.engine_names)
 
     lo_label, hi_label = label_stab.stabilized_fraction_range()
     overall_gray_peak = max(c.gray_fraction for c in impact.overall)

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.experiment import ExperimentData, run_experiment
-from repro.core.avrank import split_stable_dynamic
 from repro.core.flips import FlipStats, analyze_flips
 from repro.store.reportstore import ReportStore
 from repro.synth.population import PopulationGenerator
@@ -41,16 +40,14 @@ def _view(
     protocol: str, store: ReportStore, engine_names: tuple[str, ...]
 ) -> ProtocolView:
     frame = store.series_frame()
-    series = frame.to_series()
-    stable, dynamic = split_stable_dynamic(series)
-    multi = len(stable) + len(dynamic)
+    deltas = frame.delta_overall()[frame.multi_mask()]
+    multi = len(deltas)
     flips: FlipStats = analyze_flips(frame, engine_names)
-    deltas = [s.delta_overall for s in series if s.multi]
     return ProtocolView(
         protocol=protocol,
         n_samples=store.sample_count,
         n_reports=store.report_count,
-        dynamic_fraction=(len(dynamic) / multi) if multi else 0.0,
+        dynamic_fraction=(int((deltas > 0).sum()) / multi) if multi else 0.0,
         flips_per_sample=(flips.total_flips / flips.sample_count
                           if flips.sample_count else 0.0),
         hazards_per_1000_samples=(1000.0 * flips.total_hazards
@@ -58,7 +55,7 @@ def _view(
                                   if flips.sample_count else 0.0),
         hazard_share_of_flips=(flips.total_hazards / flips.total_flips
                                if flips.total_flips else 0.0),
-        mean_observed_delta=(sum(deltas) / len(deltas)) if deltas else 0.0,
+        mean_observed_delta=(int(deltas.sum()) / multi) if multi else 0.0,
     )
 
 

@@ -1,32 +1,31 @@
 """Section 5 pipelines: Figures 2-8 and Observations 1-7.
 
-Each function takes pre-built AV-Rank series (see
-:class:`repro.analysis.experiment.ExperimentData`) and returns a result
+Each function takes a :class:`~repro.store.columnar.SeriesFrame` — the
+whole store (Figures 2-4) or dataset *S* (Figures 5-8), see
+:class:`repro.analysis.experiment.ExperimentData` — and returns a result
 dataclass carrying both the full curves and the headline landmarks the
 paper quotes, so benchmarks can print tables and tests can assert shapes.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.avrank import AVRankSeries, split_stable_dynamic
+import numpy as np
+
 from repro.core.categorize import CategoryCounts, category_distribution
 from repro.core.metrics import (
     BoxSummary,
     PairwiseDifferences,
-    adjacent_deltas,
-    deltas_by_file_type,
-    overall_delta,
     pairwise_differences,
-    summarize_by_file_type,
 )
 from repro.stats.cdf import EmpiricalCDF
-from repro.stats.descriptive import BoxplotStats, boxplot_stats
+from repro.stats.descriptive import BoxplotStats, boxplot_stats, mean
 from repro.stats.kstest import KSResult, ks_two_sample
 from repro.stats.spearman import SpearmanResult
+from repro.store.columnar import SeriesFrame
+from repro.vt.clock import MINUTES_PER_DAY
 from repro.vt.filetypes import PE_FILE_TYPES
 
 
@@ -70,13 +69,14 @@ class StableDynamicSplit:
                              self.dynamic_report_cdf._sorted)
 
 
-def stable_dynamic_split(series: Sequence[AVRankSeries]) -> StableDynamicSplit:
-    stable, dynamic = split_stable_dynamic(series)
+def stable_dynamic_split(frame: SeriesFrame) -> StableDynamicSplit:
+    counts = frame.counts()
+    stable, dynamic = frame.stable_mask(), frame.dynamic_mask()
     return StableDynamicSplit(
-        n_stable=len(stable),
-        n_dynamic=len(dynamic),
-        stable_report_cdf=EmpiricalCDF([s.n for s in stable]),
-        dynamic_report_cdf=EmpiricalCDF([s.n for s in dynamic]),
+        n_stable=int(stable.sum()),
+        n_dynamic=int(dynamic.sum()),
+        stable_report_cdf=EmpiricalCDF(counts[stable].tolist()),
+        dynamic_report_cdf=EmpiricalCDF(counts[dynamic].tolist()),
     )
 
 
@@ -106,29 +106,28 @@ class StableSampleProfile:
 
 
 def stable_sample_profile(
-    series: Sequence[AVRankSeries], rank_group_cap: int = 10
+    frame: SeriesFrame, rank_group_cap: int = 10
 ) -> StableSampleProfile:
     """Figures 3-4 over the stable multi-report samples.
 
     ``rank_group_cap`` pools every rank above the cap into one box group,
-    as ranks get sparse quickly.
+    as ranks get sparse quickly.  Groups appear in the order their first
+    sample does.
     """
-    stable = [s for s in series if s.multi and s.stable]
-    ranks = [s.ranks[0] for s in stable]
-    spans: dict[int, list[float]] = defaultdict(list)
-    for s in stable:
-        group = min(s.ranks[0], rank_group_cap)
-        spans[group].append(s.span_days)
-    all_spans = sorted(s.span_days for s in stable)
-    benign_spans = [s.span_days for s in stable if s.ranks[0] == 0]
+    stable = frame.stable_mask()
+    ranks = frame.ranks[frame.offsets[:-1][stable]]
+    span_days = frame.span_minutes()[stable] / MINUTES_PER_DAY
+    groups = np.minimum(ranks, rank_group_cap)
+    all_spans = sorted(span_days.tolist())
+    benign_spans = span_days[ranks == 0].tolist()
     return StableSampleProfile(
-        rank_cdf=EmpiricalCDF(ranks),
+        rank_cdf=EmpiricalCDF(ranks.tolist()),
         span_by_rank={
-            rank: boxplot_stats(values) for rank, values in spans.items()
+            rank: boxplot_stats(span_days[groups == rank].tolist())
+            for rank in dict.fromkeys(groups.tolist())
         },
         median_span_days=(all_spans[len(all_spans) // 2] if all_spans else 0.0),
-        benign_mean_span_days=(sum(benign_spans) / len(benign_spans)
-                               if benign_spans else 0.0),
+        benign_mean_span_days=mean(benign_spans) if benign_spans else 0.0,
     )
 
 
@@ -160,10 +159,10 @@ class DeltaDistributions:
         return self.delta_overall_cdf.at(11)
 
 
-def delta_distributions(dataset_s: Sequence[AVRankSeries]) -> DeltaDistributions:
+def delta_distributions(dataset_s: SeriesFrame) -> DeltaDistributions:
     return DeltaDistributions(
-        delta_cdf=EmpiricalCDF(adjacent_deltas(dataset_s)),
-        delta_overall_cdf=EmpiricalCDF(overall_delta(dataset_s)),
+        delta_cdf=EmpiricalCDF(dataset_s.adjacent_deltas().tolist()),
+        delta_overall_cdf=EmpiricalCDF(dataset_s.delta_overall().tolist()),
     )
 
 
@@ -194,12 +193,19 @@ class PerTypeDynamics:
         )
 
 
-def per_type_dynamics(dataset_s: Sequence[AVRankSeries]) -> PerTypeDynamics:
-    adjacent, overall = deltas_by_file_type(dataset_s)
-    return PerTypeDynamics(
-        adjacent=summarize_by_file_type(adjacent),
-        overall=summarize_by_file_type(overall),
-    )
+def per_type_dynamics(dataset_s: SeriesFrame) -> PerTypeDynamics:
+    """Figure 6: δ and Δ box summaries per file type, types in the order
+    their first sample appears (the rankings break ties by it)."""
+    file_types = np.asarray(dataset_s.file_types)
+    adjacent: dict[str, BoxSummary] = {}
+    overall: dict[str, BoxSummary] = {}
+    for name in dict.fromkeys(dataset_s.file_types):
+        of_type = dataset_s.select(file_types == name)
+        deltas = of_type.adjacent_deltas()
+        if len(deltas):
+            adjacent[name] = BoxSummary.of(deltas.tolist())
+        overall[name] = BoxSummary.of(of_type.delta_overall().tolist())
+    return PerTypeDynamics(adjacent=adjacent, overall=overall)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +227,7 @@ class IntervalEffect:
 
 
 def interval_effect(
-    dataset_s: Sequence[AVRankSeries],
+    dataset_s: SeriesFrame,
     bin_days: float = 30.0,
     max_pairs_per_sample: int = 200,
 ) -> IntervalEffect:
@@ -270,21 +276,13 @@ DEFAULT_THRESHOLDS: tuple[int, ...] = tuple(range(1, 51))
 
 
 def threshold_impact(
-    dataset_s: Sequence[AVRankSeries],
+    dataset_s: SeriesFrame,
     thresholds: Sequence[int] = DEFAULT_THRESHOLDS,
 ) -> ThresholdImpact:
-    pe = [s for s in dataset_s if s.file_type in PE_FILE_TYPES]
+    pe = np.asarray([ft in PE_FILE_TYPES for ft in dataset_s.file_types],
+                    bool)
     return ThresholdImpact(
         overall=tuple(category_distribution(dataset_s, thresholds)),
-        pe_only=tuple(category_distribution(pe, thresholds)),
+        pe_only=tuple(category_distribution(dataset_s.select(pe),
+                                            thresholds)),
     )
-
-
-# ---------------------------------------------------------------------------
-# Report-count sanity (Figure 2's companion statistic)
-# ---------------------------------------------------------------------------
-
-
-def report_count_histogram(series: Sequence[AVRankSeries]) -> Counter:
-    """Histogram of reports-per-sample for a series collection."""
-    return Counter(s.n for s in series)

@@ -10,9 +10,9 @@ Reproduces the paper's data pipeline at scenario scale:
 3. ingest the scans into the report store (:mod:`repro.store`) in the
    global time order the authors' minute-by-minute feed collection
    would have stored them;
-4. expose the store plus one cached analysis frame (AV-Rank series,
-   dataset *S* and the per-engine label planes, decoded in one pass) to
-   the figure/table pipelines.
+4. expose the store plus one cached analysis frame (AV-Rank
+   trajectories and the per-engine label planes, decoded in one pass)
+   and its dataset *S* sub-frame to the figure/table pipelines.
 
 The scan loop itself lives in :mod:`repro.parallel.worker` so the
 serial path and the sharded workers run literally the same code; with
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from repro.core.avrank import AVRankSeries, select_dataset_s
+from repro.core.avrank import AVRankSeries
 from repro.obs import get_registry
 from repro.parallel.sharding import resolve_workers
 from repro.store.columnar import SeriesFrame
@@ -75,12 +75,13 @@ class ExperimentData:
     @cached_property
     def frame(self) -> SeriesFrame:
         """The store grouped per sample, with planes: the one decode pass
-        that the series, dataset *S* and the §7 analyses all read."""
+        that every dataset-level analysis (§5-§8) reads."""
         return self.store.series_frame()
 
     def series(self) -> list[AVRankSeries]:
         """AV-Rank series for every sample (cached), from :attr:`frame`;
-        bit-identical to ``collect_series(store.iter_sample_reports())``."""
+        bit-identical to ``collect_series(store.iter_sample_reports())``.
+        For per-sample callers: no analysis pipeline reads it."""
         if self._series is None:
             self._series = self.frame.to_series()
         return self._series
@@ -90,14 +91,10 @@ class ExperimentData:
         return self.store.cache_stats()
 
     @cached_property
-    def dataset_s(self) -> list[AVRankSeries]:
-        """The paper's dataset *S*: fresh, top-20 types, multi-report."""
-        return select_dataset_s(self.series(), frozenset(TOP20_FILE_TYPES))
-
-    @cached_property
-    def multi_report(self) -> list[AVRankSeries]:
-        """All series with more than one report (§5.1's 63 M analogue)."""
-        return [s for s in self.series() if s.multi]
+    def dataset_s(self) -> SeriesFrame:
+        """The paper's dataset *S* (§5.3.1) — fresh, top-20 types,
+        multi-report and dynamic — as a sub-frame of :attr:`frame`."""
+        return self.frame.select(self.frame.dataset_s_mask(TOP20_FILE_TYPES))
 
 
 def run_experiment(

@@ -27,8 +27,7 @@ def _block(text: str) -> str:
 
 def build_report(data: ExperimentData) -> str:
     """Render the full reproduction report as markdown."""
-    series = data.series()
-    dataset_s = data.dataset_s
+    frame, dataset_s = data.frame, data.dataset_s
     names = data.engine_names
 
     sections: list[str] = []
@@ -37,7 +36,7 @@ def build_report(data: ExperimentData) -> str:
         f"Scenario: seed {data.config.seed}, "
         f"{data.store.sample_count:,} samples, "
         f"{data.store.report_count:,} reports, "
-        f"dataset S = {len(dataset_s):,} fresh dynamic samples.\n"
+        f"dataset S = {dataset_s.n_samples:,} fresh dynamic samples.\n"
     )
 
     sections.append("## Dataset overview (§4)\n")
@@ -49,9 +48,9 @@ def build_report(data: ExperimentData) -> str:
 
     sections.append("## Label dynamics (§5)\n")
     sections.append(_block(rendering.render_fig2(
-        dynamics_mod.stable_dynamic_split(series))))
+        dynamics_mod.stable_dynamic_split(frame))))
     sections.append(_block(rendering.render_fig3_fig4(
-        dynamics_mod.stable_sample_profile(series))))
+        dynamics_mod.stable_sample_profile(frame))))
     sections.append(_block(rendering.render_fig5(
         dynamics_mod.delta_distributions(dataset_s))))
     sections.append(_block(rendering.render_fig6(
@@ -68,10 +67,10 @@ def build_report(data: ExperimentData) -> str:
         stab_mod.label_stabilization_profile(dataset_s))))
 
     sections.append("## Individual engines (§7)\n")
-    stability = engines_mod.engine_stability(data.frame, names)
+    stability = engines_mod.engine_stability(frame, names)
     sections.append(_block(rendering.render_fig10(
         stability.flips, engines_mod.APPENDIX_FILE_TYPES)))
-    correlation = engines_mod.engine_correlation(data.frame, names)
+    correlation = engines_mod.engine_correlation(frame, names)
     sections.append(_block(rendering.render_fig11(correlation.overall)))
     sections.append(_block(rendering.render_group_tables(
         correlation.per_type)))

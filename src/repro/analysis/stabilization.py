@@ -1,6 +1,7 @@
 """Section 6 pipelines: AV-Rank and label stabilisation (Figure 9).
 
-Aggregates :mod:`repro.core.stabilization` over the dataset:
+Aggregates :mod:`repro.core.stabilization` over dataset *S*, given as a
+:class:`~repro.store.columnar.SeriesFrame`:
 
 * :func:`avrank_stabilization_profile` — Observation 8's table: stabilised
   fraction and within-30-days share for fluctuation ranges r = 0..5;
@@ -13,12 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.avrank import AVRankSeries
 from repro.core.stabilization import (
     StabilizationSummary,
     summarize_avrank_stabilization,
     summarize_label_stabilization,
 )
+from repro.store.columnar import SeriesFrame
 
 #: The paper's fluctuation ranges (§6.1).
 FLUCTUATION_RANGES: tuple[int, ...] = (0, 1, 2, 3, 4, 5)
@@ -43,7 +44,7 @@ class AVRankStabilizationProfile:
 
 
 def avrank_stabilization_profile(
-    dataset_s: Sequence[AVRankSeries],
+    dataset_s: SeriesFrame,
     ranges: Sequence[int] = FLUCTUATION_RANGES,
 ) -> AVRankStabilizationProfile:
     return AVRankStabilizationProfile(
@@ -74,7 +75,7 @@ class LabelStabilizationProfile:
 
 
 def label_stabilization_profile(
-    dataset_s: Sequence[AVRankSeries],
+    dataset_s: SeriesFrame,
     thresholds: Sequence[int] = LABEL_THRESHOLDS,
 ) -> LabelStabilizationProfile:
     return LabelStabilizationProfile(

@@ -9,31 +9,43 @@ distribution keeps shifting as the window lengthens.
 
 :func:`window_sensitivity` reproduces that check for arbitrary window
 lengths, and :func:`gap_growth_curve` sweeps the window to show the
-distribution never quite freezes.
+distribution never quite freezes.  Both read a
+:class:`~repro.store.columnar.SeriesFrame` and take each sample's
+in-window scan count and extrema with one segmented reduction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from repro.core.avrank import AVRankSeries
+import numpy as np
+
 from repro.errors import ConfigError
+from repro.store.columnar import SeriesFrame
 from repro.vt.clock import MINUTES_PER_DAY
 
 
-def _delta_within(series: AVRankSeries, window_days: float) -> int | None:
-    """Δ over the scans within ``window_days`` of the first scan.
+def _gaps_within(
+    frame: SeriesFrame, window_days: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per sample: Δ over the scans within ``window_days`` of its first
+    scan, and whether that Δ is measurable (at least two such scans, as
+    in the paper's setup)."""
+    starts = frame.offsets[:-1]
+    first = np.repeat(frame.times[starts], frame.counts())
+    inside = frame.times <= first + int(window_days * MINUTES_PER_DAY)
+    n_inside = np.add.reduceat(inside, starts, dtype=np.int64)
+    # Ranks are >= 0, so 0 and the largest rank leave the extrema alone.
+    ceiling = int(frame.ranks.max()) if frame.n_reports else 0
+    hi = np.maximum.reduceat(np.where(inside, frame.ranks, 0), starts)
+    lo = np.minimum.reduceat(np.where(inside, frame.ranks, ceiling), starts)
+    return hi - lo, n_inside >= 2
 
-    Returns None when fewer than two scans fall inside the window (the
-    gap is unmeasurable there, as in the paper's setup).
-    """
-    horizon = series.times[0] + int(window_days * MINUTES_PER_DAY)
-    ranks = [rank for t, rank in zip(series.times, series.ranks, strict=False)
-             if t <= horizon]
-    if len(ranks) < 2:
-        return None
-    return max(ranks) - min(ranks)
+
+def _first_month(frame: SeriesFrame) -> np.ndarray:
+    """Samples first scanned within the collection's first 30 days."""
+    return frame.times[frame.offsets[:-1]] <= 30 * MINUTES_PER_DAY
 
 
 @dataclass(frozen=True)
@@ -55,7 +67,7 @@ class WindowComparison:
 
 
 def window_sensitivity(
-    series: Iterable[AVRankSeries],
+    frame: SeriesFrame,
     short_days: float = 30.0,
     long_days: float = 90.0,
     first_month_only: bool = True,
@@ -68,36 +80,27 @@ def window_sensitivity(
     """
     if long_days <= short_days:
         raise ConfigError("long window must exceed the short window")
-    n_comparable = 0
-    n_grew = 0
-    short_gaps: list[int] = []
-    long_gaps: list[int] = []
-    for s in series:
-        if first_month_only and s.times[0] > 30 * MINUTES_PER_DAY:
-            continue
-        short_gap = _delta_within(s, short_days)
-        long_gap = _delta_within(s, long_days)
-        if short_gap is None or long_gap is None:
-            continue
-        n_comparable += 1
-        short_gaps.append(short_gap)
-        long_gaps.append(long_gap)
-        if long_gap > short_gap:
-            n_grew += 1
+    short_gaps, short_ok = _gaps_within(frame, short_days)
+    long_gaps, long_ok = _gaps_within(frame, long_days)
+    comparable = short_ok & long_ok
+    if first_month_only:
+        comparable &= _first_month(frame)
+    short_gaps, long_gaps = short_gaps[comparable], long_gaps[comparable]
+    n_comparable = len(short_gaps)
     return WindowComparison(
         short_days=short_days,
         long_days=long_days,
         n_comparable=n_comparable,
-        n_grew=n_grew,
-        mean_gap_short=(sum(short_gaps) / len(short_gaps)
-                        if short_gaps else 0.0),
-        mean_gap_long=(sum(long_gaps) / len(long_gaps)
-                       if long_gaps else 0.0),
+        n_grew=int((long_gaps > short_gaps).sum()),
+        mean_gap_short=(int(short_gaps.sum()) / n_comparable
+                        if n_comparable else 0.0),
+        mean_gap_long=(int(long_gaps.sum()) / n_comparable
+                       if n_comparable else 0.0),
     )
 
 
 def gap_growth_curve(
-    series: Sequence[AVRankSeries],
+    frame: SeriesFrame,
     windows_days: Sequence[float] = (30, 60, 90, 180, 270, 365),
     first_month_only: bool = True,
 ) -> list[tuple[float, float]]:
@@ -108,11 +111,11 @@ def gap_growth_curve(
     samples is always variable".
     """
     out: list[tuple[float, float]] = []
-    pool = [s for s in series
-            if not first_month_only or s.times[0] <= 30 * MINUTES_PER_DAY]
+    pool = (_first_month(frame) if first_month_only
+            else np.ones(frame.n_samples, bool))
     for window in windows_days:
-        gaps = [g for s in pool
-                if (g := _delta_within(s, window)) is not None]
-        if gaps:
-            out.append((window, sum(gaps) / len(gaps)))
+        gaps, measurable = _gaps_within(frame, window)
+        gaps = gaps[measurable & pool]
+        if len(gaps):
+            out.append((window, int(gaps.sum()) / len(gaps)))
     return out

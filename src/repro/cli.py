@@ -305,11 +305,11 @@ def cmd_overview(data: ExperimentData) -> None:
 def cmd_dynamics(data: ExperimentData) -> None:
     from repro.analysis import dynamics as dynamics_mod, rendering
 
-    series, dataset_s = data.series(), data.dataset_s
-    print(rendering.render_fig2(dynamics_mod.stable_dynamic_split(series)))
+    frame, dataset_s = data.frame, data.dataset_s
+    print(rendering.render_fig2(dynamics_mod.stable_dynamic_split(frame)))
     print()
     print(rendering.render_fig3_fig4(
-        dynamics_mod.stable_sample_profile(series)))
+        dynamics_mod.stable_sample_profile(frame)))
     print()
     print(rendering.render_fig5(dynamics_mod.delta_distributions(dataset_s)))
     print()

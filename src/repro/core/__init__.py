@@ -5,7 +5,7 @@ given per-sample sequences of VirusTotal scan reports, it measures
 
 * AV-Rank trajectories and the stable/dynamic split (§5.1-5.2,
   :mod:`repro.core.avrank`);
-* adjacent-scan δ and overall Δ dynamics metrics (§5.3,
+* scan-pair interval differences and δ/Δ box summaries (§5.3,
   :mod:`repro.core.metrics`);
 * white/black/gray threshold categorisation (§5.4,
   :mod:`repro.core.categorize`) and threshold recommendation
@@ -25,7 +25,7 @@ from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "avrank": ("AVRankSeries", "collect_series", "split_stable_dynamic"),
-    "metrics": ("adjacent_deltas", "overall_delta", "pairwise_differences"),
+    "metrics": ("pairwise_differences",),
     "categorize": (
         "WHITE", "BLACK", "GRAY", "categorize", "category_distribution",
     ),
@@ -44,5 +44,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "causes": ("CauseBreakdown", "attribute_causes"),
     "recommend": ("recommend_threshold_ranges",),
     "reliability": ("EngineScore", "score_engines", "select_trusted"),
-    "monitor": ("LiveSampleMonitor", "StabilityCriteria", "StabilityMonitor"),
+    "monitor": ("StabilityCriteria", "StabilityMonitor"),
 })

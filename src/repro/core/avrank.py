@@ -2,8 +2,9 @@
 
 The paper's central object is the **AV-Rank** of a sample at a scan — the
 number of engines answering "malicious" (VT's ``positives``).  An
-:class:`AVRankSeries` is a sample's time-ordered sequence of AV-Ranks;
-the dataset-level analyses operate on collections of these.
+:class:`AVRankSeries` is one sample's time-ordered sequence of AV-Ranks,
+the per-sample API; the dataset-level analyses read every sample's
+trajectory at once from a :class:`~repro.store.columnar.SeriesFrame`.
 
 The paper's stable/dynamic split (§5.1): a sample with more than one
 report is *stable* when Δ = p_max − p_min = 0 over all its scans, and
@@ -13,7 +14,7 @@ report is *stable* when Δ = p_max − p_min = 0 over all its scans, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from repro.errors import InsufficientDataError
 from repro.vt.clock import MINUTES_PER_DAY
@@ -114,13 +115,6 @@ def collect_series(
             for _, reports in sample_reports]
 
 
-def multi_report_series(
-    series: Iterable[AVRankSeries],
-) -> Iterator[AVRankSeries]:
-    """Only the series whose dynamics are measurable (n > 1)."""
-    return (s for s in series if s.multi)
-
-
 def split_stable_dynamic(
     series: Iterable[AVRankSeries],
 ) -> tuple[list[AVRankSeries], list[AVRankSeries]]:
@@ -137,20 +131,3 @@ def split_stable_dynamic(
             continue
         (stable if s.stable else dynamic).append(s)
     return stable, dynamic
-
-
-def select_dataset_s(
-    series: Iterable[AVRankSeries],
-    top20: frozenset[str] | set[str],
-) -> list[AVRankSeries]:
-    """The paper's analysis dataset *S* (§5.3.1): **dynamic** samples
-    (Δ > 0) that are fresh and belong to the top-20 file types.
-
-    Figure 5 shows Δ ranging from 1 and §5.4.1 calls S "the fresh dynamic
-    samples", so stable samples are excluded by construction.
-    """
-    return [
-        s for s in series
-        if s.multi and s.fresh and s.delta_overall > 0
-        and s.file_type in top20
-    ]

@@ -23,10 +23,13 @@ conflict at ``p_max == t``, where the sample *would* be labelled malicious
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 from repro.core.avrank import AVRankSeries
 from repro.errors import ConfigError
+
+if TYPE_CHECKING:
+    from repro.store.columnar import SeriesFrame
 
 WHITE = "white"
 BLACK = "black"
@@ -71,26 +74,22 @@ class CategoryCounts:
 
 
 def category_distribution(
-    series: Sequence[AVRankSeries],
+    frame: SeriesFrame,
     thresholds: Iterable[int],
 ) -> list[CategoryCounts]:
     """Category tallies across thresholds — the full Figure 8 curve.
 
-    One pass over the samples: per sample only (p_min, p_max) matter, and
-    each threshold is an interval test against them.
+    Per sample only (p_min, p_max) matter, and each threshold is an
+    interval test against them: white is ``p_max < t``, black is
+    ``p_min >= t`` (which excludes white) and gray is the rest.
     """
-    extremes = [(s.p_min, s.p_max) for s in series]
+    p_min, p_max = frame.p_min(), frame.p_max()
     out: list[CategoryCounts] = []
     for t in thresholds:
         if t < 1:
             raise ConfigError(f"threshold must be >= 1, got {t}")
-        white = black = gray = 0
-        for p_min, p_max in extremes:
-            if p_max < t:
-                white += 1
-            elif p_min >= t:
-                black += 1
-            else:
-                gray += 1
-        out.append(CategoryCounts(t, white, black, gray))
+        white = int((p_max < t).sum())
+        black = int((p_min >= t).sum())
+        out.append(CategoryCounts(t, white, black,
+                                  frame.n_samples - white - black))
     return out

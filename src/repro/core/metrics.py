@@ -1,12 +1,12 @@
 """Dynamics metrics over AV-Rank series (§5.3).
 
-Three measurements drive Figures 5-7:
-
-* ``adjacent_deltas`` — δ_i = |p_i − p_{i−1}| over consecutive scans;
-* ``overall_delta`` — Δ = p_max − p_min per sample;
-* ``pairwise_differences`` — |p_i − p_j| against the time interval
-  |t_i − t_j| for scan *pairs*, the data behind Figure 7 and its
-  Spearman correlation (ρ = 0.9181 in the paper).
+Figure 7 correlates |p_i − p_j| with the time interval |t_i − t_j| over
+scan *pairs* (ρ = 0.9181 in the paper); :func:`pairwise_differences`
+pools those pairs from a :class:`~repro.store.columnar.SeriesFrame`.
+Figures 5-6's δ and Δ are the frame's own
+:meth:`~repro.store.columnar.SeriesFrame.adjacent_deltas` and
+:meth:`~repro.store.columnar.SeriesFrame.delta_overall`, summarised by
+:class:`BoxSummary`.
 
 Pairwise enumeration is quadratic per sample; a per-sample pair cap keeps
 hot samples (thousands of scans) from dominating, with capped pairs drawn
@@ -18,37 +18,16 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.core.avrank import AVRankSeries
+import numpy as np
+
 from repro.stats.descriptive import boxplot_stats, mean
 from repro.stats.spearman import SpearmanResult, spearman
 from repro.vt.clock import MINUTES_PER_DAY
 
-
-def adjacent_deltas(series: Iterable[AVRankSeries]) -> list[int]:
-    """All δ_i values pooled across samples (Figure 5's δ CDF)."""
-    out: list[int] = []
-    for s in series:
-        out.extend(s.adjacent_deltas())
-    return out
-
-
-def overall_delta(series: Iterable[AVRankSeries]) -> list[int]:
-    """All per-sample Δ values (Figure 5's Δ CDF)."""
-    return [s.delta_overall for s in series]
-
-
-def deltas_by_file_type(
-    series: Iterable[AVRankSeries],
-) -> tuple[dict[str, list[int]], dict[str, list[int]]]:
-    """Pooled δ and Δ grouped by file type (Figure 6)."""
-    adjacent: dict[str, list[int]] = defaultdict(list)
-    overall: dict[str, list[int]] = defaultdict(list)
-    for s in series:
-        adjacent[s.file_type].extend(s.adjacent_deltas())
-        overall[s.file_type].append(s.delta_overall)
-    return dict(adjacent), dict(overall)
+if TYPE_CHECKING:
+    from repro.store.columnar import SeriesFrame
 
 
 @dataclass(frozen=True)
@@ -93,40 +72,49 @@ class PairwiseDifferences:
 
 
 def pairwise_differences(
-    series: Iterable[AVRankSeries],
+    frame: SeriesFrame,
     max_pairs_per_sample: int = 200,
     seed: int = 0,
 ) -> PairwiseDifferences:
     """All-pairs AV-Rank differences vs scan intervals (§5.3.5).
 
+    Pairs are pooled sample-major, each sample's in ``(i, j)`` order.
     Samples with more than ``max_pairs_per_sample`` pairs contribute a
-    deterministic random subset, so hot samples cannot swamp the pool.
+    deterministic random subset instead, so hot samples cannot swamp the
+    pool: one ``random.Random(f"pairwise:{seed}")`` stream draws each
+    such sample's pairs in sample order.
     """
-    intervals: list[float] = []
-    diffs: list[int] = []
+    counts = frame.counts()
+    n_pairs = counts * (counts - 1) // 2
+    small = n_pairs <= max_pairs_per_sample
+    minutes, diffs = frame.select(small).pairwise_diffs()
+
+    # Over-cap samples draw pair by pair: any vectorised draw would
+    # change the sequence, and with it the figure.
     rng = random.Random(f"pairwise:{seed}")
-    for s in series:
-        n = s.n
-        total_pairs = n * (n - 1) // 2
-        if total_pairs <= max_pairs_per_sample:
-            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        else:
-            pairs = [
-                tuple(sorted(rng.sample(range(n), 2)))
-                for _ in range(max_pairs_per_sample)
-            ]
-        for i, j in pairs:
-            intervals.append((s.times[j] - s.times[i]) / MINUTES_PER_DAY)
-            diffs.append(abs(s.ranks[j] - s.ranks[i]))
-    return PairwiseDifferences(tuple(intervals), tuple(diffs))
-
-
-def summarize_by_file_type(
-    grouped: dict[str, list[int]],
-) -> dict[str, "BoxSummary"]:
-    """Box-plot summaries per file type (the rows of Figure 6)."""
-    return {ftype: BoxSummary.of(values)
-            for ftype, values in grouped.items() if values}
+    starts = frame.offsets[:-1].tolist()
+    sizes = counts.tolist()
+    hot: list[int] = []
+    first: list[int] = []
+    second: list[int] = []
+    for s in np.flatnonzero(~small).tolist():
+        for _ in range(max_pairs_per_sample):
+            i, j = sorted(rng.sample(range(sizes[s]), 2))
+            hot.append(s)
+            first.append(starts[s] + i)
+            second.append(starts[s] + j)
+    first_at = np.asarray(first, np.int64)
+    second_at = np.asarray(second, np.int64)
+    minutes = np.concatenate(
+        [minutes, frame.times[second_at] - frame.times[first_at]])
+    diffs = np.concatenate(
+        [diffs, np.abs(frame.ranks[second_at] - frame.ranks[first_at])])
+    owner = np.concatenate([np.repeat(np.flatnonzero(small), n_pairs[small]),
+                            np.asarray(hot, np.int64)])
+    order = np.argsort(owner, kind="stable")  # back to sample-major
+    return PairwiseDifferences(
+        tuple((minutes[order] / MINUTES_PER_DAY).tolist()),
+        tuple(diffs[order].tolist()))
 
 
 @dataclass(frozen=True)

@@ -7,24 +7,16 @@ a library: it consumes a sample's reports as they arrive and fires a
 callback (or flips its ``stable`` flag) once the configured criteria
 hold.  It also emits the inverse alert the paper suggests — significant
 AV-Rank variation within a short interval.
-
-:class:`LiveSampleMonitor` binds a monitor to a *live* report store: it
-polls the store between ingest bursts and feeds only the not-yet-seen
-reports to the monitor — the read-while-ingest consumer the store's
-write-aware retrieval layer exists to keep correct.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from repro.errors import ConfigError
 from repro.vt.clock import MINUTES_PER_DAY
 from repro.vt.reports import ScanReport
-
-if TYPE_CHECKING:  # core stays import-light: store is a typing-only dep.
-    from repro.store.reportstore import ReportStore
 
 
 @dataclass(frozen=True)
@@ -127,44 +119,3 @@ class StabilityMonitor:
             # Stability was broken by a new excursion.
             self.stable = False
             self.stable_since = None
-
-
-@dataclass
-class LiveSampleMonitor:
-    """Stability tracking for one sample read from a live store.
-
-    The feed loop ingests continuously while consumers read — the §4.1
-    collection scenario.  Each :meth:`poll` fetches the sample's current
-    reports via ``store.reports_for`` (safe to interleave with ingest)
-    and feeds only the unseen suffix to the wrapped monitor.
-
-    Reports must reach the store in scan-time order for the sample (the
-    premium feed's delivery order), so the time-sorted report list only
-    ever grows at the tail and the seen prefix stays valid.
-    """
-
-    store: "ReportStore"
-    sha256: str
-    monitor: StabilityMonitor = field(default_factory=StabilityMonitor)
-    _seen: int = field(default=0, repr=False)
-
-    def poll(self) -> int:
-        """Observe reports that arrived since the last poll; returns how
-        many were new.  A sample not yet in the store is simply not there
-        *yet* — that polls as zero new reports, not an error."""
-        if self.sha256 not in self.store:
-            return 0
-        reports = self.store.reports_for(self.sha256)
-        new = reports[self._seen:]
-        for report in new:
-            self.monitor.observe(report)
-        self._seen = len(reports)
-        return len(new)
-
-    @property
-    def stable(self) -> bool:
-        return self.monitor.stable
-
-    @property
-    def alerts(self) -> int:
-        return self.monitor.alerts

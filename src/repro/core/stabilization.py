@@ -16,17 +16,27 @@ Two questions, two analyses:
 Both report the stabilisation scan index (1-based serial number, as in
 Figure 9's left axis) and the days from first scan to stabilisation
 (Figure 9's right axis).
+
+:func:`avrank_stabilization` and :func:`label_stabilization` answer for
+one :class:`~repro.core.avrank.AVRankSeries`; the dataset summaries
+compute the same outcomes for every sample of a
+:class:`~repro.store.columnar.SeriesFrame` with array kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
+
+import numpy as np
 
 from repro.core.avrank import AVRankSeries
 from repro.errors import ConfigError
 from repro.stats.descriptive import mean
 from repro.vt.clock import MINUTES_PER_DAY
+
+if TYPE_CHECKING:
+    from repro.store.columnar import SeriesFrame
 
 
 @dataclass(frozen=True)
@@ -135,56 +145,97 @@ class StabilizationSummary:
         return self.n_stabilized / self.n_samples if self.n_samples else 0.0
 
 
+def _suffix_starts(
+    frame: SeriesFrame, values: np.ndarray, spread: int
+) -> np.ndarray:
+    """Per sample: the first scan (0-based) from which ``values`` span at
+    most ``spread`` up to the sample's last scan.
+
+    That is the number of the sample's scans whose suffix spans more, so
+    one reversed running maximum and minimum over the whole frame count
+    it for every sample; each sample is lifted above every later sample
+    (and, negated, below), so the running extrema restart at each sample
+    boundary.
+    """
+    step = int(values.max()) + 1 if len(values) else 1
+    sample = np.repeat(np.arange(frame.n_samples, dtype=np.int64),
+                       frame.counts())
+    lift = (frame.n_samples - 1 - sample) * step
+    hi = np.maximum.accumulate((values + lift)[::-1])[::-1] - lift
+    lo = np.minimum.accumulate((values - lift)[::-1])[::-1] + lift
+    return np.add.reduceat(hi - lo > spread, frame.offsets[:-1],
+                           dtype=np.int64)
+
+
 def summarize_avrank_stabilization(
-    series: Iterable[AVRankSeries],
+    frame: SeriesFrame,
     fluctuation: int = 0,
     within_days: Sequence[int] = (10, 20, 30),
 ) -> StabilizationSummary:
-    """§6.1 aggregate: stabilised share and timing at one fluctuation."""
-    outcomes = [avrank_stabilization(s, fluctuation)
-                for s in series if s.multi]
-    return _summarize(fluctuation, outcomes, within_days)
+    """§6.1 aggregate: stabilised share and timing at one fluctuation —
+    the :func:`avrank_stabilization` outcome of every multi-report
+    sample."""
+    if fluctuation < 0:
+        raise ConfigError("fluctuation must be >= 0")
+    k = _suffix_starts(frame, frame.ranks, fluctuation)
+    return _summarize(fluctuation, frame, frame.multi_mask(), k,
+                      within_days)
 
 
 def summarize_label_stabilization(
-    series: Iterable[AVRankSeries],
+    frame: SeriesFrame,
     threshold: int,
     within_days: Sequence[int] = (15, 30),
     exclude_two_scan: bool = False,
 ) -> StabilizationSummary:
-    """§6.2 aggregate at one threshold.
+    """§6.2 aggregate at one threshold — the :func:`label_stabilization`
+    outcome of every multi-report sample: its 0/1 label sequence settles
+    where it stops spanning both labels.
 
     ``exclude_two_scan`` reproduces the paper's Figure 9(b), which drops
     samples with exactly two scans because they stabilise trivially.
     """
-    pool = [s for s in series
-            if s.multi and not (exclude_two_scan and s.n == 2)]
-    outcomes = [label_stabilization(s, threshold) for s in pool]
-    return _summarize(threshold, outcomes, within_days)
+    if threshold < 1:
+        raise ConfigError("threshold must be >= 1")
+    malicious = (frame.ranks >= threshold).astype(np.int64)
+    counts = frame.counts()
+    pool = counts > 1
+    if exclude_two_scan:
+        pool &= counts != 2
+    return _summarize(threshold, frame, pool,
+                      _suffix_starts(frame, malicious, 0), within_days)
 
 
 def _summarize(
     parameter: int,
-    outcomes: Sequence[AVRankStabilization | LabelStabilization],
+    frame: SeriesFrame,
+    pool: np.ndarray,
+    k: np.ndarray,
     within_days: Sequence[int],
 ) -> StabilizationSummary:
-    stabilized = [o for o in outcomes if o.stabilized]
-    fraction_within = {}
-    for horizon in within_days:
-        if stabilized:
-            fraction_within[horizon] = (
-                sum(1 for o in stabilized if o.days <= horizon)
-                / len(stabilized)
-            )
-        else:
-            fraction_within[horizon] = 0.0
+    """Summarise the ``pool`` samples whose stable suffix starts at scan
+    ``k`` (0-based; one entry per sample of ``frame``).
+
+    A sample stabilised when the suffix holds at least two scans; it is
+    confirmed at the suffix's second scan.  Means are python sums in
+    sample order, as the per-sample outcomes would give.
+    """
+    first = frame.offsets[:-1]
+    done = pool & (k <= frame.counts() - 2)
+    confirm = first[done] + k[done] + 1
+    days = ((frame.times[confirm] - frame.times[first[done]])
+            / MINUTES_PER_DAY).tolist()
+    scan_index = (k[done] + 2).tolist()
+    fraction_within = {
+        horizon: (sum(1 for d in days if d <= horizon) / len(days)
+                  if days else 0.0)
+        for horizon in within_days
+    }
     return StabilizationSummary(
         parameter=parameter,
-        n_samples=len(outcomes),
-        n_stabilized=len(stabilized),
-        mean_scan_index=(mean([o.scan_index for o in stabilized])
-                         if stabilized else None),
-        mean_days=(mean([o.days for o in stabilized])
-                   if stabilized else None),
+        n_samples=int(pool.sum()),
+        n_stabilized=len(days),
+        mean_scan_index=mean(scan_index) if days else None,
+        mean_days=mean(days) if days else None,
         fraction_within=fraction_within,
     )

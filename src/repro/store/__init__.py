@@ -19,7 +19,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "codec": ("decode_report", "encode_report", "verbose_json_size"),
     "index": ("IndexEntry", "decode_index", "encode_index", "sample_ranks"),
     "cache": ("BlockCache", "CacheStats"),
-    "query": ("ReportQuery",),
     "merge": ("FrozenMonth", "FrozenShard", "StreamingMerge"),
     "reportstore": ("ReportStore",),
     "shard": ("CompressedBlock", "MonthlyShard"),

@@ -962,23 +962,12 @@ class SeriesFrame:
         keep[self.offsets[1:-1] - 1] = False  # pairs straddling samples
         return deltas[keep]
 
-    def label_flips(self, threshold: int) -> int:
-        """Adjacent B↔M transitions under a voting threshold (§6.2).
-
-        The numpy counterpart of counting changes in
-        :meth:`~repro.core.avrank.AVRankSeries.labels_under` across every
-        sample's consecutive scans.
-        """
-        if self.n_reports < 2:
-            return 0
-        malicious = self.ranks >= threshold
-        flips = malicious[1:] != malicious[:-1]
-        keep = np.ones(self.n_reports - 1, bool)
-        keep[self.offsets[1:-1] - 1] = False  # pairs straddling samples
-        return int((flips & keep).sum())
-
     def dataset_s_mask(self, top20: Iterable[str]) -> np.ndarray:
-        """The paper's dataset *S* (§5.3.1): fresh ∧ dynamic ∧ top-20."""
+        """The paper's dataset *S* (§5.3.1): fresh ∧ dynamic ∧ top-20.
+
+        Figure 5 shows Δ ranging from 1 and §5.4.1 calls S "the fresh
+        dynamic samples", so stable samples are excluded by construction.
+        """
         wanted = frozenset(top20)
         in_top = np.asarray([ft in wanted for ft in self.file_types], bool)
         return self.dynamic_mask() & self.fresh & in_top
@@ -1034,9 +1023,9 @@ class SeriesFrame:
         The §5.3.5 / Figure 7 measurement, uncapped: for every sample
         and every pair ``i < j`` of its scans, the interval
         ``t_j − t_i`` (minutes) and ``|p_j − p_i|``, pooled
-        sample-major in the same ``(i, j)`` order as the python
-        all-pairs enumeration in
-        :func:`repro.core.metrics.pairwise_differences`.
+        sample-major in ``(i, j)`` order — what
+        :func:`repro.core.metrics.pairwise_differences` pools for every
+        sample under its pair cap.
         """
         counts = self.counts()
         rec_rep = np.repeat(counts, counts) - 1 - _ranges(counts)

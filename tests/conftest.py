@@ -9,6 +9,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.experiment import ExperimentData, run_experiment
+from repro.core.avrank import AVRankSeries
 from repro.store.columnar import ColumnarBatch, SeriesFrame
 from repro.synth.scenario import ScenarioConfig, tiny_scenario
 from repro.vt.engines import EngineFleet, default_fleet
@@ -141,6 +142,27 @@ def make_frame(reports: list[ScanReport]) -> SeriesFrame:
     """A report list grouped into a frame with planes, streamed in list
     order — how report-list callers reach the §7 kernels."""
     return SeriesFrame.from_batches([ColumnarBatch.from_reports(reports)])
+
+
+def make_series_frame(series: list[AVRankSeries]) -> SeriesFrame:
+    """A series list grouped into a frame through reports, one sample
+    per series in list order — how the dataset-level analyses read it.
+
+    Each series becomes a distinct sample (its sha256 is salted with its
+    position), so equal trajectories stay separate, as they would in a
+    store.  The fleet is as wide as the largest rank.
+    """
+    width = max((max(s.ranks) for s in series), default=0) or 1
+    return make_frame([
+        make_report(sha=make_sha(f"{index}:{s.sha256}"),
+                    file_type=s.file_type,
+                    scan_time=when,
+                    labels=[1] * rank + [0] * (width - rank),
+                    first_submission=0 if s.fresh else -1,
+                    n_engines=width)
+        for index, s in enumerate(series)
+        for when, rank in zip(s.times, s.ranks, strict=True)
+    ])
 
 
 def make_sha(token: str) -> str:

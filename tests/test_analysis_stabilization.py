@@ -9,19 +9,21 @@ from repro.analysis.stabilization import (
     label_stabilization_profile,
 )
 
+from conftest import make_series_frame
 from test_avrank import series
 
 
 class TestAVRankProfile:
     def test_covers_requested_ranges(self):
         pool = [series([1, 1, 1]), series([1, 9, 1])]
-        profile = avrank_stabilization_profile(pool, ranges=(0, 2))
+        profile = avrank_stabilization_profile(make_series_frame(pool),
+                                               ranges=(0, 2))
         assert set(profile.by_fluctuation) == {0, 2}
 
     def test_fraction_monotone_in_r(self):
         pool = [series([1, 3, 2, 3]), series([0, 8, 0, 9]),
                 series([2, 2, 2])]
-        profile = avrank_stabilization_profile(pool)
+        profile = avrank_stabilization_profile(make_series_frame(pool))
         fractions = [profile.stabilized_fraction(r)
                      for r in FLUCTUATION_RANGES]
         assert all(b >= a for a, b in zip(fractions, fractions[1:], strict=False))
@@ -38,13 +40,14 @@ class TestAVRankProfile:
 class TestLabelProfile:
     def test_covers_paper_thresholds(self):
         pool = [series([1, 1]), series([1, 50])]
-        profile = label_stabilization_profile(pool)
+        profile = label_stabilization_profile(make_series_frame(pool))
         assert set(profile.all_samples) == set(LABEL_THRESHOLDS)
         assert set(profile.exclude_two_scan) == set(LABEL_THRESHOLDS)
 
     def test_exclude_two_scan_smaller_pool(self):
         pool = [series([1, 1]), series([1, 1, 1])]
-        profile = label_stabilization_profile(pool, thresholds=(5,))
+        profile = label_stabilization_profile(make_series_frame(pool),
+                                              thresholds=(5,))
         assert profile.all_samples[5].n_samples == 2
         assert profile.exclude_two_scan[5].n_samples == 1
 

@@ -5,13 +5,11 @@ import pytest
 from repro.core.avrank import (
     AVRankSeries,
     collect_series,
-    multi_report_series,
-    select_dataset_s,
     split_stable_dynamic,
 )
 from repro.errors import InsufficientDataError
 
-from conftest import make_report, make_sha
+from conftest import make_report, make_series_frame, make_sha
 
 
 def series(ranks, times=None, file_type="Win32 EXE", fresh=True,
@@ -105,8 +103,8 @@ class TestSplit:
         assert [s.ranks for s in dynamic] == [(2, 3)]
 
     def test_multi_report_series_filter(self):
-        pool = [series([1]), series([1, 1])]
-        assert [s.n for s in multi_report_series(pool)] == [2]
+        frame = make_series_frame([series([1]), series([1, 1])])
+        assert frame.counts()[frame.multi_mask()].tolist() == [2]
 
 
 class TestDatasetS:
@@ -119,6 +117,7 @@ class TestDatasetS:
             series([1, 5], file_type="TYPE_021"),        # minor type: out
             series([5]),                                 # single: out
         ]
-        selected = select_dataset_s(pool, top20)
-        assert len(selected) == 1
-        assert selected[0].delta_overall == 4
+        frame = make_series_frame(pool)
+        selected = frame.select(frame.dataset_s_mask(top20))
+        assert selected.n_samples == 1
+        assert selected.delta_overall().tolist() == [4]

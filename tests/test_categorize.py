@@ -12,6 +12,7 @@ from repro.core.categorize import (
 )
 from repro.errors import ConfigError
 
+from conftest import make_series_frame
 from test_avrank import series
 
 
@@ -40,7 +41,7 @@ class TestCategorize:
 class TestDistribution:
     def test_counts_partition(self):
         pool = [series([0, 1]), series([9, 9]), series([3, 8])]
-        (counts,) = category_distribution(pool, [5])
+        (counts,) = category_distribution(make_series_frame(pool), [5])
         assert counts.white == 1
         assert counts.black == 1
         assert counts.gray == 1
@@ -53,13 +54,14 @@ class TestDistribution:
         assert counts.black_fraction == 0.25
 
     def test_empty_pool(self):
-        (counts,) = category_distribution([], [3])
+        (counts,) = category_distribution(make_series_frame([]), [3])
         assert counts.total == 0
         assert counts.gray_fraction == 0.0
 
     def test_multiple_thresholds_one_pass(self):
         pool = [series([2, 10])]
-        results = category_distribution(pool, range(1, 15))
+        results = category_distribution(make_series_frame(pool),
+                                        range(1, 15))
         # crossing band is (2, 10]: gray for 3..10
         for counts in results:
             expected = GRAY if 3 <= counts.threshold <= 10 else (
@@ -71,4 +73,4 @@ class TestDistribution:
 
     def test_invalid_threshold_rejected(self):
         with pytest.raises(ConfigError):
-            category_distribution([series([1, 2])], [0])
+            category_distribution(make_series_frame([series([1, 2])]), [0])

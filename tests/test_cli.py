@@ -1,14 +1,18 @@
 """Tests for the command-line interface (repro.cli)."""
 
+from functools import cached_property
+
 import pytest
 
 from repro.analysis.experiment import ExperimentData, run_experiment
 from repro.cli import main
-from repro.core.avrank import collect_series
+from repro.core.avrank import AVRankSeries
 from repro.store.reportstore import ReportStore
 from repro.synth.scenario import tiny_scenario
 from repro.vt.engines import Engine, EngineFleet
 from repro.vt.reports import ScanReport
+
+from conftest import make_frame
 
 
 @pytest.fixture()
@@ -169,15 +173,17 @@ def saved_store(request, tmp_path_factory):
 
 class TestOneDecodePerRun:
     """An analysis run decodes every stored block exactly once and builds
-    no per-report object."""
+    no per-report or per-sample object: every analysis reads the frame."""
 
-    @pytest.mark.parametrize("command", ["all", "calibrate", "report"])
+    @pytest.mark.parametrize("command", ["all", "calibrate", "report",
+                                         "dynamics", "stabilization"])
     def test_each_block_decoded_once(self, saved_store, loaded_stores,
                                      monkeypatch, tmp_path, command):
         built = []
-        original = ScanReport.__post_init__
-        monkeypatch.setattr(ScanReport, "__post_init__",
-                            lambda report: built.append(original(report)))
+        for cls in (ScanReport, AVRankSeries):
+            monkeypatch.setattr(
+                cls, "__post_init__",
+                lambda obj, init=cls.__post_init__: built.append(init(obj)))
         output = [str(tmp_path / "report.md")] if command == "report" else []
         # calibrate exits 1 when a band fails, which is noise at this scale.
         assert main(["--store", str(saved_store), command, *output]) in (0, 1)
@@ -202,7 +208,8 @@ class TestOneDecodePerRun:
 
 class TestLayoutInvariance:
     """Serial and 2-worker stores of one seed render the same, and the
-    series figures match the per-report object path."""
+    series figures match a frame grouped from the per-report object
+    path."""
 
     @pytest.fixture(scope="class")
     def stores(self, tmp_path_factory):
@@ -232,9 +239,17 @@ class TestLayoutInvariance:
     def test_series_figures_match_per_report_path(self, stores, command,
                                                   capsys, monkeypatch):
         from_frame = self._render(stores["serial"], command, capsys)
-        monkeypatch.setattr(
-            ExperimentData, "series",
-            lambda data: collect_series(data.store.iter_sample_reports()))
+
+        def per_report_frame(data):
+            """The frame grouped from the per-report objects that
+            ``iter_sample_reports`` yields, in its sample order."""
+            return make_frame([report for _, reports
+                               in data.store.iter_sample_reports()
+                               for report in reports])
+
+        frame = cached_property(per_report_frame)
+        frame.__set_name__(ExperimentData, "frame")
+        monkeypatch.setattr(ExperimentData, "frame", frame)
         assert self._render(stores["serial"], command, capsys) == from_frame
 
     def test_all_matches_across_workers(self, stores, capsys):

@@ -19,13 +19,10 @@ class TestRun:
 
     def test_dataset_s_subset_of_series(self, experiment):
         series_ids = {s.sha256 for s in experiment.series()}
-        assert all(s.sha256 in series_ids for s in experiment.dataset_s)
+        assert set(experiment.dataset_s.sha256) <= series_ids
 
     def test_dataset_s_members_are_dynamic(self, experiment):
-        assert all(s.delta_overall > 0 for s in experiment.dataset_s)
-
-    def test_multi_report_view(self, experiment):
-        assert all(s.n >= 2 for s in experiment.multi_report)
+        assert (experiment.dataset_s.delta_overall() > 0).all()
 
     def test_store_sealed_after_run(self, experiment):
         assert experiment.store.closed

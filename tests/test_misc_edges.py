@@ -88,17 +88,6 @@ class TestScenarioEdges:
             ScenarioConfig(interval_sigma=0.0)
 
 
-class TestTrendParamsDefaults:
-    def test_min_movement_respected(self):
-        from repro.core.trends import Trend, TrendParams, classify_trend
-
-        from test_avrank import series
-
-        params = TrendParams(min_movement=5)
-        assert classify_trend(series([1, 3]), params) is Trend.FLAT
-        assert classify_trend(series([1, 9]), params) is not Trend.FLAT
-
-
 class TestCLIStorePath:
     def test_dynamics_from_saved_store(self, tmp_path, capsys):
         from repro.cli import main

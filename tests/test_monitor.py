@@ -115,67 +115,3 @@ class TestVariationAlerts:
         monitor.observe(_report(0, 1))
         monitor.observe(_report(1, 3))
         assert monitor.alerts == 0
-
-
-class TestLiveSampleMonitor:
-    """Read-while-ingest consumption from a live report store."""
-
-    def _live(self, store, **criteria):
-        from repro.core.monitor import LiveSampleMonitor
-        monitor = StabilityMonitor(criteria=StabilityCriteria(**criteria))
-        return LiveSampleMonitor(store=store, sha256=SHA, monitor=monitor)
-
-    def test_poll_before_first_report_is_zero(self):
-        from repro.store.reportstore import ReportStore
-        live = self._live(ReportStore())
-        assert live.poll() == 0
-        assert not live.stable
-
-    def test_interleaved_ingest_and_poll(self):
-        # Small blocks so ingest crosses block boundaries between polls —
-        # the exact interleaving the stale block-cache bug corrupted.
-        from repro.store.reportstore import ReportStore
-        store = ReportStore(block_records=2)
-        live = self._live(store, min_reports=2, min_days=5)
-        store.ingest(_report(0, 5))
-        assert live.poll() == 1
-        store.ingest(_report(2, 5))
-        store.ingest(_report(4, 5))
-        assert live.poll() == 2
-        assert not live.stable  # span 4 days < min_days
-        store.ingest(_report(10, 5))
-        assert live.poll() == 1
-        assert live.stable
-
-    def test_polls_only_see_new_reports(self):
-        from repro.store.reportstore import ReportStore
-        store = ReportStore(block_records=2)
-        live = self._live(store)
-        store.ingest(_report(0, 3))
-        store.ingest(_report(1, 3))
-        assert live.poll() == 2
-        assert live.poll() == 0  # nothing new
-        store.ingest(_report(2, 3))
-        assert live.poll() == 1
-
-    def test_variation_alert_through_live_store(self):
-        from repro.store.reportstore import ReportStore
-        store = ReportStore(block_records=2)
-        live = self._live(store, alert_jump=5, alert_within_days=3)
-        store.ingest(_report(0, 1))
-        live.poll()
-        store.ingest(_report(1, 8))
-        live.poll()
-        assert live.alerts == 1
-
-    def test_other_samples_do_not_interfere(self):
-        from repro.store.reportstore import ReportStore
-        store = ReportStore(block_records=2)
-        live = self._live(store)
-        store.ingest(_report(0, 4))
-        for i in range(5):  # unrelated traffic shares the blocks
-            store.ingest(make_report(sha=make_sha(f"noise{i}"),
-                                     scan_time=i * DAY + 7))
-        store.ingest(_report(8, 4))
-        assert live.poll() == 2
-        assert live.stable

@@ -17,6 +17,8 @@ from repro.stats.spearman import spearman
 from repro.store import codec
 from repro.vt.reports import ScanReport, decode_labels, encode_labels
 
+from conftest import make_series_frame
+
 # ---------------------------------------------------------------------------
 # Strategies
 # ---------------------------------------------------------------------------
@@ -186,10 +188,12 @@ def test_categorize_consistent_with_label_rule(ranks, threshold):
         assert labels == {True, False}
 
 
+@settings(deadline=None)
 @given(st.lists(ranks_strategy, min_size=1, max_size=20))
 def test_category_counts_partition(pools):
     series_pool = [_series(r) for r in pools]
-    for counts in category_distribution(series_pool, [1, 5, 25, 50]):
+    frame = make_series_frame(series_pool)
+    for counts in category_distribution(frame, [1, 5, 25, 50]):
         assert counts.white + counts.black + counts.gray == len(series_pool)
 
 

@@ -1,12 +1,9 @@
-"""Additional property-based tests: store, query, trends, monitor."""
+"""Additional property-based tests: store and monitor."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.avrank import AVRankSeries
 from repro.core.monitor import StabilityCriteria, StabilityMonitor
-from repro.core.trends import Trend, TrendParams, classify_trend
-from repro.store.query import ReportQuery
 from repro.store.reportstore import ReportStore
 from repro.vt.clock import WINDOW_MINUTES
 from repro.vt.reports import ScanReport, encode_labels
@@ -37,17 +34,6 @@ def report_strategy(draw, sha=None):
         last_submission_date=scan_time,
         last_analysis_date=scan_time,
         times_submitted=draw(st.integers(1, 5)),
-    )
-
-
-ranks_strategy = st.lists(st.integers(0, 70), min_size=2, max_size=25)
-
-
-def _series(ranks):
-    return AVRankSeries(
-        sha256="ef" * 32, file_type="TXT", fresh=True,
-        times=tuple(range(0, len(ranks) * 1000, 1000)),
-        ranks=tuple(ranks),
     )
 
 
@@ -86,55 +72,6 @@ def test_store_save_load_round_trip(reports):
         loaded = ReportStore.load(path)
     assert loaded.report_count == store.report_count
     assert set(loaded.samples()) == set(store.samples())
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.lists(report_strategy(), min_size=1, max_size=20),
-       st.integers(0, 30))
-def test_query_partition_is_exhaustive(reports, threshold):
-    store = ReportStore()
-    store.ingest_batch(reports)
-    q = ReportQuery(store)
-    below = q.max_positives(max(0, threshold - 1)).count() if threshold else 0
-    at_or_above = q.min_positives(threshold).count()
-    assert below + at_or_above == store.report_count
-
-
-# ---------------------------------------------------------------------------
-# Trend classification invariants
-# ---------------------------------------------------------------------------
-
-
-@given(ranks_strategy)
-def test_trend_is_total_function(ranks):
-    assert classify_trend(_series(ranks)) in Trend
-
-
-@given(ranks_strategy)
-def test_flat_iff_constant(ranks):
-    trend = classify_trend(_series(ranks))
-    if len(set(ranks)) == 1:
-        assert trend is Trend.FLAT
-    else:
-        assert trend is not Trend.FLAT
-
-
-@given(ranks_strategy)
-def test_trend_mirror_symmetry(ranks):
-    """Negating the trajectory swaps GROWER and DECLINER, fixes others."""
-    base = classify_trend(_series(ranks))
-    peak = max(ranks)
-    mirrored = classify_trend(_series([peak - r for r in ranks]))
-    swap = {Trend.GROWER: Trend.DECLINER, Trend.DECLINER: Trend.GROWER}
-    assert mirrored == swap.get(base, base)
-
-
-@given(ranks_strategy)
-def test_monotone_series_is_directional(ranks):
-    ordered = sorted(ranks)
-    if ordered[0] != ordered[-1]:
-        assert classify_trend(_series(ordered)) is Trend.GROWER
-        assert classify_trend(_series(ordered[::-1])) is Trend.DECLINER
 
 
 # ---------------------------------------------------------------------------

@@ -61,12 +61,12 @@ class TestExperimentRenderers:
         assert "paper: 88.81%" in out
 
     def test_fig2(self, experiment):
-        split = dynamics_mod.stable_dynamic_split(experiment.series())
+        split = dynamics_mod.stable_dynamic_split(experiment.frame)
         out = rendering.render_fig2(split)
         assert "stable" in out and "dynamic" in out
 
     def test_fig3_fig4(self, experiment):
-        profile = dynamics_mod.stable_sample_profile(experiment.series())
+        profile = dynamics_mod.stable_sample_profile(experiment.frame)
         out = rendering.render_fig3_fig4(profile)
         assert "AV-Rank = 0" in out
         assert "rank" in out

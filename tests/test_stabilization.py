@@ -10,6 +10,7 @@ from repro.core.stabilization import (
 )
 from repro.errors import ConfigError
 
+from conftest import make_series_frame
 from test_avrank import series
 
 DAY = 1440
@@ -92,12 +93,12 @@ class TestLabelStabilization:
 
 class TestSummaries:
     def _pool(self):
-        return [
+        return make_series_frame([
             series([4, 4, 4]),            # stable everywhere
             series([1, 5, 9]),            # never settles at r=0
             series([1, 9, 9]),            # settles late
             series([3]),                  # single report: skipped
-        ]
+        ])
 
     def test_avrank_summary_counts(self):
         summary = summarize_avrank_stabilization(self._pool(), 0)
@@ -106,14 +107,14 @@ class TestSummaries:
         assert summary.stabilized_fraction == pytest.approx(2 / 3)
 
     def test_avrank_summary_within_days(self):
-        pool = [series([2, 2], times=(0, 5 * DAY)),
-                series([3, 3], times=(0, 60 * DAY))]
+        pool = make_series_frame([series([2, 2], times=(0, 5 * DAY)),
+                                  series([3, 3], times=(0, 60 * DAY))])
         summary = summarize_avrank_stabilization(pool, 0,
                                                  within_days=(30,))
         assert summary.fraction_within[30] == pytest.approx(0.5)
 
     def test_label_summary_excluding_two_scan(self):
-        pool = [series([1, 1]), series([1, 1, 1])]
+        pool = make_series_frame([series([1, 1]), series([1, 1, 1])])
         full = summarize_label_stabilization(pool, 5)
         trimmed = summarize_label_stabilization(pool, 5,
                                                 exclude_two_scan=True)
@@ -121,7 +122,7 @@ class TestSummaries:
         assert trimmed.n_samples == 1
 
     def test_empty_summary(self):
-        summary = summarize_avrank_stabilization([], 0)
+        summary = summarize_avrank_stabilization(make_series_frame([]), 0)
         assert summary.n_samples == 0
         assert summary.mean_scan_index is None
         assert summary.stabilized_fraction == 0.0

@@ -203,7 +203,7 @@ class TestKSTest:
         from repro.analysis.dynamics import stable_dynamic_split
         from repro.stats.kstest import ks_two_sample
 
-        split = stable_dynamic_split(experiment.series())
+        split = stable_dynamic_split(experiment.frame)
         result = split.report_count_ks()
         control = ks_two_sample(
             split.stable_report_cdf._sorted,

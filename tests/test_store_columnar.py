@@ -6,11 +6,11 @@ against the references that do not go through them:
 * store digests equal a digest computed straight from
   :func:`~repro.store.codec.encode_report` bytes, for hand-built feeds,
   bulk array ingest and full seeded scenario runs;
-* every analysis result a figure consumes — the AV-Rank series list,
-  the stable/dynamic split, the δ/Δ extractions, label flips, the
-  pairwise pool — is equal whether computed by the `SeriesFrame` numpy
-  kernels or by the python helpers over the per-report object path
-  (``iter_sample_reports`` + ``collect_series``);
+* every analysis input a figure consumes — the AV-Rank series list,
+  dataset S, the stable/dynamic split, the δ/Δ extractions, the pairwise
+  pool — is equal whether computed by the `SeriesFrame` numpy kernels or
+  by python over the per-report object path (``iter_sample_reports`` +
+  ``collect_series``);
 * v3 save → load → save is idempotent, and v1/v2 files are rejected;
 * hostile v3 payloads (truncations, bit flips, out-of-range dictionary
   or sparse-plane indices) surface `CorruptRecordError`, never a bare
@@ -33,13 +33,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_report, make_sha
-from repro.core.avrank import collect_series, select_dataset_s
-from repro.core.metrics import pairwise_differences
+from repro.core.avrank import collect_series
 from repro.errors import CorruptRecordError
 from repro.store import codec, columnar
 from repro.store.columnar import ColumnarBatch, SeriesFrame, encode_columnar
 from repro.store.reportstore import ReportStore
-from repro.vt.clock import MINUTES_PER_DAY, MONTH_STARTS, month_index
+from repro.vt.clock import MONTH_STARTS, month_index
 from repro.vt.filetypes import TOP20_FILE_TYPES
 
 # ---------------------------------------------------------------------------
@@ -126,15 +125,17 @@ class TestDifferentialDigest:
         assert store.digest() == _record_digest(store.iter_reports())
 
     def test_scenario_series_and_figures_identical(self, tiny_serial):
-        """The figure pipelines consume ``data.series()`` / dataset S —
+        """The figure pipelines consume ``data.frame`` / dataset S —
         equality with the per-report object path here makes every
         downstream figure bit-identical."""
         reference = collect_series(tiny_serial.store.iter_sample_reports())
         assert tiny_serial.series() == reference
-        assert tiny_serial.dataset_s == select_dataset_s(
-            reference, frozenset(TOP20_FILE_TYPES))
-        assert [s.sha256 for s in tiny_serial.multi_report] == \
-            [s.sha256 for s in reference if s.multi]
+        assert tiny_serial.dataset_s.to_series() == [
+            s for s in reference
+            if s.multi and s.fresh and s.delta_overall > 0
+            and s.file_type in TOP20_FILE_TYPES]
+        assert tiny_serial.frame.multi_mask().tolist() == \
+            [s.multi for s in reference]
 
     def test_series_frame_matches_row_collect(self, store_block_format):
         store = _store(_feed())
@@ -517,16 +518,6 @@ class TestKernelParity:
         frame = store.series_frame()
         return frame, frame.to_series()
 
-    def test_label_flips_matches_python(self, frame_and_series):
-        frame, series = frame_and_series
-        for threshold in (1, 2, 3, 5):
-            expected = sum(
-                sum(1 for a, b in zip(s.labels_under(threshold),
-                                      s.labels_under(threshold)[1:])
-                    if a != b)
-                for s in series)
-            assert frame.label_flips(threshold) == expected
-
     def test_select_preserves_order_and_content(self, frame_and_series):
         frame, series = frame_and_series
         mask = frame.multi_mask() & frame.fresh
@@ -544,11 +535,12 @@ class TestKernelParity:
             self, frame_and_series):
         frame, series = frame_and_series
         intervals, diffs = frame.pairwise_diffs()
-        reference = pairwise_differences(series,
-                                         max_pairs_per_sample=10 ** 9)
-        assert diffs.tolist() == list(reference.rank_diffs)
-        assert [round(d * MINUTES_PER_DAY)
-                for d in reference.interval_days] == intervals.tolist()
+        pairs = [(s, i, j) for s in series
+                 for i in range(s.n) for j in range(i + 1, s.n)]
+        assert diffs.tolist() == [abs(s.ranks[j] - s.ranks[i])
+                                  for s, i, j in pairs]
+        assert intervals.tolist() == [s.times[j] - s.times[i]
+                                      for s, i, j in pairs]
 
     def test_adjacent_deltas_match_python(self, frame_and_series):
         frame, series = frame_and_series
@@ -566,7 +558,6 @@ class TestKernelParity:
 
     def test_empty_frame_kernels(self):
         frame = SeriesFrame.from_batches([])
-        assert frame.label_flips(2) == 0
         assert frame.pairwise_diffs()[0].tolist() == []
         assert frame.select(np.zeros(0, bool)).n_samples == 0
 

@@ -8,8 +8,8 @@ sample's reports — never scan the store.
 
 import pytest
 
-from repro.errors import ConfigError, CorruptRecordError, UnknownSampleError
-from repro.store import ReportQuery, ReportStore, decode_index, encode_index
+from repro.errors import CorruptRecordError, UnknownSampleError
+from repro.store import ReportStore, decode_index, encode_index
 from repro.store.columnar import ColumnarBatch
 from repro.store.index import latest_entry, sample_ranks
 from tests.conftest import make_report, make_sha
@@ -247,61 +247,3 @@ class TestPersistence:
         latest = reopened.latest_report(sha).scan_time
         reopened.ingest(make_report(sha=sha, scan_time=latest + 777))
         assert reopened.latest_report(sha).scan_time == latest + 777
-
-
-class TestQueryRouting:
-    def test_samples_only_routes_through_index(self, spread_store):
-        store = spread_store
-        shas = list(store.samples())[:2]
-        store.drop_caches()
-        before = store.cache_stats().blocks_decoded
-        result = dict(ReportQuery(store).samples_only(*shas).sample_series())
-        decoded = store.cache_stats().blocks_decoded - before
-        total_blocks = sum(len(s.blocks) for s in store.shards.values())
-        assert decoded < total_blocks
-        assert set(result) == set(shas)
-        for sha in shas:
-            assert result[sha] == store.report_series(sha)
-
-    def test_samples_only_matches_full_scan(self, spread_store):
-        store = spread_store
-        sha = list(store.samples())[3]
-        restricted = list(ReportQuery(store).samples_only(sha))
-        full = [r for r in ReportQuery(store) if r.sha256 == sha]
-        assert sorted(r.scan_time for r in restricted) == \
-            sorted(r.scan_time for r in full)
-
-    def test_samples_only_preserves_request_order(self, spread_store):
-        store = spread_store
-        shas = list(store.samples())
-        wanted = [shas[5], shas[1], shas[5], shas[3]]
-        got = [sha for sha, _
-               in ReportQuery(store).samples_only(*wanted).sample_series()]
-        assert got == [shas[5], shas[1], shas[3]]  # dedup, order kept
-
-    def test_unknown_hash_matches_nothing(self, spread_store):
-        store = spread_store
-        q = ReportQuery(store).samples_only("0" * 64)
-        assert list(q) == []
-        assert q.count() == 0
-
-    def test_restriction_intersects(self, spread_store):
-        store = spread_store
-        shas = list(store.samples())
-        q = ReportQuery(store).samples_only(*shas[:4])
-        narrowed = q.samples_only(shas[2], shas[9])
-        assert [s for s, _ in narrowed.sample_series()] == [shas[2]]
-
-    def test_empty_restriction_rejected(self, spread_store):
-        store = spread_store
-        with pytest.raises(ConfigError):
-            ReportQuery(store).samples_only()
-
-    def test_predicates_still_apply(self, spread_store):
-        store = spread_store
-        sha = next(iter(store.samples()))
-        series = store.report_series(sha)
-        cutoff = series[-1].scan_time
-        q = (ReportQuery(store).samples_only(sha)
-             .where(lambda r: r.scan_time >= cutoff))
-        assert [r.scan_time for r in q] == [cutoff]
