@@ -21,7 +21,7 @@ from conftest import run_once, say
 def test_fig10_engine_flips(benchmark, bench_data):
     result = run_once(
         benchmark,
-        partial(engine_stability, bench_data.frame,
+        partial(engine_stability, bench_data.dataset_s,
                 bench_data.engine_names),
     )
     flips = result.flips

@@ -1,21 +1,17 @@
-"""reprolint wall-clock: full pass budget, incremental pass ratio.
+"""reprolint wall-clock: the full-pass budget.
 
 The self-check runs inside tier-1 (``tests/test_lint_selfcheck.py``) and
 in every CI matrix cell, so the whole-package pass has a latency budget.
-v2 added the whole-program flow rules (call graph + RPL101-105), which
-roughly tripled the cold cost — the budget moved from 2 s to 5 s — and
-in exchange introduced the incremental cache, whose contract this bench
-also gates: after a one-file edit, a cached pass must cost at most
-``0.3x`` the full pass (measured: ~0.03x — cached per-file results are
-reused and the call graph is rebuilt from cached summaries without
-re-parsing).
+The whole-program flow rules (call graph + RPL101-105) roughly tripled
+the cost of a pass, and the budget moved from 2 s to 5 s with them.
+Every ``repro-vt lint`` run is such a full pass: nothing is cached.
 
 Dual mode, like the other benches:
 
 * under pytest-benchmark (``pytest benchmarks/ --benchmark-only``) the
-  passes are timed by the harness and the budgets asserted;
+  pass is timed by the harness and the budget asserted;
 * as a script (``python benchmarks/bench_lint.py``) it writes a schema'd
-  ``BENCH_lint.json`` artifact with the full/incremental pair.
+  ``BENCH_lint.json`` artifact.
 """
 
 from __future__ import annotations
@@ -24,20 +20,13 @@ import argparse
 import json
 import os
 import platform
-import shutil
 import sys
-import tempfile
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.lint import (
-    default_target,
-    lint_paths,
-    lint_paths_cached,
-    render_json,
-)
+from repro.lint import default_target, lint_paths, render_json
 
 try:  # pytest mode — absent when run as a plain script
     from conftest import run_once, say
@@ -55,10 +44,6 @@ RESULTS_SCHEMA = "repro-bench/1"
 DEFAULT_BUDGET_SECONDS = float(
     os.environ.get("REPRO_BENCH_LINT_BUDGET", "5.0"))
 
-#: Ceiling on incremental-vs-full wall-clock after a one-file edit.
-DEFAULT_INCREMENTAL_RATIO = float(
-    os.environ.get("REPRO_BENCH_LINT_INCREMENTAL_RATIO", "0.3"))
-
 #: Timed repetitions in script mode (best-of, to shed FS cache noise).
 DEFAULT_REPEATS = 3
 
@@ -73,38 +58,11 @@ def _time_full_pass(target: Path, repeats: int) -> tuple[float, list, object]:
     return min(walls), walls, result
 
 
-def _time_incremental_pass(target: Path,
-                           repeats: int) -> tuple[float, list, object]:
-    """Prime a cache over a private copy, edit one file, time the re-run."""
-    with tempfile.TemporaryDirectory(prefix="bench-lint-") as tmp:
-        tree = Path(tmp) / "src" / "repro"
-        tree.parent.mkdir(parents=True)
-        shutil.copytree(target, tree,
-                        ignore=shutil.ignore_patterns("__pycache__"))
-        cache = Path(tmp) / "lint-cache.json"
-        lint_paths_cached([tree], cache)
-        victim = sorted(tree.rglob("*.py"))[0]
-        walls = []
-        result = None
-        for i in range(max(1, repeats)):
-            victim.write_text(victim.read_text(encoding="utf-8") +
-                              f"\n# bench touch {i}\n", encoding="utf-8")
-            started = time.perf_counter()
-            result = lint_paths_cached([tree], cache)
-            walls.append(time.perf_counter() - started)
-        if result.files_reanalyzed != 1:
-            raise AssertionError(
-                f"one-file edit reanalyzed {result.files_reanalyzed} files")
-    return min(walls), walls, result
-
-
 def run_lint_bench(repeats: int = DEFAULT_REPEATS) -> dict:
-    """Time full and incremental passes; returns the artifact payload."""
+    """Time full passes; returns the artifact payload."""
     target = default_target()
     full_best, full_walls, result = _time_full_pass(target, repeats)
-    inc_best, inc_walls, inc_result = _time_incremental_pass(target, repeats)
     report_bytes = len(render_json(result).encode("utf-8"))
-    ratio = inc_best / full_best if full_best else 0.0
     return {
         "schema": RESULTS_SCHEMA,
         "suite": "lint",
@@ -113,7 +71,6 @@ def run_lint_bench(repeats: int = DEFAULT_REPEATS) -> dict:
         "cpu_count": os.cpu_count(),
         "target": str(target),
         "budget_seconds": DEFAULT_BUDGET_SECONDS,
-        "incremental_ratio_budget": DEFAULT_INCREMENTAL_RATIO,
         "benchmarks": [
             {
                 "name": "reprolint_full_repo",
@@ -125,21 +82,12 @@ def run_lint_bench(repeats: int = DEFAULT_REPEATS) -> dict:
                 "wall_seconds_all": [round(w, 4) for w in full_walls],
                 "within_budget": full_best <= DEFAULT_BUDGET_SECONDS,
             },
-            {
-                "name": "reprolint_incremental_one_file",
-                "files_checked": inc_result.files_checked,
-                "files_reanalyzed": inc_result.files_reanalyzed,
-                "wall_seconds": round(inc_best, 4),
-                "wall_seconds_all": [round(w, 4) for w in inc_walls],
-                "ratio_vs_full": round(ratio, 4),
-                "within_budget": ratio <= DEFAULT_INCREMENTAL_RATIO,
-            },
         ],
     }
 
 
 def render(results: dict) -> None:
-    full, inc = results["benchmarks"]
+    (full,) = results["benchmarks"]
     say()
     say(f"reprolint full-repo bench ({full['files_checked']} files, "
         f"{full['findings']} findings, "
@@ -148,11 +96,6 @@ def render(results: dict) -> None:
         f"{full['wall_seconds']:.3f}s — "
         f"{'within' if full['within_budget'] else 'OVER'} the "
         f"{results['budget_seconds']:.1f}s budget")
-    say(f"  incremental (one-file edit, "
-        f"{inc['files_reanalyzed']} reanalyzed): "
-        f"{inc['wall_seconds']:.3f}s = {inc['ratio_vs_full']:.3f}x full — "
-        f"{'within' if inc['within_budget'] else 'OVER'} the "
-        f"{results['incremental_ratio_budget']:.1f}x ceiling")
 
 
 def test_lint_full_repo(benchmark):
@@ -166,20 +109,10 @@ def test_lint_full_repo(benchmark):
     )
 
 
-def test_lint_warm_cache(benchmark, tmp_path):
-    """pytest-benchmark entry point: warm cached pass over the package."""
-    target = default_target()
-    cache = tmp_path / "lint-cache.json"
-    lint_paths_cached([target], cache)
-    result = benchmark(lambda: lint_paths_cached([target], cache))
-    assert result.files_reanalyzed == 0
-    assert result.findings == []
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Benchmark full and incremental reprolint passes and "
-                    "write a schema'd BENCH_lint.json.")
+        description="Benchmark the full reprolint pass and write a "
+                    "schema'd BENCH_lint.json.")
     parser.add_argument("--repeats", type=int, default=DEFAULT_REPEATS,
                         help=f"timed repetitions, best-of "
                              f"(default: {DEFAULT_REPEATS})")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from functools import partial
 
-from repro.analysis.engines import dataset_s_frame
 from repro.core.causes import attribute_causes
 
 from conftest import run_once, say
@@ -18,7 +17,7 @@ from conftest import run_once, say
 
 def test_obs7_flip_causes(benchmark, bench_data):
     dataset_s = [(sha, bench_data.store.report_series(sha))
-                 for sha in dataset_s_frame(bench_data.frame).sha256]
+                 for sha in bench_data.dataset_s.sha256]
     breakdown = run_once(benchmark, partial(attribute_causes, dataset_s))
     say()
     say("Observation 7: flip-cause attribution over dataset S")

@@ -2,10 +2,12 @@
 
 EXPERIMENTS.md records paper-vs-measured once; this module makes that
 comparison executable.  :func:`calibration_report` runs every headline
-analysis over an :class:`~repro.analysis.experiment.ExperimentData` and
-grades each statistic against its published value with a tolerance band,
-so a change to the simulator that silently breaks a reproduced shape is
-caught by one call (and by the calibration test that wraps it).
+analysis over an :class:`~repro.analysis.experiment.ExperimentData`, and
+:func:`grade` grades each statistic against its published value with a
+tolerance band (``repro-vt report`` grades the results it has already
+rendered), so a change to the simulator that silently breaks a
+reproduced shape is caught by one call (and by the calibration test
+that wraps it).
 """
 
 from __future__ import annotations
@@ -15,8 +17,18 @@ from typing import Callable
 
 from repro.analysis import dynamics as dynamics_mod
 from repro.analysis import stabilization as stab_mod
-from repro.analysis.engines import engine_stability
+from repro.analysis.dynamics import (
+    DeltaDistributions,
+    StableDynamicSplit,
+    StableSampleProfile,
+    ThresholdImpact,
+)
+from repro.analysis.engines import EngineStabilityResult, engine_stability
 from repro.analysis.experiment import ExperimentData
+from repro.analysis.stabilization import (
+    AVRankStabilizationProfile,
+    LabelStabilizationProfile,
+)
 
 
 @dataclass(frozen=True)
@@ -68,15 +80,27 @@ class CalibrationReport:
 def calibration_report(data: ExperimentData) -> CalibrationReport:
     """Grade a run against the paper's headline numbers."""
     frame, dataset_s = data.frame, data.dataset_s
+    return grade(
+        dynamics_mod.stable_dynamic_split(frame),
+        dynamics_mod.stable_sample_profile(frame),
+        dynamics_mod.delta_distributions(dataset_s),
+        dynamics_mod.threshold_impact(dataset_s),
+        stab_mod.avrank_stabilization_profile(dataset_s),
+        stab_mod.label_stabilization_profile(dataset_s),
+        engine_stability(dataset_s, data.engine_names),
+    )
 
-    split = dynamics_mod.stable_dynamic_split(frame)
-    stable_profile = dynamics_mod.stable_sample_profile(frame)
-    deltas = dynamics_mod.delta_distributions(dataset_s)
-    impact = dynamics_mod.threshold_impact(dataset_s)
-    avrank_stab = stab_mod.avrank_stabilization_profile(dataset_s)
-    label_stab = stab_mod.label_stabilization_profile(dataset_s)
-    stability = engine_stability(frame, data.engine_names)
 
+def grade(
+    split: StableDynamicSplit,
+    stable_profile: StableSampleProfile,
+    deltas: DeltaDistributions,
+    impact: ThresholdImpact,
+    avrank_stab: AVRankStabilizationProfile,
+    label_stab: LabelStabilizationProfile,
+    stability: EngineStabilityResult,
+) -> CalibrationReport:
+    """Grade already-computed §5–§7 results against the paper's bands."""
     lo_label, hi_label = label_stab.stabilized_fraction_range()
     overall_gray_peak = max(c.gray_fraction for c in impact.overall)
     low_t_gray = max(c.gray_fraction for c in impact.overall

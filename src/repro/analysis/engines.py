@@ -3,8 +3,9 @@
 
 These are the only pipelines that read per-engine verdicts rather than
 AV-Rank series, so they take a :class:`~repro.store.columnar.SeriesFrame`
-grouped with its label planes (``ExperimentData.frame``) plus the
-fleet's engine-name order.
+grouped with its label planes plus the fleet's engine-name order:
+Figure 10 reads dataset S (``ExperimentData.dataset_s``), Figures 11-12
+the whole frame (``ExperimentData.frame``).
 """
 
 from __future__ import annotations
@@ -19,16 +20,9 @@ from repro.core.correlation import (
 )
 from repro.core.flips import FlipStats, analyze_flips
 from repro.store.columnar import SeriesFrame
-from repro.vt.filetypes import TOP20_FILE_TYPES
 
 #: The file types the paper's appendix tabulates (Tables 4-8).
 APPENDIX_FILE_TYPES: tuple[str, ...] = ("Win32 EXE", "TXT", "HTML", "ZIP", "PDF")
-
-
-def dataset_s_frame(frame: SeriesFrame) -> SeriesFrame:
-    """The paper's dataset S (fresh, top-20 type, multi-report, dynamic)
-    as a sub-frame sharing ``frame``'s planes."""
-    return frame.select(frame.dataset_s_mask(TOP20_FILE_TYPES))
 
 
 @dataclass(frozen=True)
@@ -52,11 +46,11 @@ class EngineStabilityResult:
 
 
 def engine_stability(
-    frame: SeriesFrame, engine_names: Sequence[str]
+    dataset_s: SeriesFrame, engine_names: Sequence[str]
 ) -> EngineStabilityResult:
-    """Run the §7.1 flip analysis (Figure 10) over dataset S."""
+    """Run the §7.1 flip analysis (Figure 10) over the dataset-S frame."""
     return EngineStabilityResult(
-        flips=analyze_flips(dataset_s_frame(frame), engine_names))
+        flips=analyze_flips(dataset_s, engine_names))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from repro.analysis import dynamics as dynamics_mod
 from repro.analysis import engines as engines_mod
 from repro.analysis import rendering
 from repro.analysis import stabilization as stab_mod
-from repro.analysis.calibration import calibration_report
+from repro.analysis.calibration import grade
 from repro.analysis.experiment import ExperimentData
 from repro.analysis.windows import gap_growth_curve, window_sensitivity
 
@@ -46,28 +46,28 @@ def build_report(data: ExperimentData) -> str:
     sections.append(_block(rendering.render_fig1(
         dataset_mod.ReportsPerSample.from_store(data.store))))
 
+    split = dynamics_mod.stable_dynamic_split(frame)
+    stable_profile = dynamics_mod.stable_sample_profile(frame)
+    deltas = dynamics_mod.delta_distributions(dataset_s)
+    impact = dynamics_mod.threshold_impact(dataset_s)
     sections.append("## Label dynamics (§5)\n")
-    sections.append(_block(rendering.render_fig2(
-        dynamics_mod.stable_dynamic_split(frame))))
-    sections.append(_block(rendering.render_fig3_fig4(
-        dynamics_mod.stable_sample_profile(frame))))
-    sections.append(_block(rendering.render_fig5(
-        dynamics_mod.delta_distributions(dataset_s))))
+    sections.append(_block(rendering.render_fig2(split)))
+    sections.append(_block(rendering.render_fig3_fig4(stable_profile)))
+    sections.append(_block(rendering.render_fig5(deltas)))
     sections.append(_block(rendering.render_fig6(
         dynamics_mod.per_type_dynamics(dataset_s))))
     sections.append(_block(rendering.render_fig7(
         dynamics_mod.interval_effect(dataset_s))))
-    sections.append(_block(rendering.render_fig8(
-        dynamics_mod.threshold_impact(dataset_s))))
+    sections.append(_block(rendering.render_fig8(impact)))
 
+    avrank_stab = stab_mod.avrank_stabilization_profile(dataset_s)
+    label_stab = stab_mod.label_stabilization_profile(dataset_s)
     sections.append("## Stabilisation (§6)\n")
-    sections.append(_block(rendering.render_obs8(
-        stab_mod.avrank_stabilization_profile(dataset_s))))
-    sections.append(_block(rendering.render_fig9(
-        stab_mod.label_stabilization_profile(dataset_s))))
+    sections.append(_block(rendering.render_obs8(avrank_stab)))
+    sections.append(_block(rendering.render_fig9(label_stab)))
 
     sections.append("## Individual engines (§7)\n")
-    stability = engines_mod.engine_stability(frame, names)
+    stability = engines_mod.engine_stability(dataset_s, names)
     sections.append(_block(rendering.render_fig10(
         stability.flips, engines_mod.APPENDIX_FILE_TYPES)))
     correlation = engines_mod.engine_correlation(frame, names)
@@ -88,7 +88,9 @@ def build_report(data: ExperimentData) -> str:
     sections.append(_block("\n".join(window_lines)))
 
     sections.append("## Calibration vs paper\n")
-    sections.append(_block(calibration_report(data).render()))
+    sections.append(_block(grade(split, stable_profile, deltas, impact,
+                                 avrank_stab, label_stab,
+                                 stability).render()))
     return "\n".join(sections)
 
 

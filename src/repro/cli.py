@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING
 # Unused here since the analyses read ExperimentData.frame, but kept as a
 # module attribute: perfbench/traced.py wraps repro.cli.collect_series.
 from repro.core.avrank import collect_series  # noqa: F401
-from repro.errors import ConfigError, LintError, ReproError
+from repro.errors import ConfigError, ReproError
 from repro.vt.clock import DEFAULT_ARCHIVE_RETENTION_MINUTES
 
 if TYPE_CHECKING:
@@ -187,19 +187,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="with --paths: include whole-program evidence "
                            "(call chains) per finding; alone: list every "
                            "rule code with its summary and exit")
-    lint.add_argument("--cache", default=None, metavar="PATH",
-                      help="incremental cache file: warm runs re-analyze "
-                           "only files whose content hash changed")
-    lint.add_argument("--changed", action="store_true",
-                      help="with --cache: report only findings in changed "
-                           "files plus their reverse-import cone")
-    lint.add_argument("--baseline", default=None, metavar="PATH",
-                      help="subtract accepted findings from this baseline "
-                           "file; stale entries (fixed findings) are "
-                           "reported and fail the run (shrink-only ratchet)")
-    lint.add_argument("--write-baseline", action="store_true",
-                      help="with --baseline: snapshot the current findings "
-                           "as the new baseline instead of checking")
     sub.add_parser("all", help="every table and figure")
     sub.add_parser("calibrate", help="grade headline stats vs the paper")
     report = sub.add_parser("report", help="write a full markdown report")
@@ -335,7 +322,7 @@ def cmd_engines(data: ExperimentData) -> None:
     from repro.analysis import engines as engines_mod, rendering
 
     names = data.engine_names
-    stability = engines_mod.engine_stability(data.frame, names)
+    stability = engines_mod.engine_stability(data.dataset_s, names)
     print(rendering.render_fig10(stability.flips,
                                  engines_mod.APPENDIX_FILE_TYPES))
     print()
@@ -401,8 +388,6 @@ def _write_metrics(registry, path: str) -> None:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint.baseline import apply_baseline, read_baseline, write_baseline
-    from repro.lint.cache import lint_paths_cached
     from repro.lint.config import LintConfig, parse_select
     from repro.lint.engine import default_target, lint_paths
     from repro.lint.report import render_json, render_rules, render_text
@@ -412,26 +397,10 @@ def cmd_lint(args: argparse.Namespace) -> int:
     if args.explain and not args.paths:
         print(render_rules(), end="")
         return 0
-    if args.changed and not args.cache:
-        raise LintError("--changed requires --cache (the cache is how "
-                        "changed files are detected)")
-    if args.write_baseline and not args.baseline:
-        raise LintError("--write-baseline requires --baseline PATH")
     select = parse_select(args.select) if args.select else None
     config = LintConfig(select=select)
     targets = args.paths if args.paths else [default_target()]
-    if args.cache:
-        result = lint_paths_cached(targets, args.cache, config=config,
-                                   changed_only=args.changed)
-    else:
-        result = lint_paths(targets, config=config)
-    if args.baseline:
-        if args.write_baseline:
-            write_baseline(result, args.baseline)
-            print(f"[wrote {len(result.findings)} baseline entries to "
-                  f"{args.baseline}]", file=sys.stderr)
-            return 0
-        result = apply_baseline(result, read_baseline(args.baseline))
+    result = lint_paths(targets, config=config)
     text = (render_json(result) if args.format == "json"
             else render_text(result, explain=args.explain))
     print(text, end="")
@@ -440,8 +409,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
         Path(args.output).write_text(text, encoding="utf-8")
         print(f"[wrote lint report to {args.output}]", file=sys.stderr)
-    ok = result.ok and not result.baseline_stale
-    return 0 if ok else 1
+    return 0 if result.ok else 1
 
 
 def cmd_serve(args: argparse.Namespace, metrics=None) -> int:

@@ -144,10 +144,8 @@ def run_collection(
     if resume_from is not None:
         store = ReportStore.load(paths.store, reopen=True, metrics=metrics)
     else:
-        store_kwargs = {"block_records": config.block_records}
-        if config.store_cache_bytes is not None:
-            store_kwargs["cache_bytes"] = config.store_cache_bytes
-        store = ReportStore(metrics=metrics, **store_kwargs)
+        store = ReportStore(block_records=config.block_records,
+                            metrics=metrics)
     client = VTClient(service, premium=True, archive=archive)
 
     try:

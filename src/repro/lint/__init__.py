@@ -11,35 +11,20 @@ disable=RPL00x - why`` pragmas with required justifications, a
 config-driven path policy for the sanctioned owners (clock modules, the
 parallel runner), and byte-deterministic text/JSON reports.
 
-Since v2 the pass is whole-program: a project call graph
+The pass is whole-program: a project call graph
 (:mod:`repro.lint.callgraph`) feeds the RPL1xx flow rules
 (:mod:`repro.lint.flowrules` — lock discipline, resource leaks, digest
-purity, exception contract, label cardinality), an incremental
-content-hash cache (:mod:`repro.lint.cache`) keeps warm runs to the
-changed files' import cone, and a shrink-only baseline
-(:mod:`repro.lint.baseline`) lets new rules land with old debt
-ratcheted.
+purity, exception contract, label cardinality).  Every run is one pass
+over the whole tree; nothing is kept between runs.
 
 The repo lints itself in tier-1 (``tests/test_lint_selfcheck.py``) and
-in CI (``repro-vt lint --format json``): zero undisabled findings with
-an empty baseline, the same bar the dynamic gates hold the runtime to.
+in CI (``repro-vt lint --format json``): zero undisabled findings, the
+same bar the dynamic gates hold the runtime to.
 """
 
 from __future__ import annotations
 
-from repro.lint.baseline import (
-    BASELINE_SCHEMA,
-    apply_baseline,
-    read_baseline,
-    write_baseline,
-)
-from repro.lint.cache import CACHE_SCHEMA, lint_paths_cached
-from repro.lint.callgraph import (
-    CallGraph,
-    FileSummary,
-    dependency_cone,
-    extract_summary,
-)
+from repro.lint.callgraph import CallGraph, FileSummary, extract_summary
 from repro.lint.config import (
     ALL_CODES,
     DEFAULT_POLICIES,
@@ -51,7 +36,6 @@ from repro.lint.config import (
     parse_select,
 )
 from repro.lint.engine import (
-    ENGINE_VERSION,
     FileAnalysis,
     Finding,
     LintResult,
@@ -70,16 +54,12 @@ from repro.lint.report import (
     render_json,
     render_rules,
     render_text,
-    write_report,
 )
 from repro.lint.rules import RULE_CLASSES
 
 __all__ = [
     "ALL_CODES",
-    "BASELINE_SCHEMA",
-    "CACHE_SCHEMA",
     "DEFAULT_POLICIES",
-    "ENGINE_VERSION",
     "FLOW_CODES",
     "FLOW_LOCAL_RULES",
     "JSON_SCHEMA",
@@ -93,23 +73,17 @@ __all__ = [
     "LintResult",
     "PathPolicy",
     "analyze_module",
-    "apply_baseline",
     "default_target",
-    "dependency_cone",
     "extract_summary",
     "finish_program",
     "json_lines",
     "lint_modules",
     "lint_paths",
-    "lint_paths_cached",
     "lint_source",
     "normalize_path",
     "parse_select",
     "program_findings",
-    "read_baseline",
     "render_json",
     "render_rules",
     "render_text",
-    "write_baseline",
-    "write_report",
 ]

@@ -3,8 +3,7 @@
 Per-file analysis (:func:`extract_summary`) distils each module into a
 :class:`FileSummary`: its import bindings, its functions with their
 call/write/impure-reference facts, and its class attribute types.  The
-summaries are plain data — JSON-serialisable, content-addressed by the
-incremental cache — and deliberately cheap to combine: a
+summaries are plain data and deliberately cheap to combine: a
 :class:`CallGraph` built from *all* summaries resolves the per-file
 call targets into cross-module edges, which is what lets RPL101 (lock
 discipline) and RPL103 (digest purity) reason about reachability
@@ -77,13 +76,6 @@ class CallFact:
     target: str
     guarded: bool
 
-    def to_doc(self) -> list:
-        return [self.line, self.col, self.target, self.guarded]
-
-    @classmethod
-    def from_doc(cls, doc: list) -> "CallFact":
-        return cls(doc[0], doc[1], doc[2], doc[3])
-
 
 @dataclass(frozen=True)
 class WriteFact:
@@ -94,13 +86,6 @@ class WriteFact:
     attr: str
     guarded: bool
 
-    def to_doc(self) -> list:
-        return [self.line, self.col, self.attr, self.guarded]
-
-    @classmethod
-    def from_doc(cls, doc: list) -> "WriteFact":
-        return cls(doc[0], doc[1], doc[2], doc[3])
-
 
 @dataclass(frozen=True)
 class ImpureFact:
@@ -110,13 +95,6 @@ class ImpureFact:
     col: int
     qual: str
     kind: str
-
-    def to_doc(self) -> list:
-        return [self.line, self.col, self.qual, self.kind]
-
-    @classmethod
-    def from_doc(cls, doc: list) -> "ImpureFact":
-        return cls(doc[0], doc[1], doc[2], doc[3])
 
 
 @dataclass
@@ -130,25 +108,6 @@ class FunctionFact:
     writes: list[WriteFact] = field(default_factory=list)
     impure: list[ImpureFact] = field(default_factory=list)
 
-    def to_doc(self) -> dict:
-        return {
-            "qualname": self.qualname,
-            "line": self.line,
-            "col": self.col,
-            "calls": [c.to_doc() for c in self.calls],
-            "writes": [w.to_doc() for w in self.writes],
-            "impure": [i.to_doc() for i in self.impure],
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "FunctionFact":
-        return cls(
-            qualname=doc["qualname"], line=doc["line"], col=doc["col"],
-            calls=[CallFact.from_doc(d) for d in doc["calls"]],
-            writes=[WriteFact.from_doc(d) for d in doc["writes"]],
-            impure=[ImpureFact.from_doc(d) for d in doc["impure"]],
-        )
-
 
 @dataclass
 class FileSummary:
@@ -160,9 +119,6 @@ class FileSummary:
     #: Local name → absolute dotted target (imports plus module-level
     #: constructed constants), relative imports already absolutised.
     bindings: dict[str, str] = field(default_factory=dict)
-    #: Imported repro-internal module names (the import-graph edges the
-    #: cache's ``--changed`` cone walks).
-    deps: list[str] = field(default_factory=list)
     #: Class qualname → {attribute: dotted class target} inferred from
     #: ``self.<attr> = ClassName(...)`` constructor assignments.
     classes: dict[str, dict[str, str]] = field(default_factory=dict)
@@ -171,30 +127,6 @@ class FileSummary:
     #: whole-program kind table is rebuilt from these every run).
     metric_sites: list[tuple[int, int, str, str]] = field(
         default_factory=list)
-
-    def to_doc(self) -> dict:
-        return {
-            "path": self.path,
-            "module": self.module,
-            "is_package": self.is_package,
-            "bindings": dict(sorted(self.bindings.items())),
-            "deps": sorted(self.deps),
-            "classes": {c: dict(sorted(a.items()))
-                        for c, a in sorted(self.classes.items())},
-            "functions": [f.to_doc() for f in self.functions],
-            "metric_sites": [list(s) for s in self.metric_sites],
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "FileSummary":
-        return cls(
-            path=doc["path"], module=doc["module"],
-            is_package=doc["is_package"], bindings=dict(doc["bindings"]),
-            deps=list(doc["deps"]),
-            classes={c: dict(a) for c, a in doc["classes"].items()},
-            functions=[FunctionFact.from_doc(d) for d in doc["functions"]],
-            metric_sites=[tuple(s) for s in doc["metric_sites"]],
-        )
 
 
 def _rightmost_ident(node: ast.expr) -> str | None:
@@ -417,26 +349,6 @@ class _Extractor(ast.NodeVisitor):
         return True
 
 
-def _collect_deps(module_info, summary: FileSummary) -> None:
-    """Record which repro-internal modules this file imports."""
-    deps: set[str] = set()
-    for node in ast.walk(module_info.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.split(".", 1)[0] == "repro":
-                    deps.add(alias.name)
-        elif isinstance(node, ast.ImportFrom):
-            dotted = ("." * node.level) + (node.module or "")
-            base = absolutize(dotted, summary.module, summary.is_package)
-            if base.split(".", 1)[0] == "repro":
-                deps.add(base)
-                for alias in node.names:
-                    if alias.name != "*":
-                        deps.add(f"{base}.{alias.name}")
-    deps.discard(summary.module)
-    summary.deps = sorted(deps)
-
-
 def extract_summary(module_info) -> FileSummary:
     """Distil one parsed module into its call-graph summary."""
     module, is_package = module_name_of(module_info.path)
@@ -447,7 +359,6 @@ def extract_summary(module_info) -> FileSummary:
         local: absolutize(target, module, is_package)
         for local, target in sorted(raw.items())
     }
-    _collect_deps(module_info, summary)
     extractor = _Extractor(module_info, summary)
     for stmt in module_info.tree.body:
         extractor.visit(stmt)
@@ -643,29 +554,3 @@ class CallGraph:
                 chains[edge.callee] = chains[current] + (edge.callee,)
                 queue.append(edge.callee)
         return chains
-
-
-def dependency_cone(summaries: list[FileSummary],
-                    changed_paths: set[str]) -> set[str]:
-    """Paths whose analysis a change can affect: the changed files plus
-    every file importing them, transitively (reverse import cone)."""
-    by_module: dict[str, str] = {s.module: s.path for s in summaries}
-    importers: dict[str, set[str]] = {}
-    for summary in summaries:
-        for dep in summary.deps:
-            # deps may name module members; land on the module itself.
-            target = dep
-            while target and target not in by_module:
-                target = target.rpartition(".")[0]
-            if target:
-                importers.setdefault(by_module[target], set()).add(
-                    summary.path)
-    cone = set(changed_paths)
-    queue = deque(sorted(changed_paths))
-    while queue:
-        path = queue.popleft()
-        for importer in sorted(importers.get(path, ())):
-            if importer not in cone:
-                cone.add(importer)
-                queue.append(importer)
-    return cone

@@ -8,16 +8,16 @@ runs over the same tree produce byte-identical reports, which
 ``tests/test_lint_selfcheck.py`` asserts the same way the store-digest
 gate asserts serial/parallel equality.
 
-Since reprolint v2 the engine is split along the cache boundary:
+A pass has two halves:
 
-* :func:`analyze_module` is the expensive per-file half — parse, the
-  per-file rules (RPL001–007 plus the local flow rules RPL102/104/105),
-  and call-graph fact extraction.  Its :class:`FileAnalysis` output is
-  plain data, keyed by content hash in :mod:`repro.lint.cache`.
-* :func:`finish_program` is the cheap whole-program half — the RPL005
-  kind table and the RPL101/RPL103 call-graph passes — recomputed from
-  the (possibly cached) summaries on every run, so cross-file findings
-  can never be served stale.
+* :func:`analyze_module` is the per-file half — parse, the per-file
+  rules (RPL001–007 plus the local flow rules RPL102/104/105), and
+  call-graph fact extraction.  Its :class:`FileAnalysis` keeps the
+  file's pragmas, so findings raised later can be routed against them.
+* :func:`finish_program` is the whole-program half — the RPL005 kind
+  table and the RPL101/RPL103 call-graph passes over every file's
+  summary.  Its findings go through the same pragma routing
+  (:func:`_route`) as the per-file ones.
 """
 
 from __future__ import annotations
@@ -39,11 +39,6 @@ from repro.lint.rules import (
     Rule,
     metric_kind_conflicts,
 )
-
-#: Bumped whenever rule semantics or the analysis schema change; the
-#: incremental cache treats a mismatch as fully cold.
-ENGINE_VERSION = 2
-
 
 @dataclass(frozen=True, order=True)
 class Finding:
@@ -81,15 +76,6 @@ class LintResult:
     findings: list[Finding] = field(default_factory=list)
     suppressed: list[Finding] = field(default_factory=list)
     files_checked: int = 0
-    #: Files whose per-file analysis actually ran this invocation (on a
-    #: cacheless run this equals ``files_checked``; a warm cache run
-    #: re-analyzes only changed files).
-    files_reanalyzed: int = 0
-    #: Findings ratcheted away by ``--baseline``.
-    baselined: list[Finding] = field(default_factory=list)
-    #: Baseline entries that matched nothing — fixed findings whose
-    #: baseline line must now be deleted (the shrink-only ratchet).
-    baseline_stale: list[tuple[str, str, str]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -121,83 +107,35 @@ def _parse_module(path: str, source: str) -> ModuleInfo:
 
 @dataclass
 class FileAnalysis:
-    """The cacheable product of analyzing one file.
+    """The product of analyzing one file.
 
     Local findings are final (already routed through pragmas and the
-    path policy); the summary and the suppression tables feed the
-    whole-program pass, whose findings are routed per run.
+    path policy); the summary feeds the whole-program pass, whose
+    findings are routed through the same ``pragmas`` and ``scopes``.
     """
 
     path: str
+    pragmas: Pragmas
+    #: ``def``/``class`` suppression spans, as in :class:`ModuleInfo`.
+    scopes: list[tuple[int, int, frozenset[str]]]
+    summary: FileSummary
     findings: list[Finding] = field(default_factory=list)
     suppressed: list[Finding] = field(default_factory=list)
-    summary: FileSummary = None
-    file_pragmas: list[str] = field(default_factory=list)
-    line_pragmas: dict[int, list[str]] = field(default_factory=dict)
-    scopes: list[tuple[int, int, list[str]]] = field(default_factory=list)
-
-    def disabled(self, code: str, line: int) -> bool:
-        if code in self.file_pragmas:
-            return True
-        if code in self.line_pragmas.get(line, ()):
-            return True
-        return any(start <= line <= end and code in codes
-                   for start, end, codes in self.scopes)
-
-    def to_doc(self) -> dict:
-        def finding_doc(f: Finding) -> list:
-            return [f.line, f.col, f.code, f.message, f.detail]
-
-        return {
-            "path": self.path,
-            "findings": [finding_doc(f) for f in self.findings],
-            "suppressed": [finding_doc(f) for f in self.suppressed],
-            "summary": self.summary.to_doc(),
-            "file_pragmas": sorted(self.file_pragmas),
-            "line_pragmas": {str(line): sorted(codes) for line, codes
-                             in sorted(self.line_pragmas.items())},
-            "scopes": [[s, e, sorted(codes)] for s, e, codes in self.scopes],
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "FileAnalysis":
-        path = doc["path"]
-
-        def finding(raw: list) -> Finding:
-            return Finding(path, raw[0], raw[1], raw[2], raw[3], raw[4])
-
-        return cls(
-            path=path,
-            findings=[finding(raw) for raw in doc["findings"]],
-            suppressed=[finding(raw) for raw in doc["suppressed"]],
-            summary=FileSummary.from_doc(doc["summary"]),
-            file_pragmas=list(doc["file_pragmas"]),
-            line_pragmas={int(line): list(codes) for line, codes
-                          in doc["line_pragmas"].items()},
-            scopes=[(s, e, list(codes)) for s, e, codes in doc["scopes"]],
-        )
 
 
-def _is_disabled(module: ModuleInfo, code: str, line: int) -> bool:
-    if code in module.pragmas.file_level:
-        return True
-    if code in module.pragmas.by_line.get(line, ()):
-        return True
-    return any(start <= line <= end and code in codes
-               for start, end, codes in module.scopes)
-
-
-def _route(analysis: FileAnalysis, module: ModuleInfo, code: str,
-           raw: tuple[int, int, str]) -> None:
-    """File one raw finding as active or pragma-suppressed."""
-    line, col, message = raw
-    finding = Finding(analysis.path, line, col, code, message)
+def _route(analysis: FileAnalysis, finding: Finding,
+           into: FileAnalysis | LintResult) -> None:
+    """File one finding of ``analysis``'s file as active or
+    pragma-suppressed in ``into``."""
+    code, line = finding.code, finding.line
     # RPL000 (pragma hygiene) cannot itself be pragma'd away — a broken
     # pragma must never silence the report that it is broken.
-    if code != "RPL000" and _is_disabled(module, code, line):
-        analysis.suppressed.append(finding)
-    else:
-        analysis.findings.append(finding)
+    disabled = code != "RPL000" and (
+        code in analysis.pragmas.file_level
+        or code in analysis.pragmas.by_line.get(line, ())
+        or any(start <= line <= end and code in codes
+               for start, end, codes in analysis.scopes))
+    (into.suppressed if disabled else into.findings).append(finding)
 
 
 def analyze_module(path: str, source: str,
@@ -206,23 +144,21 @@ def analyze_module(path: str, source: str,
     config = config if config is not None else LintConfig()
     display = normalize_path(path)
     module = _parse_module(display, source)
-    analysis = FileAnalysis(path=display)
-    analysis.summary = extract_summary(module)
-    analysis.file_pragmas = sorted(module.pragmas.file_level)
-    analysis.line_pragmas = {line: sorted(codes) for line, codes
-                             in module.pragmas.by_line.items()}
-    analysis.scopes = [(s, e, sorted(codes))
-                       for s, e, codes in module.scopes]
+    analysis = FileAnalysis(path=display, pragmas=module.pragmas,
+                            scopes=module.scopes,
+                            summary=extract_summary(module))
 
     # Pragma hygiene (RPL000) applies everywhere, always.
     for bad in module.pragmas.bad:
-        _route(analysis, module, "RPL000", (bad.line, bad.col, bad.message))
+        _route(analysis, Finding(display, bad.line, bad.col, "RPL000",
+                                 bad.message), analysis)
     rules: list[Rule] = [cls() for cls in (*RULE_CLASSES, *FLOW_LOCAL_RULES)]
     for rule in rules:
         if not config.rule_applies(rule.code, display):
             continue
-        for raw in rule.check(module):
-            _route(analysis, module, rule.code, raw)
+        for line, col, message in rule.check(module):
+            _route(analysis, Finding(display, line, col, rule.code, message),
+                   analysis)
         if isinstance(rule, MetricRule):
             analysis.summary.metric_sites = [
                 (s.line, s.col, s.name, s.kind) for s in rule._sites]
@@ -235,8 +171,7 @@ def finish_program(analyses: Sequence[FileAnalysis],
                    config: LintConfig | None = None) -> LintResult:
     """The whole-program half: kind table plus call-graph passes."""
     config = config if config is not None else LintConfig()
-    result = LintResult(files_checked=len(analyses),
-                        files_reanalyzed=len(analyses))
+    result = LintResult(files_checked=len(analyses))
     by_path = {a.path: a for a in analyses}
     for analysis in analyses:
         result.findings.extend(analysis.findings)
@@ -247,13 +182,10 @@ def finish_program(analyses: Sequence[FileAnalysis],
         analysis = by_path.get(path)
         if analysis is None or not config.rule_applies(code, path):
             return
-        finding = Finding(path, line, col, code, message, detail)
-        if analysis.disabled(code, line):
-            result.suppressed.append(finding)
-        else:
-            result.findings.append(finding)
+        _route(analysis, Finding(path, line, col, code, message, detail),
+               result)
 
-    # RPL005's whole-program kind table, rebuilt from (cached) sites.
+    # RPL005's whole-program kind table, rebuilt from every file's sites.
     sites = [(a.path, line, col, name, kind)
              for a in sorted(analyses, key=lambda a: a.path)
              for line, col, name, kind in a.summary.metric_sites]
@@ -329,7 +261,6 @@ def default_target() -> Path:
 
 __all__ = [
     "ALL_CODES",
-    "ENGINE_VERSION",
     "FileAnalysis",
     "Finding",
     "LintResult",

@@ -10,11 +10,9 @@ two calls below ``ReportStore.digest`` — or an unlocked attribute write
 three frames below a request handler — surface as a finding at its real
 source line with the full call chain attached.
 
-The split matters to the incremental cache: per-file findings (and the
-per-file *facts* the program passes consume) are cached by content
-hash; the program passes themselves are cheap pure functions of the
-summaries and recompute on every run, so a stale cross-file result can
-never be served from cache.
+The program passes are pure functions of the per-file *facts*
+(:class:`~repro.lint.callgraph.FileSummary`), so they see every file of
+the tree at once.
 """
 
 from __future__ import annotations

@@ -5,22 +5,20 @@ schema line followed by one compact, key-sorted JSON object per finding,
 in the engine's global ``(path, line, col, code)`` order — two runs over
 the same tree produce byte-identical reports.
 
-Schema ``reprolint/2`` (the flow-analysis release): findings carry a
-``detail`` field (the RPL101/RPL103 call chain, empty otherwise) and
-the head reports the incremental-cache and baseline accounting
-(``files_reanalyzed``, ``baselined``, ``baseline_stale``).
+Schema ``reprolint/3``: findings carry a ``detail`` field (the
+RPL101/RPL103 call chain, empty otherwise), and the head counts the
+files checked, the active findings and the pragma-suppressed ones.
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 from repro.lint.config import RULE_SUMMARIES
 from repro.lint.engine import LintResult
 
 #: JSON report schema identifier, bumped on incompatible changes.
-JSON_SCHEMA = "reprolint/2"
+JSON_SCHEMA = "reprolint/3"
 
 
 def json_lines(result: LintResult) -> list[str]:
@@ -28,11 +26,8 @@ def json_lines(result: LintResult) -> list[str]:
     head = {
         "schema": JSON_SCHEMA,
         "files_checked": result.files_checked,
-        "files_reanalyzed": result.files_reanalyzed,
         "findings": len(result.findings),
         "suppressed": len(result.suppressed),
-        "baselined": len(result.baselined),
-        "baseline_stale": len(result.baseline_stale),
     }
     lines = [json.dumps(head, sort_keys=True, separators=(",", ":"))]
     for f in result.findings:
@@ -59,16 +54,9 @@ def render_text(result: LintResult, explain: bool = False) -> str:
         if explain and f.detail:
             lines.append(f"    {f.detail}")
     noun = "finding" if len(result.findings) == 1 else "findings"
-    tail = (f"{len(result.findings)} {noun} "
-            f"({result.files_checked} files checked, "
-            f"{len(result.suppressed)} suppressed by pragmas")
-    if result.baselined or result.baseline_stale:
-        tail += (f", {len(result.baselined)} baselined, "
-                 f"{len(result.baseline_stale)} baseline entries stale")
-    lines.append(tail + ")")
-    for path, code, message in result.baseline_stale:
-        lines.append(f"stale baseline entry (fixed — delete its line): "
-                     f"{path}: {code} {message}")
+    lines.append(f"{len(result.findings)} {noun} "
+                 f"({result.files_checked} files checked, "
+                 f"{len(result.suppressed)} suppressed by pragmas)")
     return "\n".join(lines) + "\n"
 
 
@@ -79,11 +67,3 @@ def render_rules() -> str:
         f"{code:<{width}}  {RULE_SUMMARIES[code]}"
         for code in sorted(RULE_SUMMARIES)) + "\n"
 
-
-def write_report(result: LintResult, path: str | Path,
-                 fmt: str = "json") -> Path:
-    """Write the rendered report to ``path``; returns the path."""
-    path = Path(path)
-    text = render_json(result) if fmt == "json" else render_text(result)
-    path.write_text(text, encoding="utf-8")
-    return path

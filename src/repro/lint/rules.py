@@ -2,11 +2,12 @@
 
 Each rule is a small class with a ``code``, a ``name`` and a
 ``check(module)`` generator yielding raw findings; :class:`MetricRule`
-(RPL005) additionally implements ``finish()`` for its whole-program
-kind table.  Rules match import-resolved qualified names
-(:mod:`repro.lint.resolve`), so aliased imports and attribute chains are
-covered, and because *references* are matched — not just calls —
-``functools.partial(time.time)`` style indirection is caught too.
+(RPL005) also records its metric sites, from which the engine builds
+the whole-program kind table (:func:`metric_kind_conflicts`).  Rules
+match import-resolved qualified names (:mod:`repro.lint.resolve`), so
+aliased imports and attribute chains are covered, and because
+*references* are matched — not just calls — indirection such as
+``functools.partial(time.time)`` is caught too.
 """
 
 from __future__ import annotations
@@ -33,10 +34,6 @@ class Rule:
 
     def check(self, module) -> Iterator[RawFinding]:
         raise NotImplementedError
-
-    def finish(self) -> Iterable[tuple[str, RawFinding]]:
-        """Cross-file findings, as ``(path, raw_finding)``; default none."""
-        return ()
 
 
 def _references(module, banned: dict[str, str]) -> Iterator[RawFinding]:
@@ -389,18 +386,13 @@ class MetricRule(Rule):
             return "histogram"
         return None
 
-    def finish(self) -> Iterable[tuple[str, RawFinding]]:
-        yield from metric_kind_conflicts(
-            [(s.path, s.line, s.col, s.name, s.kind) for s in self._sites])
-
 
 def metric_kind_conflicts(
         sites: Iterable[tuple[str, int, int, str, str]],
 ) -> Iterator[tuple[str, RawFinding]]:
     """The RPL005 whole-program kind table over ``(path, line, col,
-    name, kind)`` sites — shared by the per-run rule instance and the
-    incremental engine, which rebuilds the table from cached
-    per-file sites."""
+    name, kind)`` sites, which the engine gathers from every file's
+    :class:`MetricRule` sites."""
     canonical: dict[str, tuple[str, int, int, str, str]] = {}
     for site in sorted(sites):
         path, line, col, name, kind = site

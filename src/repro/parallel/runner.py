@@ -28,7 +28,6 @@ from repro.parallel.executors.base import ShardTask
 from repro.parallel.scheduler import ExecutorPolicy, ShardScheduler
 from repro.parallel.sharding import partition_samples
 from repro.parallel.worker import ShardRun, _run_shard_task  # noqa: F401  (re-export)
-from repro.store.cache import DEFAULT_CACHE_BYTES
 from repro.store.merge import FrozenShard, StreamingMerge
 from repro.synth.scenario import ScenarioConfig
 from repro.vt.engines import EngineFleet, default_fleet
@@ -117,11 +116,8 @@ def run_parallel(
         for shard in ranges
     ]
 
-    cache_bytes = (config.store_cache_bytes
-                   if config.store_cache_bytes is not None
-                   else DEFAULT_CACHE_BYTES)
     streaming = StreamingMerge(block_records=config.block_records,
-                               cache_bytes=cache_bytes, metrics=metrics)
+                               metrics=metrics)
     snapshots: dict[int, object] = {}
     events_total = 0
 

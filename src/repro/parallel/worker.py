@@ -104,10 +104,7 @@ def execute_range(
         fleet = default_fleet(config.seed)
     service = VirusTotalService(fleet=fleet, params=config.behavior,
                                 seed=config.seed, metrics=metrics)
-    store_kwargs = {"block_records": config.block_records}
-    if config.store_cache_bytes is not None:
-        store_kwargs["cache_bytes"] = config.store_cache_bytes
-    store = ReportStore(metrics=metrics, **store_kwargs)
+    store = ReportStore(block_records=config.block_records, metrics=metrics)
 
     samples: list[Sample] = []
     indices: list[int] = []

@@ -26,7 +26,6 @@ import numpy as np
 
 from repro.errors import ConfigError, CorruptRecordError
 from repro.obs.timing import traced
-from repro.store.cache import DEFAULT_CACHE_BYTES
 from repro.store.columnar import ColumnarBatch
 from repro.store.reportstore import ReportStore
 from repro.store.shard import DEFAULT_BLOCK_RECORDS, CompressedBlock
@@ -92,10 +91,8 @@ class StreamingMerge:
     """
 
     def __init__(self, block_records: int = DEFAULT_BLOCK_RECORDS,
-                 cache_bytes: int = DEFAULT_CACHE_BYTES,
                  metrics=None) -> None:
         self._block_records = block_records
-        self._cache_bytes = cache_bytes
         self._metrics = metrics
         self._shards: list[FrozenShard] = []
 
@@ -107,7 +104,6 @@ class StreamingMerge:
     def finish(self) -> ReportStore:
         """Merge every queued shard into one sealed store."""
         store = ReportStore(block_records=self._block_records,
-                            cache_bytes=self._cache_bytes,
                             metrics=self._metrics)
         shards, self._shards = self._shards, []
         for month in sorted({m for shard in shards for m in shard.months}):

@@ -65,9 +65,6 @@ class ScenarioConfig:
     behavior: BehaviorParams = field(default_factory=BehaviorParams)
     #: Report-store block size.
     block_records: int = 256
-    #: Report-store decoded-block cache budget in bytes (None = the
-    #: store's default).
-    store_cache_bytes: int | None = None
     #: Fault plan for the resilient-collection pipeline (None = no
     #: injected faults).  Ignored by :func:`run_experiment`; consumed by
     #: :func:`repro.collect.run_collection`.
@@ -88,8 +85,6 @@ class ScenarioConfig:
                     raise ConfigError(f"unknown file type in scenario: {name!r}")
         if self.interval_sigma <= 0:
             raise ConfigError("interval_sigma must be positive")
-        if self.store_cache_bytes is not None and self.store_cache_bytes < 0:
-            raise ConfigError("store_cache_bytes must be >= 0")
 
     def with_(self, **overrides) -> "ScenarioConfig":
         """A copy with the given fields replaced."""

@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis.engines import (
     APPENDIX_FILE_TYPES,
-    dataset_s_frame,
     engine_correlation,
     engine_stability,
 )
@@ -12,7 +11,7 @@ from repro.analysis.engines import (
 
 @pytest.fixture(scope="module")
 def stability(experiment):
-    return engine_stability(experiment.frame, experiment.engine_names)
+    return engine_stability(experiment.dataset_s, experiment.engine_names)
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +22,7 @@ def correlation(experiment):
 
 class TestDatasetSFilter:
     def test_membership_rules(self, experiment):
-        frame = dataset_s_frame(experiment.frame)
+        frame = experiment.dataset_s
         assert frame.n_samples > 0
         for sha, offset, end in zip(frame.sha256, frame.offsets[:-1],
                                     frame.offsets[1:], strict=True):

@@ -1,5 +1,7 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import importlib
+from collections import Counter
 from functools import cached_property
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from repro.analysis.experiment import ExperimentData, run_experiment
 from repro.cli import main
 from repro.core.avrank import AVRankSeries
+from repro.store.columnar import SeriesFrame
 from repro.store.reportstore import ReportStore
 from repro.synth.scenario import tiny_scenario
 from repro.vt.engines import Engine, EngineFleet
@@ -190,6 +193,51 @@ class TestOneDecodePerRun:
         (store,) = loaded_stores
         assert store.cache_stats().blocks_decoded == _stored_blocks(store) > 0
         assert built == []
+
+    #: The §5–§7 analyses that ``calibrate`` grades, by defining module.
+    GRADED = (
+        ("repro.analysis.dynamics", "stable_dynamic_split"),
+        ("repro.analysis.dynamics", "stable_sample_profile"),
+        ("repro.analysis.dynamics", "delta_distributions"),
+        ("repro.analysis.dynamics", "threshold_impact"),
+        ("repro.analysis.stabilization", "avrank_stabilization_profile"),
+        ("repro.analysis.stabilization", "label_stabilization_profile"),
+        ("repro.analysis.engines", "engine_stability"),
+    )
+
+    @pytest.mark.parametrize("command", ["all", "calibrate", "report",
+                                         "engines"])
+    def test_each_analysis_runs_once(self, saved_store, monkeypatch,
+                                     tmp_path, command):
+        """Dataset S is selected once per command, and no graded analysis
+        runs twice: ``report`` grades the results it has rendered."""
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(SeriesFrame, "dataset_s_mask", counted(
+            "dataset_s_mask", SeriesFrame.dataset_s_mask))
+        callers = [importlib.import_module(name) for name in (
+            "repro.cli", "repro.analysis.calibration",
+            "repro.analysis.report")]
+        for home, name in self.GRADED:
+            module = importlib.import_module(home)
+            original = getattr(module, name)
+            wrapper = counted(name, original)
+            # Patch every binding a caller may reach, ``from`` imports too.
+            for owner in [module, *callers]:
+                if vars(owner).get(name) is original:
+                    monkeypatch.setattr(owner, name, wrapper)
+        output = [str(tmp_path / "report.md")] if command == "report" else []
+        assert main(["--store", str(saved_store), command, *output]) in (0, 1)
+        assert calls.pop("dataset_s_mask") == 1
+        graded = (["engine_stability"] if command == "engines"
+                  else [name for _, name in self.GRADED])
+        assert calls == Counter(dict.fromkeys(graded, 1))
 
     def test_generate_decodes_nothing(self, monkeypatch, tmp_path):
         saved = []

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from repro.analysis.engines import dataset_s_frame, engine_stability
+from repro.analysis.engines import engine_stability
 from repro.core.correlation import correlation_analysis, per_type_analyses
 from repro.core.flips import FlipStats, analyze_flips
 from repro.errors import AnalysisError, InsufficientDataError
@@ -178,6 +178,10 @@ _EDGE_STREAM = [
 ]
 
 
+def _dataset_s(frame: SeriesFrame) -> SeriesFrame:
+    return frame.select(frame.dataset_s_mask(TOP20_FILE_TYPES))
+
+
 def _store(stream, block_records: int = 3,
            close: bool = True) -> ReportStore:
     arrivals = []
@@ -236,8 +240,9 @@ class TestFlipKernel:
         store = _store(stream, block_records)
         expected = oracle_flips(
             oracle_dataset_s(store.iter_sample_reports()), NAMES)
-        assert_same_flips(engine_stability(store.series_frame(), NAMES).flips,
-                          expected)
+        assert_same_flips(
+            engine_stability(_dataset_s(store.series_frame()), NAMES).flips,
+            expected)
 
     def test_edge_stream_exercises_every_case(self, store_block_format):
         stats = analyze_flips(
@@ -262,7 +267,7 @@ class TestCorrelationKernel:
         assert overall.n_scans == len(reports)
 
         # A selected sub-frame reads only its own scans, in stream order.
-        dataset_s = dataset_s_frame(frame)
+        dataset_s = _dataset_s(frame)
         members = set(dataset_s.sha256)
         in_s = [r for r in reports if r.sha256 in members]
         if len(in_s) >= 3:

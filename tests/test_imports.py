@@ -47,8 +47,8 @@ HELP = {
     "repro.vt", "repro.vt.clock", "repro.vt.reports",
 }
 LINT = HELP | {"repro.lint"} | {f"repro.lint.{name}" for name in (
-    "baseline", "cache", "callgraph", "config", "engine", "flowrules",
-    "pragmas", "report", "resolve", "rules")}
+    "callgraph", "config", "engine", "flowrules", "pragmas", "report",
+    "resolve", "rules")}
 DIGEST = HELP | {
     "repro.obs", "repro.obs.export", "repro.obs.registry", "repro.obs.timing",
     "repro.store", "repro.store.cache", "repro.store.codec",

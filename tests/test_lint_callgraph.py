@@ -4,13 +4,13 @@ The flow rules are only as good as the graph under them, so resolution
 is pinned here construct by construct: aliased imports, package
 re-exports, ``functools.partial`` indirection, decorator chains,
 ``self.method()`` and constructor-typed ``self.attr.method()`` edges,
-lock-guarded call sites, and the reverse-import cone the incremental
-``--changed`` mode reports over.
+lock-guarded call sites, and the impure-reference and ``self`` write
+facts the flow rules read.
 """
 
 import textwrap
 
-from repro.lint import CallGraph, analyze_module, dependency_cone
+from repro.lint import CallGraph, analyze_module
 from repro.lint.callgraph import module_name_of
 
 
@@ -210,39 +210,9 @@ class TestGuardedTraversal:
             "repro.fix.diamond.a", "repro.fix.diamond.b", "repro.fix.diamond.d")
 
 
-class TestDependencyCone:
-    def test_cone_is_reverse_import_closure(self):
-        alpha = summarize("repro/fix/alpha.py", """
-            def base():
-                return 1
-        """)
-        beta = summarize("repro/fix/beta.py", """
-            from repro.fix.alpha import base
-
-            def mid():
-                return base()
-        """)
-        gamma = summarize("repro/fix/gamma.py", """
-            from repro.fix.beta import mid
-
-            def top():
-                return mid()
-        """)
-        other = summarize("repro/fix/other.py", """
-            def lone():
-                return 0
-        """)
-        summaries = [alpha, beta, gamma, other]
-        cone = dependency_cone(summaries, {"repro/fix/alpha.py"})
-        assert cone == {"repro/fix/alpha.py", "repro/fix/beta.py",
-                        "repro/fix/gamma.py"}
-        assert dependency_cone(summaries, {"repro/fix/other.py"}) == \
-            {"repro/fix/other.py"}
-
-
-class TestSummaryRoundTrip:
-    def test_summary_survives_doc_round_trip(self):
-        mod = summarize("repro/fix/round.py", """
+class TestFunctionFacts:
+    def test_impure_reads_and_self_writes(self):
+        mod = summarize("repro/fix/facts.py", """
             import time
             from repro.fix.alpha import base
 
@@ -254,11 +224,6 @@ class TestSummaryRoundTrip:
                     self.n += 1
                     return (base(), time.time())
         """)
-        from repro.lint import FileSummary
-
-        clone = FileSummary.from_doc(mod.to_doc())
-        assert clone.to_doc() == mod.to_doc()
-        graph = CallGraph([clone])
-        fact = graph.functions["repro.fix.round.Keeper.tick"]
+        fact = CallGraph([mod]).functions["repro.fix.facts.Keeper.tick"]
         assert [i.qual for i in fact.impure] == ["time.time"]
         assert [w.attr for w in fact.writes] == ["n"]

@@ -97,75 +97,6 @@ class TestLintCommand:
         assert "does not exist" in err
 
 
-class TestIncrementalCli:
-    def test_cache_cold_then_warm(self, run_cli, dirty_tree, tmp_path):
-        cache = tmp_path / "lint-cache.json"
-
-        def head_of(out):
-            return json.loads(out.splitlines()[0])
-
-        code, out, _ = run_cli("lint", "--format", "json",
-                               "--paths", str(dirty_tree),
-                               "--cache", str(cache))
-        assert code == 1
-        assert head_of(out)["files_reanalyzed"] == 2
-        code, out, _ = run_cli("lint", "--format", "json",
-                               "--paths", str(dirty_tree),
-                               "--cache", str(cache))
-        assert code == 1
-        assert head_of(out)["files_reanalyzed"] == 0
-
-    def test_changed_mode_reports_only_the_edit_cone(self, run_cli,
-                                                     dirty_tree, tmp_path):
-        cache = tmp_path / "lint-cache.json"
-        run_cli("lint", "--paths", str(dirty_tree), "--cache", str(cache))
-        good = dirty_tree / "good.py"
-        good.write_text(good.read_text(encoding="utf-8") +
-                        "\n\ndef triple(x):\n    return 3 * x\n",
-                        encoding="utf-8")
-        code, out, _ = run_cli("lint", "--paths", str(dirty_tree),
-                               "--cache", str(cache), "--changed")
-        # bad.py is unchanged and outside good.py's import cone, so its
-        # finding is not reported; the run exits clean.
-        assert code == 0
-        assert "RPL001" not in out
-
-    def test_changed_without_cache_exits_two(self, run_cli, dirty_tree):
-        code, _, err = run_cli("lint", "--paths", str(dirty_tree),
-                               "--changed")
-        assert code == 2
-        assert "--cache" in err
-
-    def test_write_baseline_without_baseline_exits_two(self, run_cli,
-                                                       dirty_tree):
-        code, _, err = run_cli("lint", "--paths", str(dirty_tree),
-                               "--write-baseline")
-        assert code == 2
-        assert "--baseline" in err
-
-    def test_baseline_ratchet_and_stale_failure(self, run_cli, dirty_tree,
-                                                tmp_path):
-        baseline = tmp_path / "baseline.json"
-        code, _, err = run_cli("lint", "--paths", str(dirty_tree),
-                               "--baseline", str(baseline),
-                               "--write-baseline")
-        assert code == 0
-        assert "1 baseline entries" in err
-        # Baselined: the finding no longer fails the run.
-        code, out, _ = run_cli("lint", "--paths", str(dirty_tree),
-                               "--baseline", str(baseline))
-        assert code == 0
-        assert "1 baselined" in out
-        # Fix the finding: the baseline entry is now stale and the
-        # shrink-only ratchet fails the run until it is deleted.
-        (dirty_tree / "bad.py").write_text(
-            "def stamp():\n    return 0\n", encoding="utf-8")
-        code, out, _ = run_cli("lint", "--paths", str(dirty_tree),
-                               "--baseline", str(baseline))
-        assert code == 1
-        assert "stale baseline entry" in out
-
-
 class TestExitCodeConvention:
     def test_digest_match_exits_zero(self, run_cli, tmp_path):
         a = tmp_path / "a.rpr"

@@ -2,13 +2,16 @@
 
 Covers the suppression escape hatch end to end: line pragmas,
 multi-code pragmas, scope pragmas on (decorated) defs, file-level
-pragmas, and the rule that a malformed or unknown pragma is itself a
-finding (RPL000) rather than a silent no-op.
+pragmas, the same pragmas over whole-program findings, and the rule
+that a malformed or unknown pragma is itself a finding (RPL000) rather
+than a silent no-op.
 """
 
 import textwrap
 
-from repro.lint import collect_pragmas, lint_source
+import pytest
+
+from repro.lint import collect_pragmas, lint_modules, lint_source
 
 
 def run(source: str, path: str = "repro/_fixture.py"):
@@ -115,6 +118,29 @@ class TestFilePragmas:
             b = uuid.uuid4()
         """)
         assert [f.code for f in result.findings] == ["RPL003"]
+
+
+class TestWholeProgramPragmas:
+    """A cross-file finding (the RPL005 kind table) is routed through
+    the pragmas of the file it lands in, like a per-file finding."""
+
+    @pytest.mark.parametrize("source", [
+        'def g(m):\n'
+        '    return m.gauge("store.rows")  # reprolint: disable=RPL005 - why\n',
+        'def g(m):  # reprolint: disable=RPL005 - why\n'
+        '    return m.gauge("store.rows")\n',
+        '# reprolint: disable-file=RPL005 - why\n'
+        'def g(m):\n'
+        '    return m.gauge("store.rows")\n',
+    ], ids=["line", "scope", "file"])
+    def test_pragma_suppresses_kind_conflict(self, source):
+        result = lint_modules([
+            ("repro/a.py", 'def f(m):\n    return m.counter("store.rows")\n'),
+            ("repro/b.py", source),
+        ])
+        assert result.findings == []
+        assert [(f.path, f.code) for f in result.suppressed] == [
+            ("repro/b.py", "RPL005")]
 
 
 class TestJustificationRequired:

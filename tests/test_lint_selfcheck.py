@@ -5,8 +5,7 @@ determinism contract is enforced on the *source*, not just observed in
 the outputs.  Three assertions:
 
 1. Zero undisabled findings over the shipped package — including the
-   whole-program RPL1xx flow rules — with an *empty* checked-in
-   baseline (``lint-baseline.json``): no ratcheted debt.
+   whole-program RPL1xx flow rules.
 2. Every suppression is accounted: only the sanctioned codes, only in
    the sanctioned files, and every pragma carries a justification
    (a justification-less pragma would surface as an RPL000 finding and
@@ -18,22 +17,17 @@ The tests share one session-scoped lint of the package (``src_lint`` in
 ``conftest.py``); the determinism test lints it once more to compare.
 """
 
-import copy
-from pathlib import Path
+import json
 
 from repro.lint import (
     ALL_CODES,
     FLOW_CODES,
     RULE_SUMMARIES,
-    apply_baseline,
     default_target,
     lint_paths,
-    read_baseline,
     render_json,
     render_text,
 )
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_package_is_lint_clean(src_lint):
@@ -44,22 +38,6 @@ def test_package_is_lint_clean(src_lint):
         "reprolint found undisabled determinism-contract violations in "
         f"src/repro — fix them or add a justified pragma:\n{pretty}"
     )
-
-
-def test_shipped_baseline_is_empty_and_not_stale(src_lint):
-    # The shrink-only ratchet, fully ratcheted: the checked-in baseline
-    # holds zero accepted findings, and applying it changes nothing.
-    baseline_path = REPO_ROOT / "lint-baseline.json"
-    entries = read_baseline(baseline_path)
-    assert entries == [], (
-        "lint-baseline.json must stay empty — fix findings instead of "
-        "baselining them"
-    )
-    # apply_baseline mutates its argument; the session result is shared.
-    result = apply_baseline(copy.deepcopy(src_lint), entries)
-    assert result.findings == []
-    assert result.baselined == []
-    assert result.baseline_stale == []
 
 
 def test_suppressions_are_rare_and_accounted(src_lint):
@@ -84,9 +62,11 @@ def test_json_report_is_byte_deterministic(src_lint):
     first = render_json(src_lint)
     second = render_json(lint_paths([default_target()]))
     assert first.encode("utf-8") == second.encode("utf-8")
-    head = first.splitlines()[0]
-    assert '"schema":"reprolint/2"' in head
-    assert '"files_reanalyzed"' in head
+    head = json.loads(first.splitlines()[0])
+    assert head == {"schema": "reprolint/3",
+                    "files_checked": src_lint.files_checked,
+                    "findings": 0,
+                    "suppressed": len(src_lint.suppressed)}
 
 
 def test_every_rule_has_a_summary():

@@ -109,7 +109,7 @@ class TestExperimentRenderers:
 
     def test_fig10(self, experiment):
         stability = engines_mod.engine_stability(
-            experiment.frame, experiment.engine_names
+            experiment.dataset_s, experiment.engine_names
         )
         out = rendering.render_fig10(stability.flips,
                                      engines_mod.APPENDIX_FILE_TYPES)
