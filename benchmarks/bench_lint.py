@@ -8,8 +8,9 @@ Every ``repro-vt lint`` run is such a full pass: nothing is cached.
 
 Dual mode, like the other benches:
 
-* under pytest-benchmark (``pytest benchmarks/ --benchmark-only``) the
-  pass is timed by the harness and the budget asserted;
+* under pytest (``pytest benchmarks/bench_lint.py``, with or without
+  ``--benchmark-disable``) each pass times itself and the budget is
+  asserted on the fastest;
 * as a script (``python benchmarks/bench_lint.py``) it writes a schema'd
   ``BENCH_lint.json`` artifact.
 """
@@ -99,12 +100,24 @@ def render(results: dict) -> None:
 
 
 def test_lint_full_repo(benchmark):
-    """pytest-benchmark entry point: one timed full-package pass."""
+    """pytest-benchmark entry point: one timed full-package pass.
+
+    Each pass times itself, so the budget is asserted with the harness's
+    timing disabled (``--benchmark-disable``) too.
+    """
     target = default_target()
-    result = benchmark(lambda: lint_paths([target]))
+    walls: list[float] = []
+
+    def timed_pass():
+        started = time.perf_counter()
+        result = lint_paths([target])
+        walls.append(time.perf_counter() - started)
+        return result
+
+    result = benchmark(timed_pass)
     assert result.findings == []
     assert result.files_checked > 50
-    assert benchmark.stats.stats.min <= DEFAULT_BUDGET_SECONDS, (
+    assert min(walls) <= DEFAULT_BUDGET_SECONDS, (
         f"full-repo lint exceeded the {DEFAULT_BUDGET_SECONDS:.1f}s budget"
     )
 

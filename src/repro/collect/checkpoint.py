@@ -7,7 +7,9 @@ half-open minute intervals known to be missing (outages, abandoned
 polls, corrupt deliveries awaiting re-fetch), and ``report_count`` lets
 resume verify it loaded the matching store.  Writes are atomic
 (temp file + :func:`os.replace`) so a crash mid-write leaves the previous
-checkpoint intact.
+checkpoint intact, and durable: the temp file is fsynced before the
+rename and the directory after it, as the store's save does, so a power
+loss cannot keep the checkpoint's rename and lose the store's.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import CheckpointError
+from repro.store.reportstore import replace_durably
 
 _VERSION = 1
 
@@ -66,7 +69,10 @@ class Checkpoint:
 
 
 def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
-    """Atomically persist a checkpoint."""
+    """Atomically and durably persist a checkpoint.
+
+    Raises :class:`CheckpointError` when the file cannot be written.
+    """
     path = Path(path)
     doc = {
         "version": _VERSION,
@@ -76,8 +82,16 @@ def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
         "counters": checkpoint.counters,
     }
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            fh.write(json.dumps(doc, sort_keys=True))
+            fh.flush()
+            os.fsync(fh.fileno())
+        replace_durably(tmp, path)
+    except OSError as exc:
+        raise CheckpointError(
+            f"cannot write checkpoint {path}: {exc.strerror or exc}"
+        ) from exc
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:

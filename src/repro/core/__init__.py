@@ -34,9 +34,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "label_stabilization",
     ),
     "flips": ("FlipStats", "analyze_flips"),
-    "correlation": (
-        "CorrelationAnalysis", "build_result_matrix", "correlation_analysis",
-    ),
+    "correlation": ("CorrelationAnalysis", "correlation_analysis"),
     "aggregation": (
         "PercentageAggregator", "ThresholdAggregator",
         "TrustedEnginesAggregator", "WeightedVoteAggregator",

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 
 def fractional_ranks(values: Sequence[float]) -> list[float]:
     """Average ranks (1-based) of ``values``, ties sharing their mean rank.
@@ -35,30 +33,3 @@ def fractional_ranks(values: Sequence[float]) -> list[float]:
         i = j + 1
     return ranks
 
-
-def fractional_ranks_array(matrix: np.ndarray) -> np.ndarray:
-    """Column-wise fractional ranks of a 2-D array, vectorised.
-
-    The engine-correlation analysis ranks a (scans × engines) matrix with
-    millions of rows; this implementation is pure numpy so it stays fast.
-    Equivalent to applying :func:`fractional_ranks` to every column.
-    """
-    if matrix.ndim != 2:
-        raise ValueError(f"expected 2-D matrix, got shape {matrix.shape}")
-    n, m = matrix.shape
-    ranks = np.empty((n, m), dtype=np.float64)
-    for col in range(m):
-        column = matrix[:, col]
-        order = np.argsort(column, kind="stable")
-        sorted_vals = column[order]
-        # Boundaries of tie groups in the sorted order.
-        boundaries = np.empty(n, dtype=bool)
-        boundaries[0] = True
-        np.not_equal(sorted_vals[1:], sorted_vals[:-1], out=boundaries[1:])
-        group_ids = np.cumsum(boundaries) - 1
-        group_starts = np.flatnonzero(boundaries)
-        group_ends = np.append(group_starts[1:], n)
-        # Average 1-based rank of each tie group.
-        group_rank = (group_starts + group_ends - 1) / 2 + 1
-        ranks[order, col] = group_rank[group_ids]
-    return ranks

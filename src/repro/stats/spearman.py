@@ -5,10 +5,10 @@ intervals (ρ = 0.9181, p = 2.6e-167), and §7.2 correlates engine verdict
 columns pairwise, calling a pair strongly correlated above ρ = 0.8.
 
 ``spearman`` handles one pair with full tie handling and the standard
-t-distribution p-value approximation; ``spearman_matrix`` computes all
-pairwise correlations of a (observations × variables) matrix in one
-vectorised pass — the 70-engine analysis needs 2 415 pairs over millions
-of rows.
+t-distribution p-value approximation.  The 70-engine analysis needs
+2 415 pairs over millions of scans; it does not rank them here, but
+derives every pair's ρ from verdict co-occurrence counts
+(:mod:`repro.core.correlation`).
 """
 
 from __future__ import annotations
@@ -17,10 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from repro.errors import InsufficientDataError
-from repro.stats.ranking import fractional_ranks, fractional_ranks_array
+from repro.stats.ranking import fractional_ranks
 
 
 @dataclass(frozen=True)
@@ -138,27 +136,3 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> SpearmanResult:
     rho = _pearson(rx, ry)
     return SpearmanResult(rho=rho, p_value=p_value_for_rho(rho, len(x)), n=len(x))
 
-
-def spearman_matrix(matrix: np.ndarray) -> np.ndarray:
-    """All pairwise Spearman ρ of the columns of ``matrix``.
-
-    ``matrix`` is (observations × variables).  Columns with zero rank
-    variance (an engine that answered identically on every scan) yield
-    NaN against everything, matching the pairwise behaviour of
-    :func:`spearman`.
-    """
-    if matrix.ndim != 2:
-        raise ValueError(f"expected 2-D matrix, got shape {matrix.shape}")
-    n = matrix.shape[0]
-    if n < 3:
-        raise InsufficientDataError(3, n, "observations")
-    ranks = fractional_ranks_array(np.asarray(matrix))
-    centred = ranks - ranks.mean(axis=0, keepdims=True)
-    norms = np.sqrt((centred**2).sum(axis=0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        normalised = centred / norms
-    corr = normalised.T @ normalised
-    corr[:, norms == 0] = np.nan
-    corr[norms == 0, :] = np.nan
-    np.clip(corr, -1.0, 1.0, out=corr)
-    return corr

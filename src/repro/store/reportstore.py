@@ -73,6 +73,17 @@ _FILE_VERSION = 3
 Address = tuple[int, int, int]  # (month, block, slot)
 
 
+def replace_durably(temp: Path, path: Path) -> None:
+    """Rename the fsynced file ``temp`` over ``path``, then fsync their
+    directory, so that the rename itself survives a power loss."""
+    os.replace(temp, path)
+    fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 class _MappedReader:
     """Sequential zero-copy reader over a memory-mapped store file.
 
@@ -608,11 +619,13 @@ class ReportStore:
         afterwards.  (An earlier revision flushed each shard mid-save,
         silently changing the block layout of a live store.)
 
-        The write is atomic: the bytes go to a temporary file beside
-        ``path``, are flushed to disk, and then replace ``path`` in one
-        rename.  A failed save leaves the previous file untouched, and
-        saving over the file a store was memory-mapped from (``load(...,
-        use_mmap=True)``) is safe — the live mapping keeps the old file.
+        The write is atomic and durable: the bytes go to a temporary
+        file beside ``path``, are flushed to disk, and then replace
+        ``path`` in one rename, which is flushed too
+        (:func:`replace_durably`).  A failed save leaves the previous
+        file untouched, and saving over the file a store was
+        memory-mapped from (``load(..., use_mmap=True)``) is safe — the
+        live mapping keeps the old file.
         """
         self._ensure_index()
         path = Path(path)
@@ -642,7 +655,7 @@ class ReportStore:
                         self._write_month(fh, self.shards[month])
                     fh.flush()
                     os.fsync(fh.fileno())
-                os.replace(temp, path)
+                replace_durably(temp, path)
             except BaseException:
                 with contextlib.suppress(OSError):
                     temp.unlink()

@@ -6,6 +6,9 @@ so the whole suite pays for them once.
 
 from __future__ import annotations
 
+import os
+import stat
+
 import pytest
 
 from repro.analysis.experiment import ExperimentData, run_experiment
@@ -167,6 +170,27 @@ def make_series_frame(series: list[AVRankSeries]) -> SeriesFrame:
 
 def make_sha(token: str) -> str:
     return sha256_of(token)
+
+
+@pytest.fixture()
+def sync_log(monkeypatch) -> list[str]:
+    """Every ``os.fsync`` and ``os.replace`` call, in order: "fsync
+    file", "fsync dir" or "replace NAME" (the destination's name)."""
+    log: list[str] = []
+    fsync, replace = os.fsync, os.replace
+
+    def logged_fsync(fd):
+        kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+        log.append(f"fsync {kind}")
+        fsync(fd)
+
+    def logged_replace(src, dst):
+        log.append(f"replace {os.path.basename(dst)}")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", logged_fsync)
+    monkeypatch.setattr(os, "replace", logged_replace)
+    return log
 
 
 @pytest.fixture()

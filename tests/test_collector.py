@@ -104,6 +104,10 @@ class TestCheckpoint:
         assert loaded == ckpt
         assert not list(tmp_path.glob("*.tmp"))  # atomic write cleaned up
 
+    def test_unwritable_path_is_a_checkpoint_error(self, tmp_path):
+        with pytest.raises(CheckpointError, match="cannot write checkpoint"):
+            save_checkpoint(Checkpoint(), tmp_path / "missing" / "ckpt.json")
+
     def test_load_missing_raises(self, tmp_path):
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "nope.json")
@@ -284,6 +288,18 @@ class TestFeedCollector:
         assert resumed.checkpoint.last_minute == 1
         resumed.step(1)  # replay is a no-op
         assert resumed_store.report_count == 2
+
+    def test_persist_makes_the_store_durable_first(self, service, tmp_path,
+                                                   sync_log):
+        feed, store, client = self._pipeline(service)
+        collector = FeedCollector(feed, store, client,
+                                  checkpoint_path=tmp_path / "ckpt.json",
+                                  store_path=tmp_path / "store.rpr")
+        _upload(service, "a", 0)
+        collector.step(0)
+        collector.persist()
+        assert sync_log == ["fsync file", "replace store.rpr", "fsync dir",
+                            "fsync file", "replace ckpt.json", "fsync dir"]
 
     def test_resume_with_mismatched_store_raises(self, service, tmp_path):
         feed, store, client = self._pipeline(service)

@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 from repro.core.correlation import (
     STRONG_THRESHOLD,
     CorrelationAnalysis,
-    build_result_matrix,
     correlation_analysis,
     per_type_analyses,
 )
 from repro.errors import AnalysisError, InsufficientDataError
+from repro.stats.spearman import spearman
 
 from conftest import make_frame, make_report
 
@@ -34,27 +34,39 @@ def _reports(n=200, copy_fidelity=1.0, seed=0, file_type="TXT"):
     return reports
 
 
-def _plane(reports):
-    return make_frame(reports).labels
-
-
-class TestResultMatrix:
-    def test_values_in_paper_alphabet(self):
-        reports = [make_report(labels=[1, 0, -1, 0, 1])]
-        matrix = build_result_matrix(_plane(reports), 5)
-        assert matrix.tolist() == [[1, 0, -1, 0, 1]]
-
-    def test_row_per_scan(self):
-        matrix = build_result_matrix(_plane(_reports(50)), 4)
-        assert matrix.shape == (50, 4)
-
+class TestInputChecks:
     def test_empty_rejected(self):
-        with pytest.raises(InsufficientDataError):
-            build_result_matrix(_plane([]), 4)
+        with pytest.raises(InsufficientDataError) as info:
+            correlation_analysis(make_frame([]), NAMES)
+        assert (info.value.needed, info.value.got) == (1, 0)
+
+    def test_two_scans_rejected(self):
+        with pytest.raises(InsufficientDataError) as info:
+            correlation_analysis(make_frame(_reports(2)), NAMES)
+        assert (info.value.needed, info.value.got) == (3, 2)
 
     def test_engine_count_mismatch_rejected(self):
-        with pytest.raises(AnalysisError):
-            build_result_matrix(_plane(_reports(5)), 9)
+        names = NAMES + ("e4", "e5", "e6", "e7", "e8")
+        with pytest.raises(AnalysisError, match="names 9 engines"):
+            correlation_analysis(make_frame(_reports(5)), names)
+
+    def test_verdicts_rank_in_paper_alphabet(self):
+        # R's order is undetected (−1) < benign (0) < malicious (1); the
+        # plane's bytes (benign 0, malicious 1, undetected 2) are not.
+        columns = ([-1, 0, 1, 1, -1, 0], [0, 0, 1, 1, -1, 1],
+                   [1, -1, -1, 0, 1, 0])
+        reports = [make_report(sha=f"{i:064x}", scan_time=i, n_engines=3,
+                               labels=[column[i] for column in columns])
+                   for i in range(6)]
+        analysis = correlation_analysis(make_frame(reports), ("a", "b", "c"))
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            expected = spearman(columns[i], columns[j]).rho
+            assert analysis.rho[i, j] == pytest.approx(expected, abs=1e-12)
+
+    def test_sub_frame_counts_its_scans(self):
+        frame = make_frame(_reports(40))
+        sub = frame.select(np.arange(frame.n_samples) % 3 == 0)
+        assert correlation_analysis(sub, NAMES).n_scans == sub.n_reports == 14
 
 
 class TestAnalysis:

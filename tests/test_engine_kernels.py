@@ -2,15 +2,18 @@
 
 The flip oracle is the per-report loop the §7.1 analysis ran before it
 read frame planes (``_accumulate_sample``, kept here unchanged); the
-correlation oracle stacks every report's label row into R, as the §7.2
-analysis used to.  Random grouped report streams go through row and
-columnar stores, and the kernels over
+correlation oracles stack every report's label row into R, as the §7.2
+analysis used to, and rank it (``spearman_matrix``) or compute ρ
+exactly (``exact_rho``).  Random grouped report streams go through
+row and columnar stores, and the kernels over
 :meth:`~repro.store.reportstore.ReportStore.series_frame` must reproduce
-both oracles exactly.
+the flip oracle exactly and the correlation oracles within tolerances
+fixed beforehand.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Sequence
 
 import numpy as np
@@ -18,10 +21,14 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.analysis.engines import engine_stability
-from repro.core.correlation import correlation_analysis, per_type_analyses
+from repro.core.correlation import (
+    STRONG_THRESHOLD,
+    CorrelationAnalysis,
+    correlation_analysis,
+    per_type_analyses,
+)
 from repro.core.flips import FlipStats, analyze_flips
 from repro.errors import AnalysisError, InsufficientDataError
-from repro.stats.spearman import spearman_matrix
 from repro.store.columnar import SeriesFrame
 from repro.store.reportstore import ReportStore
 from repro.vt.clock import MONTH_STARTS
@@ -29,6 +36,7 @@ from repro.vt.filetypes import TOP20_FILE_TYPES
 from repro.vt.reports import ScanReport
 
 from conftest import make_frame, make_report, make_sha
+from spearman_oracle import max_error_vs_exact, result_matrix, spearman_matrix
 
 NAMES = ("e0", "e1", "e2", "e3")
 TYPES = ("Win32 EXE", "PDF", "TXT", "Unlisted")
@@ -122,12 +130,35 @@ def oracle_dataset_s(sample_reports):
             yield sha, reports
 
 
-def oracle_rho(reports: Sequence[ScanReport]) -> np.ndarray:
-    """Spearman ρ over R stacked from per-report label rows."""
-    matrix = np.vstack([np.frombuffer(r.labels, dtype=np.uint8).astype(np.int8)
-                        for r in reports])
-    matrix[matrix == 2] = -1
-    return spearman_matrix(matrix)
+def stacked_r(reports: Sequence[ScanReport]) -> np.ndarray:
+    """R stacked from per-report label rows."""
+    return result_matrix(np.vstack(
+        [np.frombuffer(r.labels, dtype=np.uint8) for r in reports]))
+
+
+#: The count kernel sums in another order than the ranked-R oracle, so
+#: ρ may differ from it in the last digits; against exact ρ it must be
+#: within 1e-15.
+RANKED_TOLERANCE = 1e-12
+EXACT_TOLERANCE = 1e-15
+
+
+def assert_matches_oracles(analysis: CorrelationAnalysis,
+                           matrix: np.ndarray) -> None:
+    """``analysis`` against both oracles over R = ``matrix``."""
+    assert analysis.n_scans == len(matrix)
+    ranked = spearman_matrix(matrix)
+    nan = np.isnan(ranked)
+    np.testing.assert_array_equal(np.isnan(analysis.rho), nan)
+    np.testing.assert_allclose(analysis.rho[~nan], ranked[~nan], rtol=0,
+                               atol=RANKED_TOLERANCE)
+    # Pairs at the threshold may fall either side of it.
+    if not np.any(np.abs(ranked[~nan] - STRONG_THRESHOLD) < 1e-9):
+        expected = CorrelationAnalysis(analysis.engine_names, ranked,
+                                       analysis.threshold, len(matrix))
+        assert ({pair[:2] for pair in analysis.strong_pairs()}
+                == {pair[:2] for pair in expected.strong_pairs()})
+    assert max_error_vs_exact(analysis.rho, matrix) <= EXACT_TOLERANCE
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +231,30 @@ def _store(stream, block_records: int = 3,
     return store
 
 
+#: Engines of the chunk-crossing planes.
+_WIDE_NAMES = tuple(f"w{j}" for j in range(6))
+
+
+def _wide_reports(n_scans: int, seed: int) -> list[ScanReport]:
+    """``n_scans`` reports over 3-scan samples of the listed types.
+
+    Engine 0 always says malicious (a constant column), engine 2 copies
+    engine 1, engine 3 copies it nine times in ten, and engines 4-5 are
+    independent; undetected is common throughout.
+    """
+    rng = np.random.default_rng(seed)
+    verdicts = rng.choice([-1, 0, 1], size=(n_scans, len(_WIDE_NAMES)),
+                          p=[0.3, 0.4, 0.3])
+    verdicts[:, 0] = 1
+    verdicts[:, 2] = verdicts[:, 1]
+    copied = rng.random(n_scans) < 0.9
+    verdicts[copied, 3] = verdicts[copied, 1]
+    return [make_report(sha=make_sha(f"wide-{seed}-{i // 3}"),
+                        file_type=TYPES[(i // 3) % 3], scan_time=i,
+                        labels=row, n_engines=len(_WIDE_NAMES))
+            for i, row in enumerate(verdicts.tolist())]
+
+
 def assert_same_flips(got: FlipStats, expected: FlipStats) -> None:
     for name in ("flips_up", "flips_down", "pairs", "hazards_010",
                  "hazards_101"):
@@ -262,27 +317,65 @@ class TestCorrelationKernel:
         reports = list(store.iter_reports())
         assume(len(reports) >= 3)
         frame = store.series_frame()
-        overall = correlation_analysis(frame, NAMES)
-        np.testing.assert_array_equal(overall.rho, oracle_rho(reports))
-        assert overall.n_scans == len(reports)
+        assert_matches_oracles(correlation_analysis(frame, NAMES),
+                               stacked_r(reports))
 
-        # A selected sub-frame reads only its own scans, in stream order.
+        # A selected sub-frame reads only its own scans.
         dataset_s = _dataset_s(frame)
         members = set(dataset_s.sha256)
         in_s = [r for r in reports if r.sha256 in members]
         if len(in_s) >= 3:
-            np.testing.assert_array_equal(
-                correlation_analysis(dataset_s, NAMES).rho, oracle_rho(in_s))
+            assert_matches_oracles(correlation_analysis(dataset_s, NAMES),
+                                   stacked_r(in_s))
 
         by_type: dict[str, list[ScanReport]] = {}
         for report in reports:
             by_type.setdefault(report.file_type, []).append(report)
-        expected = {ftype: oracle_rho(group)
-                    for ftype, group in by_type.items() if len(group) >= 3}
+        expected = {ftype: group for ftype, group in by_type.items()
+                    if len(group) >= 3}
         got = per_type_analyses(frame, NAMES, TYPES, min_scans=3)
         assert list(got) == list(expected)
-        for ftype, rho in expected.items():
-            np.testing.assert_array_equal(got[ftype].rho, rho)
+        for ftype, group in expected.items():
+            assert_matches_oracles(got[ftype], stacked_r(group))
+
+    @pytest.mark.parametrize("n_scans", [2_500, 4_097])
+    def test_chunked_planes_match_exact(self, n_scans):
+        """Planes longer than one chunk, with a constant column and a
+        duplicated one, overall, for a sub-frame and per type."""
+        reports = _wide_reports(n_scans, seed=n_scans)
+        frame = make_frame(reports)
+        assert_matches_oracles(correlation_analysis(frame, _WIDE_NAMES),
+                               stacked_r(reports))
+
+        picked = np.arange(frame.n_samples) % 3 != 0
+        members = {frame.sha256[s] for s in np.flatnonzero(picked)}
+        assert_matches_oracles(
+            correlation_analysis(frame.select(picked), _WIDE_NAMES),
+            stacked_r([r for r in reports if r.sha256 in members]))
+
+        got = per_type_analyses(frame, _WIDE_NAMES, TYPES, min_scans=3)
+        assert list(got) == list(dict.fromkeys(r.file_type for r in reports))
+        for ftype, analysis in got.items():
+            assert_matches_oracles(
+                analysis, stacked_r([r for r in reports
+                                     if r.file_type == ftype]))
+
+    def test_row_order_does_not_change_rho(self):
+        reports = _wide_reports(1_500, seed=7)
+        shuffled = [reports[i] for i in
+                    np.random.default_rng(7).permutation(len(reports))]
+        np.testing.assert_array_equal(
+            correlation_analysis(make_frame(shuffled), _WIDE_NAMES).rho,
+            correlation_analysis(make_frame(reports), _WIDE_NAMES).rho)
+
+    def test_sub_frame_ignores_row_order(self):
+        frame = make_frame(_wide_reports(1_500, seed=11))
+        sub = frame.select(np.arange(frame.n_samples) % 4 != 1)
+        rng = np.random.default_rng(11)
+        reordered = dataclasses.replace(sub, rows=rng.permutation(sub.rows))
+        np.testing.assert_array_equal(
+            correlation_analysis(reordered, _WIDE_NAMES).rho,
+            correlation_analysis(sub, _WIDE_NAMES).rho)
 
 
 class TestFramePlanes:

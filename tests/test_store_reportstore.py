@@ -594,6 +594,12 @@ class TestAtomicSave:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["s.store"]
 
+    def test_save_syncs_file_rename_and_directory(self, store, tmp_path,
+                                                  sync_log):
+        _fill(store)
+        store.save(tmp_path / "s.store")
+        assert sync_log == ["fsync file", "replace s.store", "fsync dir"]
+
     def test_new_file_gets_default_permissions(self, store, tmp_path):
         umask = os.umask(0o022)
         os.umask(umask)
