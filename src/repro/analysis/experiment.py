@@ -47,7 +47,9 @@ class ExperimentData:
 
     config: ScenarioConfig
     #: The fleet that scanned the store; ``None`` when the store was
-    #: loaded from disk, whose reports name no engines.
+    #: loaded from disk, whose reports name no engines, or produced by
+    #: parallel workers without a fleet override (each worker built
+    #: its own default fleet).
     fleet: EngineFleet | None
     #: The live service of a serial in-process run.  ``None`` when the
     #: store was produced by parallel workers (their services die with
@@ -61,15 +63,16 @@ class ExperimentData:
     #: The metrics registry the run recorded into (None when the caller
     #: ran without observability; possibly the process-wide registry).
     metrics: object | None = None
-    #: Failure-handling accounting of the elastic executor (parallel
-    #: runs only): attempts, retries, lost workers, stolen ranges.
+    #: Worker-pool accounting (parallel runs only): ranges,
+    #: resubmitted ranges, lost workers.
     executor_report: object | None = None
     _series: list[AVRankSeries] | None = field(default=None, repr=False)
 
     @property
     def engine_names(self) -> tuple[str, ...]:
-        """The fleet's engine names; the default fleet's for a loaded
-        store (they do not depend on the fleet's seed)."""
+        """The fleet's engine names; the default fleet's when the data
+        keeps no fleet, as for a loaded store or a parallel run (they do
+        not depend on the fleet's seed)."""
         return self.fleet.names if self.fleet is not None else ENGINE_NAMES
 
     @cached_property
@@ -102,7 +105,6 @@ def run_experiment(
     fleet: EngineFleet | None = None,
     workers: int | str = 1,
     metrics=None,
-    executor=None,
 ) -> ExperimentData:
     """Generate, scan and store one scenario; returns the loaded data.
 
@@ -113,16 +115,14 @@ def run_experiment(
     ``workers`` runs the scenario as that many sharded processes
     (``"auto"`` = CPU count, clamped by ``REPRO_MAX_WORKERS``).  The
     result is bit-identical to the serial run — same reports, same store
-    layout, same canonical digest — with one difference:
+    layout, same canonical digest — with two differences:
     ``data.service`` is ``None``, since worker services die with their
-    processes.  ``workers=1`` executes entirely in process, never
-    touching :mod:`multiprocessing`.
-
-    ``executor`` selects and tunes the elastic executor for parallel
-    runs: ``None``/an executor kind string (``auto``, ``in-process``,
-    ``fork``, ``spawn``) or a full
-    :class:`~repro.parallel.scheduler.ExecutorPolicy`.  ``auto``
-    prefers fork and falls back to spawn where fork is unavailable.
+    processes, and ``data.fleet`` is the ``fleet`` passed in (``None``
+    by default).  ``workers=1`` executes entirely in process, never
+    touching :mod:`multiprocessing`.  Workers fork where the platform can
+    and spawn otherwise; a range that raises fails the run with
+    :class:`~repro.errors.ShardFailedError` chained to the worker's
+    exception.
 
     ``metrics`` injects a registry for the run; with ``None`` the
     process-wide registry is used (the disabled null object unless
@@ -137,7 +137,7 @@ def run_experiment(
         from repro.parallel.runner import run_parallel
 
         return run_parallel(config, fleet=fleet, workers=n_workers,
-                            metrics=metrics, executor=executor)
+                            metrics=metrics)
 
     from repro.parallel.worker import execute_range
 

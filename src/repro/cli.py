@@ -80,18 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "('auto' = CPU count, capped by "
                              "REPRO_MAX_WORKERS); bit-identical to a "
                              "serial run (default: 1)")
-    parser.add_argument("--executor",
-                        choices=("auto", "in-process", "fork", "spawn"),
-                        default="auto",
-                        help="executor backend for --workers > 1: forked "
-                             "or spawned process pool, or an in-process "
-                             "queue (default: auto = fork where "
-                             "available, else spawn)")
-    parser.add_argument("--executor-chaos", action="store_true",
-                        help="inject the standard executor fault plan "
-                             "(worker crashes, hangs, corrupted shard "
-                             "payloads); the run must still converge to "
-                             "the fault-free digest")
     parser.add_argument("--metrics-out", metavar="PATH", default=None,
                         help="record run metrics and write the export here "
                              "on exit (.prom = Prometheus text, anything "
@@ -206,7 +194,7 @@ def _run(args: argparse.Namespace, metrics=None) -> ExperimentData:
     from repro.analysis.experiment import run_experiment
 
     return run_experiment(_config(args), workers=_workers(args),
-                          metrics=metrics, executor=_executor(args))
+                          metrics=metrics)
 
 
 def _data(args: argparse.Namespace, metrics=None) -> ExperimentData:
@@ -241,27 +229,6 @@ def _data(args: argparse.Namespace, metrics=None) -> ExperimentData:
           f"({data.workers} worker{'s' if data.workers != 1 else ''})]\n",
           file=sys.stderr)
     return data
-
-
-def _executor(args: argparse.Namespace):
-    """The executor policy implied by ``--executor``/``--executor-chaos``.
-
-    Returns the bare kind string in the common case (the runner applies
-    its defaults); chaos builds a full policy with a deadline short
-    enough that injected hangs are detected and stolen well within the
-    run, not just tolerated.
-    """
-    if not args.executor_chaos:
-        return args.executor
-    from repro.faults.executor import standard_executor_chaos_plan
-    from repro.parallel.scheduler import ExecutorPolicy
-
-    return ExecutorPolicy(
-        kind=args.executor,
-        heartbeat_deadline=1.5,
-        fault_plan=standard_executor_chaos_plan(
-            seed=args.seed, hang_seconds=2.5),
-    )
 
 
 def _workers(args: argparse.Namespace) -> int | str:

@@ -166,45 +166,34 @@ class ShardClosedError(StoreError):
 
 
 class ExecutorError(ReproError):
-    """Base class for elastic-executor failures (scheduling layer)."""
+    """Base class for worker-pool failures (scheduling layer)."""
 
 
 class ShardFailedError(ExecutorError):
-    """One or more shard ranges exhausted their retry budget.
+    """One or more shard ranges produced no result.
 
-    Raised after the scheduler has drained every other range, so
-    ``shard_keys`` lists *all* ranges that died — not just the first —
-    and the attached :class:`~repro.parallel.scheduler.ExecutorReport`
-    carries the full attempt/retry accounting of the run.
+    Either a range raised — the worker's exception is ``__cause__`` and
+    its type and text end the message — or worker processes kept dying
+    until the pool budget ran out, and ``shard_keys`` lists every range
+    still without a result.  ``report`` is the run's
+    :class:`~repro.parallel.scheduler.ExecutorReport`.
     """
 
     def __init__(self, shard_keys, report=None) -> None:
         keys = tuple(sorted(shard_keys))
         super().__init__(
-            f"{len(keys)} shard range(s) failed after exhausting retries: "
-            f"{', '.join(keys)}"
-        )
+            f"{len(keys)} shard range(s) failed: {', '.join(keys)}")
         self.shard_keys = keys
         self.report = report
 
-
-class ShardDigestError(ExecutorError):
-    """A retried shard produced different bytes than an earlier attempt.
-
-    Per-sample keyed RNG makes every shard a pure function of
-    ``(config, range)``; two attempts disagreeing means the determinism
-    contract is broken somewhere, and merging either result would be
-    unsound.
-    """
-
-    def __init__(self, shard_key: str, expected: str, got: str) -> None:
-        super().__init__(
-            f"shard {shard_key} is not bit-reproducible across attempts: "
-            f"payload digest {got[:12]}… != checkpointed {expected[:12]}…"
-        )
-        self.shard_key = shard_key
-        self.expected = expected
-        self.got = got
+    def __str__(self) -> str:
+        # Read at display time: ``raise ... from exc`` sets the cause
+        # after __init__ has run.
+        cause = self.__cause__
+        text = super().__str__()
+        if cause is None:
+            return text
+        return f"{text}: {type(cause).__name__}: {cause}"
 
 
 # --------------------------------------------------------------------------

@@ -28,8 +28,8 @@ from repro.vt.clock import MINUTES_PER_DAY
 def hashed_fraction(seed: int, *key: object) -> float:
     """A deterministic uniform draw in ``[0, 1)`` keyed on ``(seed, key)``.
 
-    The one keyed draw of the fault layer: delivery faults, executor
-    faults and the scheduler's backoff jitter all use it.  sha256 keeps
+    The one keyed draw of the fault layer: every delivery-fault decision
+    uses it.  sha256 keeps
     the draws of related keys independent — a retry's draw
     (``attempt=1``) says nothing about the first attempt's, and two
     fault kinds on one delivery co-occur at the product of their

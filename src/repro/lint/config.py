@@ -1,8 +1,8 @@
 """Configuration for reprolint: rule selection and the path policy.
 
 The determinism contract does not bind every file equally: the injectable
-clock modules *are* the sanctioned home of wall-clock reads, the elastic
-executors *are* the sanctioned owners of worker processes, and the
+clock modules *are* the sanctioned home of wall-clock reads, the worker
+pool *is* the sanctioned owner of worker processes, and the
 metrics registry implementation necessarily passes metric names around as
 variables.  The path policy encodes those carve-outs per rule, so the
 self-check can run over all of ``src/repro`` without drowning the real
@@ -31,7 +31,7 @@ RULE_SUMMARIES: dict[str, str] = {
     "RPL004": "iteration over an unordered source without sorted()",
     "RPL005": "metric-name discipline (literal, grammar, one kind per name)",
     "RPL006": "bare or swallowed exception handler in collect/faults",
-    "RPL007": "multiprocessing pool/process built outside the executors",
+    "RPL007": "process pool or process built outside parallel/scheduler.py",
     "RPL101": "attribute write reachable from a handler thread outside the "
               "owning lock's with block",
     "RPL102": "file/socket/mmap/store acquired but not closed on all paths",
@@ -98,13 +98,11 @@ class PathPolicy:
 #: The default per-rule path policy — the sanctioned-owner carve-outs.
 DEFAULT_POLICIES: dict[str, PathPolicy] = {
     # Injectable clocks are the sanctioned home of wall-clock reads; the
-    # serving-layer rate limiter and the executor heartbeat module meter
-    # real elapsed time by definition (their default clocks are
-    # injectable and overridden in tests), so they are structural
-    # carve-outs here rather than pragmas.
+    # serving-layer rate limiter meters real elapsed time by definition
+    # (its default clock is injectable and overridden in tests), so it
+    # is a structural carve-out here rather than a pragma.
     "RPL001": PathPolicy(exclude=("repro/vt/clock.py", "repro/obs/timing.py",
-                                  "repro/serve/ratelimit.py",
-                                  "repro/parallel/heartbeat.py")),
+                                  "repro/serve/ratelimit.py")),
     "RPL002": PathPolicy(),
     "RPL003": PathPolicy(),
     "RPL004": PathPolicy(),
@@ -116,24 +114,20 @@ DEFAULT_POLICIES: dict[str, PathPolicy] = {
     # The swallow rule is scoped to the resilience layers, where a
     # swallowed exception silently breaks the convergence guarantee.
     "RPL006": PathPolicy(include=("repro/collect/", "repro/faults/")),
-    # The elastic executors are the sanctioned worker-process owners
-    # (fork/spawn pools, reaping, respawn); everything else routes
-    # fan-out through run_parallel().
-    "RPL007": PathPolicy(exclude=("repro/parallel/executors/",)),
+    # The worker pool is the sanctioned worker-process owner (start
+    # method, dead-worker resubmission); everything else routes fan-out
+    # through run_parallel().
+    "RPL007": PathPolicy(exclude=("repro/parallel/scheduler.py",)),
     # Lock discipline is asserted where the shared objects live: the
-    # serving layer (handler threads) and the executor layer (worker
-    # callbacks).  The heartbeat emitter is thread-confined by
-    # construction — one emitter per worker, never shared — so it is a
-    # structural carve-out rather than a pragma.
-    "RPL101": PathPolicy(include=("repro/serve/", "repro/parallel/"),
-                         exclude=("repro/parallel/heartbeat.py",)),
+    # serving layer (handler threads) and the parallel layer (worker
+    # bodies).
+    "RPL101": PathPolicy(include=("repro/serve/", "repro/parallel/")),
     "RPL102": PathPolicy(),
     # Digest purity stops at the sanctioned wall-clock owners (the same
     # carve-outs as RPL001): reaching one of those modules is fine, the
     # taint walk just does not descend into them.
     "RPL103": PathPolicy(exclude=("repro/vt/clock.py", "repro/obs/timing.py",
-                                  "repro/serve/ratelimit.py",
-                                  "repro/parallel/heartbeat.py")),
+                                  "repro/serve/ratelimit.py")),
     # The exception contract binds the decode/serve surfaces, where a
     # raw struct.error/IndexError crossing the module boundary is PR
     # 6/8's corruption-surface bug class.
@@ -168,8 +162,7 @@ DIGEST_ROOTS: tuple[str, ...] = (
 THREAD_ROOTS: tuple[tuple[str, str], ...] = (
     ("repro/serve/", "do_*"),
     ("repro/serve/", "handle_request"),
-    ("repro/parallel/", "execute_task"),
-    ("repro/parallel/", "_worker_main"),
+    ("repro/parallel/", "_run_shard_task"),
 )
 
 #: RPL101 thread-confined attribute carve-outs: ``self.<attr>`` writes

@@ -448,22 +448,24 @@ class SwallowRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# RPL007 — process fan-out outside the executor layer
+# RPL007 — process fan-out outside the worker pool
 # ---------------------------------------------------------------------------
 
 
 class PoolRule(Rule):
-    """``repro.parallel.executors`` is the single owner of process
-    fan-out: it pins the start method, detects and replaces dead
-    workers, and hands results to the scheduler that merges them
-    deterministically.  A pool or worker process constructed anywhere
-    else bypasses all three guarantees.
+    """``repro.parallel.scheduler`` is the single owner of process
+    fan-out: it picks the start method, resubmits a dead worker's
+    unfinished ranges, and hands results to the merge that reassembles
+    them deterministically.  A pool or worker process constructed
+    anywhere else bypasses all three guarantees.
     """
 
     code = "RPL007"
     name = "rogue-pool"
 
-    _TARGETS = ("Pool", "Process")
+    #: Constructor name -> the package it must come from.
+    _TARGETS = {"Pool": "multiprocessing", "Process": "multiprocessing",
+                "ProcessPoolExecutor": "concurrent.futures"}
 
     def check(self, module) -> Iterator[RawFinding]:
         for node in ast.walk(module.tree):
@@ -473,20 +475,19 @@ class PoolRule(Rule):
             if offender is not None:
                 yield (node.lineno, node.col_offset,
                        f"{offender} constructed outside "
-                       f"repro.parallel.executors — route fan-out through "
+                       f"repro.parallel.scheduler — route fan-out through "
                        f"run_parallel()")
 
     def _offender(self, func: ast.expr, imports) -> str | None:
         qual = imports.qualname(func)
         if qual is not None:
-            tail = qual.rsplit(".", 1)[-1]
-            if tail in self._TARGETS and (
-                    qual.startswith("multiprocessing")
-                    or ".multiprocessing." in qual):
+            package = self._TARGETS.get(qual.rsplit(".", 1)[-1])
+            if package is not None and (qual.startswith(package)
+                                        or f".{package}." in qual):
                 return qual
-            if qual.startswith("multiprocessing"):
-                return None  # other multiprocessing attrs are fine
-        # ctx.Pool(...) — any attribute named Pool/Process is treated as
+            if qual.startswith(("multiprocessing", "concurrent.futures")):
+                return None  # other attrs of those packages are fine
+        # ctx.Pool(...) — any attribute named like a target is treated as
         # a pool construction; contexts are the common carrier and no
         # other object in this codebase exposes those names.
         if isinstance(func, ast.Attribute) and func.attr in self._TARGETS \

@@ -35,10 +35,9 @@ from repro.vt.engines import EngineFleet, default_fleet
 from repro.vt.samples import Sample
 from repro.vt.service import ScanBatch, VirusTotalService
 
-#: Scans per kernel pass (and per progress callback).  Large enough to
-#: amortise the per-pass numpy overhead over the paper's 1.5 scans per
-#: sample; small enough that a pass's float64 draws stay near a megabyte
-#: and a worker beats well inside the 30 s heartbeat deadline.
+#: Scans per kernel pass.  Large enough to amortise the per-pass numpy
+#: overhead over the paper's 1.5 scans per sample; small enough that a
+#: pass's float64 draws stay near a megabyte.
 SCAN_CHUNK_REPORTS = 2_000
 
 @dataclass
@@ -75,7 +74,6 @@ def execute_range(
     fleet: EngineFleet | None = None,
     collect_keys: bool = False,
     metrics=None,
-    progress=None,
 ) -> RangeRun:
     """Generate, scan and store samples ``[start, stop)`` of the scenario.
 
@@ -93,10 +91,6 @@ def execute_range(
     ``metrics`` is handed to the service and the store.  Everything this
     loop records is per-sample work (partition-invariant), so the merged
     registries of a sharded run reproduce the serial registry exactly.
-
-    ``progress`` (optional zero-arg callable) is invoked after every
-    chunk.  It must not affect simulation state: the executor layer
-    hangs throttled heartbeat emission off it.
     """
     if metrics is None:
         metrics = NULL_REGISTRY
@@ -117,8 +111,6 @@ def execute_range(
         parts.append(service.scan_batch(group, group_counts, times,
                                         [sample.fresh for sample in group]))
         times.clear()
-        if progress is not None:
-            progress()
 
     for index, spec in PopulationGenerator(config).iter_range(start, stop):
         sample = spec.sample.clone()
@@ -209,7 +201,6 @@ def run_shard(
     shard: ShardSpec,
     fleet: EngineFleet | None = None,
     with_metrics: bool = False,
-    progress=None,
 ) -> ShardRun:
     """Execute one shard and package the frozen store for the driver.
 
@@ -218,8 +209,7 @@ def run_shard(
     """
     registry = MetricsRegistry() if with_metrics else None
     run = execute_range(config, shard.start, shard.stop, fleet=fleet,
-                        collect_keys=True, metrics=registry,
-                        progress=progress)
+                        collect_keys=True, metrics=registry)
     store = run.store
     months = {
         month: FrozenMonth(blocks=list(mshard.blocks),
@@ -238,6 +228,8 @@ def run_shard(
 
 def _run_shard_task(args: tuple[ScenarioConfig, ShardSpec,
                                 EngineFleet | None, bool]) -> ShardRun:
-    """Module-level pool target (must be importable by worker processes)."""
+    """The pool's submitted function: one argument tuple in, one
+    :class:`ShardRun` out (module-level, so spawned workers can import
+    it)."""
     config, shard, fleet, with_metrics = args
     return run_shard(config, shard, fleet=fleet, with_metrics=with_metrics)

@@ -1,173 +1,50 @@
-"""Chaos acceptance for the elastic executor.
+"""Chaos acceptance for the worker pool's metrics.
 
-The gate mirrors the collection pipeline's: a parallel run battered by
-injected worker crashes, hangs and corrupted payloads must converge to
-**exactly** the fault-free serial store — same digest, byte-identical
-injected-registry metric export — because shard bytes are a pure
-function of ``(config, range)`` and the scheduler never merges a payload
-that fails its digest check.
+A parallel run that loses a worker reruns the ranges that have no
+result yet.  The rerun must not perturb the experiment's injected-registry
+metric export by a single byte, and the pool's own scheduling telemetry
+(ranges retried, workers lost) must land in the process-wide registry.
 
-Fault decisions are pure functions of ``(seed, shard key, attempt)``
-(:class:`repro.faults.ExecutorFaultPlan`), so each test dials in exactly
-the failure mode it wants and the run replays identically.
+The worker death is real: the worker that first takes range shard-005
+calls ``os._exit`` after computing it (see
+:func:`test_parallel.exit_once`).  Only forked workers inherit that
+patch, so these tests need fork.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis.experiment import run_experiment
-from repro.errors import ShardFailedError
-from repro.faults import ExecutorFaultPlan, standard_executor_chaos_plan
-from repro.obs import MetricsRegistry, jsonl_lines
-from repro.parallel import ExecutorPolicy
-from repro.parallel.executors import fork_available
-from repro.synth.scenario import tiny_scenario
+from repro.obs import MetricsRegistry, jsonl_lines, set_registry
 
-#: One scenario shared by every test: small enough for process pools,
-#: large enough that the standard chaos mix injects every fault kind.
-CONFIG = tiny_scenario(n_samples=150, seed=13)
-
-needs_fork = pytest.mark.skipif(not fork_available(),
-                                reason="platform has no fork")
+from test_parallel import POOL_CONFIG, exit_once, needs_fork
 
 
-@pytest.fixture(scope="module")
-def serial_digest() -> str:
-    return run_experiment(CONFIG).store.digest()
-
-
-def chaos_policy(kind: str, *, deadline: float = 1.5,
-                 hang_seconds: float = 2.5, seed: int = 0,
-                 **plan_kwargs) -> ExecutorPolicy:
-    if plan_kwargs:
-        plan = ExecutorFaultPlan(seed=seed, hang_seconds=hang_seconds,
-                                 **plan_kwargs)
-    else:
-        plan = standard_executor_chaos_plan(seed=seed,
-                                            hang_seconds=hang_seconds)
-    return ExecutorPolicy(kind=kind, heartbeat_deadline=deadline,
-                          fault_plan=plan)
-
-
-class TestChaosConvergence:
-    """The acceptance gate: chaos digest == fault-free serial digest."""
-
-    @needs_fork
-    def test_fork_standard_chaos_converges(self, serial_digest):
-        data = run_experiment(CONFIG, workers=3,
-                              executor=chaos_policy("fork"))
-        assert data.store.digest() == serial_digest
-        report = data.executor_report
-        assert report is not None and not report.clean
-        # The standard mix at these rates must actually exercise the
-        # failure paths, or this gate tests nothing.
-        assert report.retried > 0
-        assert report.workers_lost > 0
-        assert report.completed == report.tasks
-        assert not report.dead_shards
-
-    def test_in_process_standard_chaos_converges(self, serial_digest):
-        data = run_experiment(CONFIG, workers=3,
-                              executor=chaos_policy("in-process"))
-        assert data.store.digest() == serial_digest
-        assert not data.executor_report.clean
-        assert data.executor_report.executor == "in-process"
-
-    def test_spawn_standard_chaos_converges(self, serial_digest):
-        data = run_experiment(CONFIG, workers=2,
-                              executor=chaos_policy("spawn"))
-        assert data.store.digest() == serial_digest
-        assert data.executor_report.executor == "spawn"
-        assert data.executor_report.completed == data.executor_report.tasks
-
-
-class TestFaultKinds:
-    """Each injected failure mode, isolated."""
-
-    @needs_fork
-    def test_crash_before_result_retries_and_converges(self, serial_digest):
-        policy = chaos_policy("fork", crash_before_result_rate=0.4)
-        data = run_experiment(CONFIG, workers=3, executor=policy)
-        assert data.store.digest() == serial_digest
-        report = data.executor_report
-        assert report.workers_lost > 0
-        assert report.workers_respawned > 0
-        assert report.retried >= report.workers_lost
-
-    @needs_fork
-    def test_crash_mid_shard_resumes_to_same_digest(self, serial_digest):
-        """Work lost mid-flight (computed but never shipped) is redone
-        from the range's start and merges identically."""
-        policy = chaos_policy("fork", crash_mid_shard_rate=0.5)
-        data = run_experiment(CONFIG, workers=3, executor=policy)
-        assert data.store.digest() == serial_digest
-        assert data.executor_report.workers_lost > 0
-
-    @needs_fork
-    def test_hang_past_deadline_is_stolen(self, serial_digest):
-        """A silent worker trips the heartbeat deadline; its range is
-        reassigned and the late duplicate is discarded by digest."""
-        policy = chaos_policy("fork", deadline=0.3, hang_seconds=1.2,
-                              hang_rate=0.5)
-        data = run_experiment(CONFIG, workers=2, executor=policy)
-        assert data.store.digest() == serial_digest
-        report = data.executor_report
-        assert report.ranges_stolen > 0
-        assert report.completed == report.tasks
-
-    def test_corrupt_payload_never_merged(self, serial_digest):
-        """A payload that fails its integrity check is retried — the
-        poisoned bytes never reach the merge, so the digest still
-        matches even at a 60% corruption rate."""
-        policy = chaos_policy("in-process", corrupt_payload_rate=0.6)
-        data = run_experiment(CONFIG, workers=3, executor=policy)
-        assert data.store.digest() == serial_digest
-        report = data.executor_report
-        assert report.corrupt_payloads > 0
-        assert report.retried >= report.corrupt_payloads
-
-    def test_exhausted_retries_raise_structured_error(self):
-        """Every attempt of every shard crashes → after the bounded
-        retry budget the run fails loudly, naming every dead range."""
-        plan = ExecutorFaultPlan(seed=0, crash_before_result_rate=1.0,
-                                 max_faulty_attempts=99)
-        policy = ExecutorPolicy(kind="in-process", max_attempts=2,
-                                retry_backoff=0.0, fault_plan=plan)
-        with pytest.raises(ShardFailedError) as excinfo:
-            run_experiment(CONFIG, workers=2, executor=policy)
-        err = excinfo.value
-        assert len(err.shard_keys) == 8  # 2 workers × fanout 4
-        assert list(err.shard_keys) == sorted(err.shard_keys)
-        assert all(key.startswith("shard-") for key in err.shard_keys)
-        assert err.report is not None
-        assert err.report.completed == 0
-        assert "shard-000" in str(err)
-
-
+@needs_fork
 class TestMetricEquivalence:
-    """The metric side of the gate: chaos must not perturb the
+    """The metric side of the gate: a dead worker must not perturb the
     experiment's injected-registry export by a single byte."""
 
-    def test_chaos_export_byte_identical_to_serial(self):
+    def test_chaos_export_byte_identical_to_serial(self, monkeypatch,
+                                                   tmp_path):
         serial = MetricsRegistry()
-        run_experiment(CONFIG, metrics=serial)
+        run_experiment(POOL_CONFIG, metrics=serial)
+        exit_once(monkeypatch, tmp_path, after=True)
         chaos = MetricsRegistry()
-        data = run_experiment(CONFIG, workers=3, metrics=chaos,
-                              executor=chaos_policy("in-process"))
-        assert not data.executor_report.clean
+        data = run_experiment(POOL_CONFIG, workers=2, metrics=chaos)
+        assert data.executor_report.workers_lost == 1
         assert jsonl_lines(chaos) == jsonl_lines(serial)
 
-    def test_scheduling_telemetry_lands_process_wide(self):
-        from repro.obs import set_registry
-
+    def test_scheduling_telemetry_lands_process_wide(self, monkeypatch,
+                                                     tmp_path):
+        exit_once(monkeypatch, tmp_path, after=True)
         registry = MetricsRegistry()
         previous = set_registry(registry)
         try:
-            data = run_experiment(CONFIG, workers=3,
-                                  executor=chaos_policy("in-process"))
+            data = run_experiment(POOL_CONFIG, workers=2)
         finally:
             set_registry(previous)
-        retried = registry.counter("parallel.shards.retried",
-                                   executor="in-process").value
-        assert retried == data.executor_report.retried > 0
+        report = data.executor_report
+        assert registry.counter("parallel.shards.retried",
+                                executor="fork").value == report.retried >= 1
+        assert registry.counter("parallel.workers.lost",
+                                executor="fork").value == 1

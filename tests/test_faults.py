@@ -17,6 +17,7 @@ from repro.faults import (
     chaos_wrap,
     corrupt_payload,
     corrupt_report,
+    hashed_fraction,
     standard_chaos_plan,
 )
 from repro.store import codec
@@ -120,6 +121,15 @@ def _binomial_ok(hits: int, trials: int, rate: float,
 class TestRealisedRates:
     """The configured rate is the rate that occurs: per decision, for a
     retry after a failure, and for two fault kinds on one delivery."""
+
+    def test_hashed_fraction_is_roughly_uniform(self):
+        # Structured shard keys must still draw uniformly, or configured
+        # rates are fiction.
+        draws = [hashed_fraction(0, "exec", "crash_before",
+                                 f"shard-{i:03d}", 0) for i in range(400)]
+        hits = sum(1 for d in draws if d < 0.15)
+        assert 30 <= hits <= 90  # 400 × 0.15 = 60 expected
+        assert 0.40 <= sum(draws) / len(draws) <= 0.60
 
     @pytest.mark.parametrize("seed", [0, 3])
     @pytest.mark.parametrize("rate", [0.01, 0.05, 0.2])

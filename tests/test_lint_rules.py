@@ -347,14 +347,40 @@ class TestRoguePool:
                 return Process(target=fn)
         """) == ["RPL007"]
 
-    def test_executors_package_exempt(self):
+    @pytest.mark.parametrize("source", [
+        """
+            from concurrent.futures import ProcessPoolExecutor
+            def fan_out(tasks):
+                with ProcessPoolExecutor(4) as pool:
+                    return list(pool.map(str, tasks))
+        """,
+        """
+            import concurrent.futures
+            def fan_out(tasks):
+                pool = concurrent.futures.ProcessPoolExecutor(4)
+                return list(pool.map(str, tasks))
+        """,
+    ], ids=["from-import", "module-attribute"])
+    def test_process_pool_executor_hit(self, source):
+        assert codes(source) == ["RPL007"]
+
+    def test_thread_pool_executor_clean(self):
+        assert codes("""
+            from concurrent.futures import ThreadPoolExecutor
+            def fan_out(tasks):
+                with ThreadPoolExecutor(4) as pool:
+                    return list(pool.map(str, tasks))
+        """) == []
+
+    def test_scheduler_module_exempt(self):
         assert codes("""
             import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
             def fan_out(tasks):
                 ctx = multiprocessing.get_context("fork")
-                with ctx.Pool(4) as pool:
-                    return pool.map(str, tasks)
-        """, path="repro/parallel/executors/pool.py") == []
+                with ProcessPoolExecutor(4, mp_context=ctx) as pool:
+                    return list(pool.map(str, tasks))
+        """, path="repro/parallel/scheduler.py") == []
 
     def test_runner_module_no_longer_exempt(self):
         assert codes("""

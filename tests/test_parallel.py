@@ -1,24 +1,38 @@
-"""Parallel scenario engine: sharding, equivalence, fallbacks.
+"""Parallel scenario engine: sharding, equivalence, the worker pool.
 
 The central contract under test is the serial/parallel equivalence gate:
 ``run_experiment(config, workers=K)`` must produce a store whose
 canonical digest is byte-identical to the serial run's for every K.
 Everything else here — partition properties, worker resolution, the
-in-process fast path — supports that contract.
+in-process fast path, streaming merge order, and the pool's behaviour
+when a worker dies or a range raises — supports that contract.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.parallel.worker as worker
 from repro.analysis.experiment import run_experiment
-from repro.errors import ConfigError
-from repro.parallel.sharding import ShardSpec, partition_samples, resolve_workers
+from repro.cli import main
+from repro.errors import ConfigError, ShardFailedError
+from repro.obs import MetricsRegistry
+from repro.parallel.runner import fork_available, frozen_shard_of
+from repro.parallel.scheduler import MAX_POOLS, ExecutorReport
+from repro.parallel.sharding import (
+    MAX_WORKERS_ENV,
+    ShardSpec,
+    partition_samples,
+    resolve_workers,
+)
 from repro.parallel.worker import execute_range, run_shard
+from repro.store.merge import StreamingMerge
 from repro.synth.population import PopulationGenerator
 from repro.synth.scenario import ScenarioConfig, tiny_scenario
 from repro.vt.samples import Sample
@@ -77,6 +91,37 @@ def test_shard_spec_indices():
     shard = ShardSpec(shard_index=1, n_shards=3, start=4, stop=9)
     assert shard.size == 5
     assert list(shard.indices()) == [4, 5, 6, 7, 8]
+
+
+class TestResolveWorkersAuto:
+    def test_auto_with_no_cpu_count_clamps_to_one(self, monkeypatch):
+        monkeypatch.delenv(MAX_WORKERS_ENV, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert resolve_workers("auto") == 1
+
+    def test_env_caps_auto(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setenv(MAX_WORKERS_ENV, "3")
+        assert resolve_workers("auto") == 3
+
+    def test_env_cap_does_not_raise_auto_above_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv(MAX_WORKERS_ENV, "16")
+        assert resolve_workers("auto") == 2
+
+    def test_explicit_workers_never_capped(self, monkeypatch):
+        monkeypatch.setenv(MAX_WORKERS_ENV, "1")
+        assert resolve_workers(8) == 8
+
+    @pytest.mark.parametrize("raw", ["zero", "0", "-2", "2.5"])
+    def test_bad_env_value_raises(self, monkeypatch, raw):
+        monkeypatch.setenv(MAX_WORKERS_ENV, raw)
+        with pytest.raises(ConfigError):
+            resolve_workers("auto")
+
+    def test_blank_env_value_ignored(self, monkeypatch):
+        monkeypatch.setenv(MAX_WORKERS_ENV, "  ")
+        assert resolve_workers("auto") >= 1
 
 
 # ----------------------------------------------------------------------
@@ -151,6 +196,13 @@ def test_no_fork_falls_back_to_spawn(monkeypatch):
     assert data.store.digest() == run_experiment(config).store.digest()
 
 
+def test_parallel_run_builds_no_fleet_in_the_parent():
+    config = tiny_scenario(n_samples=40, seed=1)
+    parallel = run_experiment(config, workers=2)
+    assert parallel.fleet is None
+    assert parallel.engine_names == run_experiment(config).engine_names
+
+
 def test_run_experiment_rejects_bad_workers():
     config = tiny_scenario(n_samples=10, seed=0)
     with pytest.raises(ConfigError):
@@ -173,6 +225,155 @@ def test_digest_equivalence_property(n_samples, seed):
         assert data.store.digest() == reference, (
             f"digest diverged at workers={workers} "
             f"(n={n_samples}, seed={seed})")
+
+
+# ----------------------------------------------------------------------
+# Streaming merge: completion order must not matter
+# ----------------------------------------------------------------------
+
+
+class TestStreamingMerge:
+    @pytest.fixture(scope="class")
+    def shard_runs(self):
+        config = tiny_scenario(n_samples=90, seed=21)
+        shards = [s for s in partition_samples(config.n_samples, 6)
+                  if s.size]
+        runs = [run_shard(config, shard) for shard in shards]
+        return config, runs
+
+    @staticmethod
+    def _merged(shard_runs, order, tmp_path):
+        config, runs = shard_runs
+        streaming = StreamingMerge(block_records=config.block_records)
+        for i in order:
+            streaming.add(frozen_shard_of(runs[i]))
+        store = streaming.finish()
+        path = tmp_path / f"{'-'.join(map(str, order))}.store"
+        store.save(path)
+        return store, path.read_bytes()
+
+    def test_any_completion_order_matches_one_shot_concat(self, shard_runs,
+                                                          tmp_path):
+        config, runs = shard_runs
+        reference, reference_bytes = self._merged(
+            shard_runs, list(range(len(runs))), tmp_path)
+        serial = run_experiment(config).store
+        assert reference.digest() == serial.digest()
+        assert reference.report_count == sum(run.report_count
+                                             for run in runs)
+        rng = random.Random(5)
+        for _ in range(3):
+            order = list(range(len(runs)))
+            rng.shuffle(order)
+            store, saved = self._merged(shard_runs, order, tmp_path)
+            assert store.digest() == reference.digest()
+            assert saved == reference_bytes
+
+
+# ----------------------------------------------------------------------
+# The worker pool: dead workers, raising ranges, accounting
+# ----------------------------------------------------------------------
+
+#: 2 workers x 4 ranges per worker = 8 ranges, shard-000 .. shard-007.
+POOL_CONFIG = tiny_scenario(n_samples=150, seed=13)
+POOL_KEYS = tuple(f"shard-{i:03d}" for i in range(8))
+
+#: The failure tests patch ``worker.run_shard`` in this process; only
+#: forked workers inherit the patch.
+needs_fork = pytest.mark.skipif(not fork_available(),
+                                reason="platform has no fork")
+
+
+@pytest.fixture(scope="module")
+def pool_serial_digest() -> str:
+    return run_experiment(POOL_CONFIG).store.digest()
+
+
+def exit_once(monkeypatch, tmp_path, after: bool) -> None:
+    """The worker that first takes range shard-005 dies, before or after
+    computing it; every later attempt runs normally.  Ranges are taken
+    in key order, so earlier ranges already have results by then."""
+    real_run_shard = worker.run_shard
+    marker = tmp_path / "exited"
+
+    def run_shard_or_exit(config, shard, **kwargs):
+        run = real_run_shard(config, shard, **kwargs) if after else None
+        if shard.shard_index == 5 and not marker.exists():
+            marker.touch()
+            os._exit(1)
+        return run if after else real_run_shard(config, shard, **kwargs)
+
+    monkeypatch.setattr(worker, "run_shard", run_shard_or_exit)
+
+
+@needs_fork
+@pytest.mark.parametrize("after", [False, True], ids=["before", "after"])
+def test_dead_worker_ranges_rerun_to_serial_digest(
+        monkeypatch, tmp_path, pool_serial_digest, after):
+    exit_once(monkeypatch, tmp_path, after)
+    data = run_experiment(POOL_CONFIG, workers=2)
+    assert data.store.digest() == pool_serial_digest
+    report = data.executor_report
+    assert report.workers_lost == 1
+    # Only the ranges without a result are rerun.
+    assert 1 <= report.retried < len(POOL_KEYS)
+
+
+@needs_fork
+def test_workers_that_always_exit_name_every_unfinished_range(monkeypatch):
+    monkeypatch.setattr(worker, "run_shard",
+                        lambda *args, **kwargs: os._exit(1))
+    with pytest.raises(ShardFailedError) as excinfo:
+        run_experiment(POOL_CONFIG, workers=2)
+    err = excinfo.value
+    assert err.shard_keys == POOL_KEYS
+    assert err.report.workers_lost == MAX_POOLS
+    assert err.__cause__ is None
+
+
+def boom(config, shard, **kwargs):
+    raise ValueError("boom")
+
+
+@needs_fork
+def test_raising_range_fails_at_once_with_its_cause(monkeypatch):
+    monkeypatch.setattr(worker, "run_shard", boom)
+    with pytest.raises(ShardFailedError) as excinfo:
+        run_experiment(POOL_CONFIG, workers=2)
+    err = excinfo.value
+    assert isinstance(err.__cause__, ValueError)
+    assert str(err.__cause__) == "boom"
+    assert len(err.shard_keys) == 1 and err.shard_keys[0] in POOL_KEYS
+    assert "ValueError: boom" in str(err)
+    assert err.report.retried == 0
+
+
+@needs_fork
+def test_cli_prints_a_raising_range_and_exits_2(monkeypatch, tmp_path,
+                                               capsys):
+    monkeypatch.setattr(worker, "run_shard", boom)
+    status = main(["--samples", "150", "--workers", "2", "generate",
+                   str(tmp_path / "out.store")])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro-vt: error: 1 shard range(s) failed: shard-")
+    assert err.rstrip().endswith("ValueError: boom")
+    assert not (tmp_path / "out.store").exists()
+
+
+class TestExecutorReport:
+    def test_publish_records_into_given_registry(self):
+        registry = MetricsRegistry()
+        report = ExecutorReport(executor="fork", tasks=12, retried=3,
+                                workers_lost=2)
+        report.publish(registry)
+        labels = {"executor": "fork"}
+        assert registry.counter("parallel.tasks.total",
+                                **labels).value == 12
+        assert registry.counter("parallel.shards.retried",
+                                **labels).value == 3
+        assert registry.counter("parallel.workers.lost",
+                                **labels).value == 2
 
 
 # ----------------------------------------------------------------------
