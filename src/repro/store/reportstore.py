@@ -53,9 +53,10 @@ from repro.store.cache import DEFAULT_CACHE_BYTES, BlockCache, CacheStats
 from repro.store.columnar import ColumnarBatch, SeriesFrame
 from repro.store.index import (
     INDEX_FORMAT,
+    IndexArrays,
     IndexEntry,
     decode_index,
-    encode_index,
+    encode_index_arrays,
     latest_entry,
     sample_ranks,
 )
@@ -89,9 +90,8 @@ class _MappedReader:
 
     ``read`` returns :class:`memoryview` slices into the mapping, so
     block payloads loaded through it occupy no private memory — the page
-    cache backs them, and forked workers share the pages.  Callers that
-    need real bytes (struct/JSON decoding of the small header fields)
-    wrap the view in ``bytes(...)``.
+    cache backs them.  Callers that need real bytes (struct/JSON
+    decoding of the small header fields) wrap the view in ``bytes(...)``.
     """
 
     def __init__(self, mapping: "_mmap.mmap") -> None:
@@ -125,7 +125,7 @@ class ReportStore:
         self._sample_meta: dict[str, tuple[str, bool]] = {}
         self._scan_index: dict[str, set[int]] = {}
         #: False after a bulk :meth:`ingest_arrays` or a merge, until the
-        #: first per-sample access (or a save) triggers the rebuild.
+        #: first per-sample access triggers the rebuild (a save does not).
         self._index_ready = True
         self._cache = BlockCache(max_bytes=cache_bytes)
         self._blocks_decoded = 0
@@ -619,6 +619,12 @@ class ReportStore:
         afterwards.  (An earlier revision flushed each shard mid-save,
         silently changing the block layout of a live store.)
 
+        The index section is written from arrays.  A ready index (per-
+        report ingest, or a loaded store) is flattened into them; a
+        deferred one (after :meth:`ingest_arrays` or a merge) comes from
+        the same array pass that rebuilds it, without building the
+        per-sample dicts, and stays deferred.
+
         The write is atomic and durable: the bytes go to a temporary
         file beside ``path``, are flushed to disk, and then replace
         ``path`` in one rename, which is flushed too
@@ -627,16 +633,17 @@ class ReportStore:
         memory-mapped from (``load(..., use_mmap=True)``) is safe — the
         live mapping keeps the old file.
         """
-        self._ensure_index()
         path = Path(path)
-        index_payload = encode_index(self._index, self._sample_meta)
+        arrays = (IndexArrays.from_index(self._index, self._sample_meta)
+                  if self._index_ready else self._index_arrays())
+        index_payload = encode_index_arrays(arrays)
         header = {
             "version": _FILE_VERSION,
             "block_records": self.block_records,
             "months": sorted(self.shards),
             "index": {
                 "format": INDEX_FORMAT,
-                "samples": len(self._index),
+                "samples": len(arrays.shas),
                 "bytes": len(index_payload),
             },
         }
@@ -693,10 +700,11 @@ class ReportStore:
 
         With ``use_mmap=True`` the file is memory-mapped and every block
         payload is a zero-copy view into the mapping: nothing but the
-        header and index is read eagerly, the page cache backs all block
-        bytes, and — the point — fork-based executor workers *share*
-        those pages instead of each re-reading (or worse, copying) the
-        file.  The mapping lives as long as the store does.
+        header and index is read eagerly, and the page cache backs all
+        block bytes, so a block costs no private memory until a lookup
+        decodes it.  The one caller is ``repro-vt serve --mmap``: serve
+        processes on one file share its pages instead of each reading a
+        copy.  The mapping lives as long as the store does.
 
         By default the loaded store is sealed (analysis use).  With
         ``reopen=True`` the shards stay writable so ingest can continue —
@@ -789,20 +797,16 @@ class ReportStore:
         if not self._index_ready:
             self._rebuild_index()
 
-    def _rebuild_index(self) -> None:
-        """Rebuild the per-sample index from the records themselves.
+    def _index_arrays(self) -> IndexArrays:
+        """The per-sample index, computed from the records themselves.
 
         One vectorised pass over metadata-only batches (covering open
         buffers too — the bulk :meth:`ingest_arrays` path and the merge
         defer indexing): all addresses, scan times and first-occurrence
-        metadata come out of numpy gathers, and only the per-sample
-        python dict entries are built in a loop.  Entry order, dict
-        insertion order and metadata choice are identical to what
-        per-report :meth:`ingest` of the same record stream builds.
+        metadata come out of numpy gathers.  Sample order, entry order
+        and metadata choice are identical to what per-report
+        :meth:`ingest` of the same record stream builds.
         """
-        self._index.clear()
-        self._sample_meta.clear()
-        self._scan_index.clear()
         parts: list[tuple[int, int, "ColumnarBatch"]] = []
         names: dict[str, int] = {}
         ftype_parts: list[np.ndarray] = []
@@ -818,16 +822,14 @@ class ReportStore:
                     local[i] = names.setdefault(name, len(names))
                 ftype_parts.append(local[batch.ftype_codes.astype(np.int64)])
         if not parts:
-            self._index_ready = True
-            return
-        months = np.concatenate(
-            [np.full(len(b), m, np.int64) for m, _, b in parts])
-        blocks = np.concatenate(
-            [np.full(len(b), i, np.int64) for _, i, b in parts])
-        slots = np.concatenate(
-            [np.arange(len(b), dtype=np.int64) for _, _, b in parts])
-        times = np.concatenate(
-            [b.scan_time.astype(np.int64) for _, _, b in parts])
+            return IndexArrays.from_index({}, {})
+        entries = np.stack([
+            np.concatenate([np.full(len(b), m, np.int64) for m, _, b in parts]),
+            np.concatenate([np.full(len(b), i, np.int64) for _, i, b in parts]),
+            np.concatenate([np.arange(len(b), dtype=np.int64)
+                            for _, _, b in parts]),
+            np.concatenate([b.scan_time.astype(np.int64) for _, _, b in parts]),
+        ], axis=1)
         fresh = np.concatenate(
             [b.first_submission.astype(np.int64) >= 0 for _, _, b in parts])
         shas = np.concatenate([b.shas for _, _, b in parts])
@@ -838,28 +840,44 @@ class ReportStore:
         n_uniq = len(uniq)
         first_pos = np.full(n_uniq, n_total, np.int64)
         np.minimum.at(first_pos, inv, np.arange(n_total, dtype=np.int64))
-        order = np.argsort(inv, kind="stable")   # group rows, stream order
+        # Number samples by first occurrence, then group rows by sample
+        # (stream order within each group).
+        by_first = np.argsort(first_pos, kind="stable")
+        rank = np.empty(n_uniq, np.int64)
+        rank[by_first] = np.arange(n_uniq)
+        sample_of = rank[inv]
         bounds = np.zeros(n_uniq + 1, np.int64)
-        np.cumsum(np.bincount(inv, minlength=n_uniq), out=bounds[1:])
+        np.cumsum(np.bincount(sample_of, minlength=n_uniq), out=bounds[1:])
+        first = first_pos[by_first]
+        return IndexArrays(
+            shas=uniq[by_first],
+            ftype_names=list(names),
+            ftype_codes=ftypes[first],
+            fresh=fresh[first],
+            bounds=bounds,
+            entries=entries[np.argsort(sample_of, kind="stable")],
+        )
 
-        # Hexadecimal digests only once per *unique* sha; tobytes() pads
-        # S32 elements back to their full width (indexing strips NULs).
-        blob = uniq.tobytes()
-        hexes = [blob[32 * i:32 * i + 32].hex() for i in range(n_uniq)]
-        m_l = months[order].tolist()
-        b_l = blocks[order].tolist()
-        s_l = slots[order].tolist()
-        t_l = times[order].tolist()
-        bounds_l = bounds.tolist()
-        fresh_first = fresh[first_pos].tolist()
-        names_list = list(names)
-        ftype_first = ftypes[first_pos].tolist()
-        for u in np.argsort(first_pos, kind="stable").tolist():
-            lo, hi = bounds_l[u], bounds_l[u + 1]
-            sha = hexes[u]
+    def _rebuild_index(self) -> None:
+        """Rebuild the per-sample index dicts from :meth:`_index_arrays`;
+        only the per-sample python entries are built in a loop."""
+        arrays = self._index_arrays()
+        self._index.clear()
+        self._sample_meta.clear()
+        self._scan_index.clear()
+        # Hexadecimal digests once per sample; tobytes() pads S32
+        # elements back to their full width (indexing strips NULs).
+        blob = arrays.shas.tobytes()
+        m_l, b_l, s_l, t_l = (column.tolist() for column in arrays.entries.T)
+        bounds = arrays.bounds.tolist()
+        ftype_codes = arrays.ftype_codes.tolist()
+        fresh = arrays.fresh.tolist()
+        for u in range(len(arrays.shas)):
+            lo, hi = bounds[u], bounds[u + 1]
+            sha = blob[32 * u:32 * u + 32].hex()
             self._index[sha] = list(
                 zip(m_l[lo:hi], b_l[lo:hi], s_l[lo:hi], t_l[lo:hi]))
             self._scan_index[sha] = set(t_l[lo:hi])
-            self._sample_meta[sha] = (
-                names_list[ftype_first[u]], fresh_first[u])
+            self._sample_meta[sha] = (arrays.ftype_names[ftype_codes[u]],
+                                      fresh[u])
         self._index_ready = True

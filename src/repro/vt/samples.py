@@ -75,8 +75,15 @@ class Sample:
     last_submission_date: int | None = None
     last_analysis_date: int | None = None
 
-    # Lazily built per-engine behaviour (repro.vt.behavior).
+    # Per-engine behaviour (repro.vt.behavior).  The service attaches the
+    # plan it builds only on the one-scan path (upload/rescan), which comes
+    # back scan by scan; a whole-schedule batch builds it, draws from it
+    # and lets it go.  A caller may attach a plan itself; it stays.
     plan: "DetectionPlan | None" = field(default=None, repr=False, compare=False)
+    #: ``random()`` doubles this sample's scans have drawn from its
+    #: ``scan_rng``: a plan rebuilt after being let go skips that many to
+    #: resume the stream where the last scan left it.
+    scan_draws: int = field(default=0, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.sha256 = validate_sha256(self.sha256)
@@ -92,10 +99,11 @@ class Sample:
         """A pristine copy with the service-side state reset.
 
         Identity and latent ground truth (hash, type, truth, timestamps,
-        size, family) carry over; the Table 1 mutable fields and the
-        lazily built detection plan do not.  Experiment runners register
-        clones so a generator's spec objects are never mutated by a run —
-        re-running from the same specs starts from the same state.
+        size, family) carry over; the Table 1 mutable fields, the
+        detection plan and ``scan_draws`` do not.  Experiment runners
+        register clones so a generator's spec objects are never mutated
+        by a run — re-running from the same specs starts from the same
+        state.
         """
         return Sample(
             sha256=self.sha256,

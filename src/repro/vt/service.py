@@ -26,9 +26,10 @@ whole scan schedules to it and returns arrays (the experiment runner's
 path); :meth:`~VirusTotalService.upload` and
 :meth:`~VirusTotalService.rescan` call it with one scan and wrap the row
 in a :class:`~repro.vt.reports.ScanReport`.  A one-scan call takes a
-plain-vector branch and keeps the plan's compiled table for the
-sample's next scan; at that size the group path's bookkeeping would
-cost more than the scan.
+plain-vector branch and keeps the plan, with its compiled table, on the
+sample for its next scan; at that size the group path's bookkeeping
+would cost more than the scan.  A batch keeps no plan: a later scan
+rebuilds it and fast-forwards its stream by ``Sample.scan_draws``.
 
 Listeners (e.g. the premium feed) receive every report that upload and
 rescan generate; the batch entry refuses to run while any is attached.
@@ -246,11 +247,15 @@ class VirusTotalService:
                 f"{sum(counts)} scans counted but {len(times)} times given")
         fleet = self.fleet
         width = len(fleet)
-        # A one-scan call (upload/rescan) keeps the compiled table on the
-        # plan: snapshot campaigns and the collector come back to a
-        # sample scan by scan, and compiling costs about a third of a
-        # scan.  A batch covers whole schedules and drops its tables,
-        # which would otherwise stay in memory for the service's life.
+        # A one-scan call (upload/rescan) attaches the plan it builds and
+        # keeps the plan's compiled table: snapshot campaigns and the
+        # collector come back to a sample scan by scan, and compiling
+        # costs about a third of a scan.  A batch covers whole schedules
+        # and keeps neither: plans, their streams and their tables would
+        # otherwise stay in memory for the service's life.  A plan built
+        # for a sample whose earlier plan was let go skips the
+        # ``scan_draws`` doubles already drawn, so the stream resumes
+        # exactly where the last scan left it.
         keep = len(times) == 1
         tables: list[PlanTable] = []
         raws: list[bytes] = []
@@ -262,12 +267,17 @@ class VirusTotalService:
         for sample, k, upload in zip(samples, counts, uploads, strict=True):
             plan = sample.plan
             if plan is None:
-                plan = sample.plan = build_plan(sample, self.ctx)
+                plan = build_plan(sample, self.ctx)
+                if sample.scan_draws:
+                    plan.scan_rng.getrandbits(64 * sample.scan_draws)
+                if keep:
+                    sample.plan = plan
             table = plan.compile(width, keep=keep)
             tables.append(table)
             draws = k * (width + len(table.followers))
             raws.append(plan.scan_rng.getrandbits(64 * draws)
                         .to_bytes(8 * draws, "little"))
+            sample.scan_draws += draws
             # Table 1: an upload can only be a sample's first scan here,
             # so the submission fields are constant across its scans.
             if upload:

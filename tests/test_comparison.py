@@ -51,6 +51,22 @@ class TestCompareProtocols:
         assert "snapshot" in text
         assert "hazards per 1000 samples" in text
 
+    def test_views_pinned(self, comparison):
+        """Both views, exactly.  The snapshot campaign rescans the
+        organic run's samples, so each rescan must continue that
+        sample's stream where the organic scans left it; a shifted
+        stream moves these counts."""
+        assert comparison.organic == ProtocolView(
+            protocol="organic", n_samples=600, n_reports=3350,
+            dynamic_fraction=289 / 600, flips_per_sample=2035 / 600,
+            hazards_per_1000_samples=0.0, hazard_share_of_flips=0.0,
+            mean_observed_delta=1692 / 600)
+        assert comparison.snapshot == ProtocolView(
+            protocol="snapshot", n_samples=26, n_reports=2366,
+            dynamic_fraction=20 / 26, flips_per_sample=82 / 26,
+            hazards_per_1000_samples=0.0, hazard_share_of_flips=0.0,
+            mean_observed_delta=124 / 26)
+
     def test_view_fields_sane(self, comparison):
         for view in (comparison.organic, comparison.snapshot):
             assert isinstance(view, ProtocolView)

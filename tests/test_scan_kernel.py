@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError, NotFoundError
 from repro.obs import MetricsRegistry
-from repro.vt.behavior import DetectionPlan
+from repro.vt.behavior import DetectionPlan, build_plan
 from repro.vt.engines import CopyRule, Engine, EngineFleet, default_fleet
 from repro.vt.samples import Sample, sha256_of
 from repro.vt.service import VirusTotalService, random_doubles
@@ -410,18 +410,63 @@ class TestEdges:
         fleet = FLEETS["small"]
         case = SampleCase({}, {}, 1, [10], True, 0, None, None)
         service, samples, registry = _service(fleet, [case, case])
-        before = [(s.plan.scan_rng.getstate(), s.times_submitted,
-                   s.last_submission_date, s.last_analysis_date)
+        before = [(s.plan.scan_rng.getstate(), s.scan_draws,
+                   s.times_submitted, s.last_submission_date,
+                   s.last_analysis_date)
                   for s in samples]
         with pytest.raises(ConfigError):
             service.scan_batch(samples, counts, times, uploads)
-        assert [(s.plan.scan_rng.getstate(), s.times_submitted,
-                 s.last_submission_date, s.last_analysis_date)
+        assert [(s.plan.scan_rng.getstate(), s.scan_draws,
+                 s.times_submitted, s.last_submission_date,
+                 s.last_analysis_date)
                 for s in samples] == before
         assert service.reports_generated == 0
         assert registry.counter("vt.report.total").value == 0
         with pytest.raises(NotFoundError):
             service.report(samples[0].sha256)
+
+
+class TestDroppedPlan:
+    """A batch builds each plan it needs, draws from it and lets it go;
+    a later scan rebuilds the plan and skips the ``scan_draws`` doubles
+    already drawn.  Every scan must equal a twin's whose plan stayed
+    attached throughout."""
+
+    def test_rebuilt_plan_resumes_the_stream(self):
+        fleet = FLEETS["default"]
+        service = VirusTotalService(fleet=fleet, seed=3)
+        twin_service = VirusTotalService(fleet=fleet, seed=3)
+        sample = Sample(sha256=sha256_of("resume:0"), file_type="Win32 EXE",
+                        malicious=True, first_seen=3_000)
+        twin = sample.clone()
+        service.register(sample)
+        twin_service.register(twin)
+        twin.plan = build_plan(twin, twin_service.ctx)
+        # Fired copy rules add draws per scan, so a count of engines
+        # alone would not resume the stream.
+        per_scan = len(fleet) + len(twin.plan.copied)
+        assert twin.plan.copied
+
+        for schedule, upload in (([3_000, 9_000, 40_000], True),
+                                 ([41_000, 70_000], False)):
+            batch = service.scan_batch([sample], [len(schedule)], schedule,
+                                       [upload])
+            expected = twin_service.scan_batch([twin], [len(schedule)],
+                                               schedule, [upload])
+            assert sample.plan is None
+            assert np.array_equal(batch.labels, expected.labels)
+            assert np.array_equal(batch.total, expected.total)
+            assert service.report(sample.sha256) == twin_service.report(
+                twin.sha256)
+        assert sample.scan_draws == twin.scan_draws == 5 * per_scan
+
+        for when in (90_000, 91_000, 200_000):
+            assert (service.rescan(sample.sha256, when)
+                    == twin_service.rescan(twin.sha256, when))
+        # The one-scan path keeps the plan it builds for the next scan.
+        assert sample.plan is not None
+        assert sample.plan.scan_rng.getstate() == twin.plan.scan_rng.getstate()
+        assert sample.scan_draws == twin.scan_draws == 8 * per_scan
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,16 @@ for: single-hash lookups must decode only the blocks holding that
 sample's reports — never scan the store.
 """
 
+import struct
+import zlib
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import CorruptRecordError, UnknownSampleError
 from repro.store import ReportStore, decode_index, encode_index
 from repro.store.columnar import ColumnarBatch
-from repro.store.index import latest_entry, sample_ranks
+from repro.store.index import INDEX_MAGIC, latest_entry, sample_ranks
 from tests.conftest import make_report, make_sha
 
 
@@ -43,6 +47,33 @@ def _bulk_copy(store: ReportStore) -> ReportStore:
     return bulk
 
 
+def _packed_section(index, meta) -> bytes:
+    """The index section, packed sample by sample and entry by entry."""
+    parts = [INDEX_MAGIC, struct.pack("<I", len(index))]
+    for sha, entries in index.items():
+        ftype, fresh = meta[sha]
+        name = ftype.encode("utf-8")
+        parts.append(struct.pack("<32sHBI", bytes.fromhex(sha), len(name),
+                                 1 if fresh else 0, len(entries)))
+        parts.append(name)
+        for entry in entries:
+            parts.append(struct.pack("<iIIq", *entry))
+    return b"".join(parts)
+
+
+@st.composite
+def _indexed_sample(draw):
+    # Digests ending in zero bytes (which numpy's S32 strips on access),
+    # non-ASCII file types, signed months and scan times.
+    sha = draw(st.binary(min_size=30, max_size=32)).ljust(32, b"\0").hex()
+    ftype = draw(st.sampled_from(["TXT", "Win32 EXE", "ELF exécutable", ""]))
+    entries = draw(st.lists(st.tuples(
+        st.integers(-2**31, 2**31 - 1), st.integers(0, 2**32 - 1),
+        st.integers(0, 2**32 - 1), st.integers(-2**63, 2**63 - 1)),
+        min_size=1, max_size=5))
+    return sha, (ftype, draw(st.booleans())), entries
+
+
 class TestCodec:
     def test_round_trip_preserves_entries_meta_and_order(self):
         index = {
@@ -58,6 +89,17 @@ class TestCodec:
         assert decoded_meta == meta
         assert list(decoded_index) == list(index)  # first-ingest order
 
+    @settings(max_examples=100, deadline=None)
+    @given(samples=st.lists(_indexed_sample(), max_size=8,
+                            unique_by=lambda sample: sample[0]))
+    def test_section_matches_per_entry_packing(self, samples):
+        """The array writer lays out exactly the bytes of packing each
+        sample header, file type and entry in turn."""
+        index = {sha: entries for sha, _, entries in samples}
+        meta = {sha: sample_meta for sha, sample_meta, _ in samples}
+        assert zlib.decompress(encode_index(index, meta)) == \
+            _packed_section(index, meta)
+
     def test_empty_index_round_trips(self):
         assert decode_index(encode_index({}, {})) == ({}, {})
 
@@ -72,14 +114,10 @@ class TestCodec:
             decode_index(b"not zlib at all")
 
     def test_bad_magic_rejected(self):
-        import zlib
-
         with pytest.raises(CorruptRecordError):
             decode_index(zlib.compress(b"WRONGMAG" + b"\x00" * 16))
 
     def test_truncation_rejected(self):
-        import zlib
-
         payload = encode_index(
             {make_sha("a"): [(0, 0, 0, 1)]}, {make_sha("a"): ("TXT", True)})
         raw = zlib.decompress(payload)
@@ -87,8 +125,6 @@ class TestCodec:
             decode_index(zlib.compress(raw[:-4]))
 
     def test_trailing_bytes_rejected(self):
-        import zlib
-
         payload = encode_index(
             {make_sha("a"): [(0, 0, 0, 1)]}, {make_sha("a"): ("TXT", True)})
         raw = zlib.decompress(payload)
@@ -216,14 +252,37 @@ class TestPersistence:
         assert (frame.labels[frame.rows] == expected.labels[expected.rows]).all()
 
     def test_deferred_index_saves_the_same_file(self, spread_store, tmp_path):
-        per_report, bulk = tmp_path / "a.store", tmp_path / "b.store"
+        per_report, bulk_path = tmp_path / "a.store", tmp_path / "b.store"
         spread_store.save(per_report)
-        _bulk_copy(spread_store).save(bulk)
-        assert bulk.read_bytes() == per_report.read_bytes()
+        bulk = _bulk_copy(spread_store)
+        bulk.save(bulk_path)
+        assert bulk_path.read_bytes() == per_report.read_bytes()
+        # The section is written from arrays: the index stays deferred.
+        assert not bulk._index_ready
+        assert bulk._index == {}
+
+    def test_live_bulk_store_saves_like_its_per_report_twin(
+            self, store_block_format, tmp_path):
+        """Neither store is closed: 13 samples' reports leave records in
+        both months' open buffers, which the file includes."""
+        reports = list(_spread_store(n_samples=13).iter_reports())
+        live = ReportStore(block_records=4)
+        for report in reports:
+            live.ingest(report)
+        bulk = ReportStore(block_records=4)
+        bulk.ingest_arrays(ColumnarBatch.from_reports(reports))
+        assert all(shard.open_record_count for shard in bulk.shards.values())
+        per_report, bulk_path = tmp_path / "a.store", tmp_path / "b.store"
+        live.save(per_report)
+        bulk.save(bulk_path)
+        assert bulk_path.read_bytes() == per_report.read_bytes()
+        assert not bulk._index_ready
+        loaded = ReportStore.load(bulk_path)
+        assert list(loaded.samples()) == list(live.samples())
+        assert loaded.report_count == len(reports)
 
     def test_corrupt_index_section_rejected(self, spread_store, tmp_path):
         import json
-        import struct
 
         store = spread_store
         path = tmp_path / "indexed.store"
