@@ -33,6 +33,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -48,16 +49,15 @@ INDEX_FORMAT = 1
 IndexEntry = tuple[int, int, int, int]
 
 #: Per-sample fixed header: sha256 (raw), file-type length, freshness
-#: flag, entry count.  The reader's struct and the writer's record
-#: dtype spell the same 39 bytes.
+#: flag, entry count.
 _SAMPLE_HEADER = struct.Struct("<32sHBI")
-_SAMPLE_HEADER_DTYPE = np.dtype([("sha", "S32"), ("ftype_len", "<u2"),
-                                 ("fresh", "u1"), ("entries", "<u4")])
 
 #: One packed entry: month, block, slot, scan_time (20 bytes).
 _ENTRY = struct.Struct("<iIIq")
-_ENTRY_DTYPE = np.dtype([("month", "<i4"), ("block", "<u4"),
-                         ("slot", "<u4"), ("scan_time", "<i8")])
+#: The same 20 bytes as a numpy record: :class:`IndexArrays` holds its
+#: entries in this dtype, so the writer copies them out as they are.
+ENTRY_DTYPE = np.dtype([("month", "<i4"), ("block", "<u4"),
+                        ("slot", "<u4"), ("scan_time", "<i8")])
 
 #: zlib level for the index section.  Entries are highly repetitive
 #: (runs of near-identical addresses), so cheap compression wins big.
@@ -68,8 +68,8 @@ _ZLIB_LEVEL = 6
 class IndexArrays:
     """The per-sample index as flat arrays, samples in first-ingest order.
 
-    Sample ``i``'s entries are rows ``bounds[i]:bounds[i + 1]`` of
-    ``entries``, in ingest order.
+    Sample ``i``'s entries are ``entries[bounds[i]:bounds[i + 1]]``, in
+    ingest order.
     """
 
     shas: np.ndarray         #: S32 [samples] — raw digests
@@ -77,7 +77,7 @@ class IndexArrays:
     ftype_codes: np.ndarray  #: int64 [samples] — into ``ftype_names``
     fresh: np.ndarray        #: bool [samples]
     bounds: np.ndarray       #: int64 [samples + 1]
-    entries: np.ndarray      #: int64 [entries, 4] — month, block, slot, scan_time
+    entries: np.ndarray      #: ``ENTRY_DTYPE`` [entries]
 
     @classmethod
     def from_index(
@@ -99,29 +99,9 @@ class IndexArrays:
             ftype_codes=np.array(codes, np.int64),
             fresh=np.array([sample_meta[sha][1] for sha in index], bool),
             bounds=bounds,
-            entries=np.array([entry for entries in index.values()
-                              for entry in entries],
-                             np.int64).reshape(-1, 4),
+            entries=np.fromiter(chain.from_iterable(index.values()),
+                                ENTRY_DTYPE, count=int(bounds[-1])),
         )
-
-
-def _ragged_rows(head: bytes,
-                 columns: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """``head``, then row 0 of every column, row 1 of every column, ….
-
-    Each column is ``(blob, lengths)``: its rows' bytes back to back as
-    uint8, and each row's length.  A column id per output byte routes
-    every blob into its slots, in order.
-    """
-    lengths = np.stack([length for _, length in columns], axis=1)
-    slot = np.repeat(np.tile(np.arange(len(columns), dtype=np.uint8),
-                             len(lengths)), lengths.ravel())
-    out = np.empty(len(head) + len(slot), np.uint8)
-    out[:len(head)] = np.frombuffer(head, np.uint8)
-    body = out[len(head):]
-    for c, (blob, _) in enumerate(columns):
-        body[slot == c] = blob
-    return out
 
 
 def encode_index_arrays(arrays: IndexArrays) -> bytes:
@@ -131,35 +111,24 @@ def encode_index_arrays(arrays: IndexArrays) -> bytes:
     preserves, so a loaded store's
     :meth:`~repro.store.reportstore.ReportStore.samples` iteration order
     matches the store that saved it.  Each sample is a fixed header
-    (``<32sHBI``: digest, file-type length, freshness, entry count), its
-    file type in UTF-8, then its entries (``<iIIq`` each).
+    (``_SAMPLE_HEADER``), its file type in UTF-8, then its entries
+    (``_ENTRY`` each), copied in one piece from the record array.
     """
-    n = len(arrays.shas)
-    counts = np.diff(arrays.bounds)
-    header = np.empty(n, _SAMPLE_HEADER_DTYPE)
     names = [name.encode("utf-8") for name in arrays.ftype_names]
-    name_len = np.array([len(name) for name in names], np.int64)
-    header["sha"] = arrays.shas
-    header["ftype_len"] = ftype_len = name_len[arrays.ftype_codes]
-    header["fresh"] = arrays.fresh
-    header["entries"] = counts
-    # Each sample's file-type bytes are its name's slice of the names
-    # laid end to end, gathered with one ragged arange.
-    name_start = np.cumsum(name_len) - name_len
-    out_start = np.cumsum(ftype_len) - ftype_len
-    ftype_bytes = np.frombuffer(b"".join(names), np.uint8)[
-        np.arange(int(ftype_len.sum()))
-        + np.repeat(name_start[arrays.ftype_codes] - out_start, ftype_len)]
-    entries = np.empty(len(arrays.entries), _ENTRY_DTYPE)
-    for field, column in zip(entries.dtype.names, arrays.entries.T,
-                             strict=True):
-        entries[field] = column
-    section = _ragged_rows(INDEX_MAGIC + struct.pack("<I", n), [
-        (header.view(np.uint8), np.full(n, header.itemsize, np.int64)),
-        (ftype_bytes, ftype_len),
-        (entries.view(np.uint8), entries.itemsize * counts),
-    ])
-    return zlib.compress(section, _ZLIB_LEVEL)
+    bounds = arrays.bounds.tolist()
+    entries = arrays.entries
+    parts = [INDEX_MAGIC, struct.pack("<I", len(arrays.shas))]
+    # ``tolist()`` strips a digest's trailing NUL bytes; "32s" pads them
+    # back.
+    for i, (sha, code, fresh) in enumerate(zip(
+            arrays.shas.tolist(), arrays.ftype_codes.tolist(),
+            arrays.fresh.tolist(), strict=True)):
+        lo, hi = bounds[i], bounds[i + 1]
+        name = names[code]
+        parts.append(_SAMPLE_HEADER.pack(sha, len(name), fresh, hi - lo))
+        parts.append(name)
+        parts.append(entries[lo:hi].tobytes())
+    return zlib.compress(b"".join(parts), _ZLIB_LEVEL)
 
 
 def encode_index(

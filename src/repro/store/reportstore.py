@@ -52,6 +52,7 @@ from repro.store import codec, columnar
 from repro.store.cache import DEFAULT_CACHE_BYTES, BlockCache, CacheStats
 from repro.store.columnar import ColumnarBatch, SeriesFrame
 from repro.store.index import (
+    ENTRY_DTYPE,
     INDEX_FORMAT,
     IndexArrays,
     IndexEntry,
@@ -823,18 +824,20 @@ class ReportStore:
                 ftype_parts.append(local[batch.ftype_codes.astype(np.int64)])
         if not parts:
             return IndexArrays.from_index({}, {})
-        entries = np.stack([
-            np.concatenate([np.full(len(b), m, np.int64) for m, _, b in parts]),
-            np.concatenate([np.full(len(b), i, np.int64) for _, i, b in parts]),
-            np.concatenate([np.arange(len(b), dtype=np.int64)
-                            for _, _, b in parts]),
-            np.concatenate([b.scan_time.astype(np.int64) for _, _, b in parts]),
-        ], axis=1)
+        shas = np.concatenate([b.shas for _, _, b in parts])
+        n_total = len(shas)
+        entries = np.empty(n_total, ENTRY_DTYPE)
+        entries["month"] = np.concatenate(
+            [np.full(len(b), m, np.int64) for m, _, b in parts])
+        entries["block"] = np.concatenate(
+            [np.full(len(b), i, np.int64) for _, i, b in parts])
+        entries["slot"] = np.concatenate(
+            [np.arange(len(b), dtype=np.int64) for _, _, b in parts])
+        entries["scan_time"] = np.concatenate(
+            [b.scan_time.astype(np.int64) for _, _, b in parts])
         fresh = np.concatenate(
             [b.first_submission.astype(np.int64) >= 0 for _, _, b in parts])
-        shas = np.concatenate([b.shas for _, _, b in parts])
         ftypes = np.concatenate(ftype_parts)
-        n_total = len(shas)
 
         uniq, inv = np.unique(shas, return_inverse=True)
         n_uniq = len(uniq)
@@ -868,7 +871,8 @@ class ReportStore:
         # Hexadecimal digests once per sample; tobytes() pads S32
         # elements back to their full width (indexing strips NULs).
         blob = arrays.shas.tobytes()
-        m_l, b_l, s_l, t_l = (column.tolist() for column in arrays.entries.T)
+        m_l, b_l, s_l, t_l = (arrays.entries[field].tolist()
+                              for field in ENTRY_DTYPE.names)
         bounds = arrays.bounds.tolist()
         ftype_codes = arrays.ftype_codes.tolist()
         fresh = arrays.fresh.tolist()

@@ -82,8 +82,9 @@ class Sample:
     plan: "DetectionPlan | None" = field(default=None, repr=False, compare=False)
     #: ``random()`` doubles this sample's scans have drawn from its
     #: ``scan_rng``: a plan rebuilt after being let go skips that many to
-    #: resume the stream where the last scan left it.
-    scan_draws: int = field(default=0, repr=False, compare=False)
+    #: resume the stream where the last scan left it.  Only the service
+    #: moves it, so it is no constructor argument.
+    scan_draws: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.sha256 = validate_sha256(self.sha256)
