@@ -411,7 +411,7 @@ def test_streaming_memory_bound(benchmark):
     shas = [sha256_of(f"stream{i}") for i in range(N_SAMPLES)]
     random.Random(7).shuffle(shas)
     for sha in shas * 2:
-        store.reports_for(sha)
+        store.report_series(sha)
     cache = store.cache_stats()
 
     say()

@@ -69,7 +69,7 @@ if example is not None:
 sample = next(s for s in data.service.samples()
               if s.malicious and s.family)
 category = FILE_TYPES[sample.file_type].category
-report = data.store.reports_for(sample.sha256)[-1]
+report = data.store.report_series(sample.sha256)[-1]
 detections = {
     result.engine: (detection_string(result.engine, sample.family,
                                      category, sample.sha256)

@@ -40,7 +40,7 @@ print(f"\nmost dynamic sample: {most_dynamic.sha256[:16]}… "
       f"{most_dynamic.p_min}-{most_dynamic.p_max}")
 
 aggregator = ThresholdAggregator(threshold=10)
-reports = data.store.reports_for(most_dynamic.sha256)
+reports = data.store.report_series(most_dynamic.sha256)
 for report in reports:
     day = report.scan_time / (24 * 60)
     print(f"  day {day:7.1f}: AV-Rank {report.positives:2d} -> "

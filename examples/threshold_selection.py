@@ -69,7 +69,7 @@ reputable = TrustedEnginesAggregator(
 agree = total = 0
 flips_by_strategy = {name: 0 for name in ("t>=10", "25%", "trusted")}
 for sha in dataset_s.sha256[:1000]:
-    reports = data.store.reports_for(sha)
+    reports = data.store.report_series(sha)
     final = reports[-1]
     verdicts = (threshold.is_malicious(final),
                 percentage.is_malicious(final),

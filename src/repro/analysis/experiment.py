@@ -89,10 +89,6 @@ class ExperimentData:
             self._series = self.frame.to_series()
         return self._series
 
-    def store_cache_stats(self):
-        """Retrieval-layer counters accumulated by the analyses so far."""
-        return self.store.cache_stats()
-
     @cached_property
     def dataset_s(self) -> SeriesFrame:
         """The paper's dataset *S* (§5.3.1) — fresh, top-20 types,

@@ -21,7 +21,7 @@ from repro.analysis.experiment import ExperimentData
 from repro.analysis.windows import gap_growth_curve, window_sensitivity
 
 
-def _block(text: str) -> str:
+def _fenced(text: str) -> str:
     return "```text\n" + text + "\n```\n"
 
 
@@ -40,10 +40,10 @@ def build_report(data: ExperimentData) -> str:
     )
 
     sections.append("## Dataset overview (§4)\n")
-    sections.append(_block(rendering.render_table2(data.store.stats())))
-    sections.append(_block(rendering.render_table3(
+    sections.append(_fenced(rendering.render_table2(data.store.stats())))
+    sections.append(_fenced(rendering.render_table3(
         dataset_mod.file_type_distribution(data.store))))
-    sections.append(_block(rendering.render_fig1(
+    sections.append(_fenced(rendering.render_fig1(
         dataset_mod.ReportsPerSample.from_store(data.store))))
 
     split = dynamics_mod.stable_dynamic_split(frame)
@@ -51,28 +51,28 @@ def build_report(data: ExperimentData) -> str:
     deltas = dynamics_mod.delta_distributions(dataset_s)
     impact = dynamics_mod.threshold_impact(dataset_s)
     sections.append("## Label dynamics (§5)\n")
-    sections.append(_block(rendering.render_fig2(split)))
-    sections.append(_block(rendering.render_fig3_fig4(stable_profile)))
-    sections.append(_block(rendering.render_fig5(deltas)))
-    sections.append(_block(rendering.render_fig6(
+    sections.append(_fenced(rendering.render_fig2(split)))
+    sections.append(_fenced(rendering.render_fig3_fig4(stable_profile)))
+    sections.append(_fenced(rendering.render_fig5(deltas)))
+    sections.append(_fenced(rendering.render_fig6(
         dynamics_mod.per_type_dynamics(dataset_s))))
-    sections.append(_block(rendering.render_fig7(
+    sections.append(_fenced(rendering.render_fig7(
         dynamics_mod.interval_effect(dataset_s))))
-    sections.append(_block(rendering.render_fig8(impact)))
+    sections.append(_fenced(rendering.render_fig8(impact)))
 
     avrank_stab = stab_mod.avrank_stabilization_profile(dataset_s)
     label_stab = stab_mod.label_stabilization_profile(dataset_s)
     sections.append("## Stabilisation (§6)\n")
-    sections.append(_block(rendering.render_obs8(avrank_stab)))
-    sections.append(_block(rendering.render_fig9(label_stab)))
+    sections.append(_fenced(rendering.render_obs8(avrank_stab)))
+    sections.append(_fenced(rendering.render_fig9(label_stab)))
 
     sections.append("## Individual engines (§7)\n")
     stability = engines_mod.engine_stability(dataset_s, names)
-    sections.append(_block(rendering.render_fig10(
+    sections.append(_fenced(rendering.render_fig10(
         stability.flips, engines_mod.APPENDIX_FILE_TYPES)))
     correlation = engines_mod.engine_correlation(frame, names)
-    sections.append(_block(rendering.render_fig11(correlation.overall)))
-    sections.append(_block(rendering.render_group_tables(
+    sections.append(_fenced(rendering.render_fig11(correlation.overall)))
+    sections.append(_fenced(rendering.render_group_tables(
         correlation.per_type)))
 
     sections.append("## Measurement-window sensitivity (§8)\n")
@@ -85,10 +85,10 @@ def build_report(data: ExperimentData) -> str:
         "mean measurable gap by window: "
         + ", ".join(f"{w:.0f}d={g:.2f}" for w, g in curve),
     ]
-    sections.append(_block("\n".join(window_lines)))
+    sections.append(_fenced("\n".join(window_lines)))
 
     sections.append("## Calibration vs paper\n")
-    sections.append(_block(grade(split, stable_profile, deltas, impact,
+    sections.append(_fenced(grade(split, stable_profile, deltas, impact,
                                  avrank_stab, label_stab,
                                  stability).render()))
     return "\n".join(sections)

@@ -1,9 +1,11 @@
-"""Write-aware, bytes-bounded caching for decompressed report blocks.
+"""Write-aware, bytes-bounded caching for decoded report blocks.
 
 The store's random-access path decompresses one block per index probe;
-re-decompressing a hot block on every :meth:`ReportStore.reports_for`
+re-decompressing a hot block on every :meth:`ReportStore.report_series`
 call would dominate lookup cost, so decoded blocks are kept in a small
-LRU.  Two properties distinguish this cache from a generic memoiser:
+LRU, one :class:`~repro.store.columnar.ColumnarBatch` per
+``(month, block)``.  Two properties distinguish this cache from a generic
+memoiser:
 
 * **Write awareness.**  Only *frozen* blocks are cacheable.  A frozen
   :class:`~repro.store.shard.CompressedBlock` is immutable — its records
@@ -12,14 +14,13 @@ LRU.  Two properties distinguish this cache from a generic memoiser:
   never enter the cache: its contents grow with every ingest and it
   eventually freezes into a real block under the same key.  The store
   enforces this by routing open-block reads around the cache entirely;
-  the cache additionally provides :meth:`invalidate` /
-  :meth:`invalidate_month` / :meth:`clear` hooks so mutation paths can
-  drop entries explicitly.
+  the cache additionally provides :meth:`invalidate` / :meth:`clear`
+  hooks so mutation paths can drop entries explicitly.
 
-* **Bytes bounding.**  Eviction is by resident *decoded bytes*, not
-  entry count.  Blocks vary widely in decoded size (a 1-record tail
-  block vs. a 256-record run), so an entry-count cap gives no memory
-  guarantee; a byte cap does.
+* **Bytes bounding.**  Eviction is by resident *decoded bytes* (each
+  batch's ``nbytes``), not entry count.  Blocks vary widely in decoded
+  size (a 1-record tail block vs. a 256-record run), so an entry-count
+  cap gives no memory guarantee; a byte cap does.
 
 Counters (hits, misses, evictions, invalidations, resident bytes) feed
 the store-level instrumentation in :class:`~repro.store.stats.StoreStats`.
@@ -29,30 +30,17 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.store.columnar import ColumnarBatch
 
 #: Default cap on resident decoded block bytes (~32 MiB covers hundreds
-#: of 256-record blocks of ~420-byte records).
+#: of decoded 256-record blocks).
 DEFAULT_CACHE_BYTES = 32 * 1024 * 1024
 
-#: Accounted per-record overhead beyond payload bytes (list slot plus
-#: bytes-object header, order-of-magnitude).
-_RECORD_OVERHEAD = 64
-
-#: ``(month, block)`` for record-list decodes; columnar decodes of the
-#: same block cache separately under ``(month, block, "batch")``.
-BlockKey = tuple
-
-
-def _cost(entry) -> int:
-    """Approximate resident size of one decoded block.
-
-    Accepts both cacheable shapes: a record list (row decode) or a
-    columnar batch, which knows its own array footprint via ``nbytes``.
-    """
-    nbytes = getattr(entry, "nbytes", None)
-    if nbytes is not None:
-        return nbytes() if callable(nbytes) else nbytes
-    return sum(len(r) for r in entry) + _RECORD_OVERHEAD * len(entry)
+#: ``(month, block)``: one entry per frozen block.
+BlockKey = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -93,13 +81,13 @@ class CacheStats:
 
 
 class BlockCache:
-    """Bytes-bounded LRU over decoded record blocks."""
+    """Bytes-bounded LRU over decoded blocks."""
 
     def __init__(self, max_bytes: int = DEFAULT_CACHE_BYTES) -> None:
         if max_bytes < 0:
             raise ValueError("max_bytes must be >= 0")
         self.max_bytes = max_bytes
-        self._entries: OrderedDict[BlockKey, object] = OrderedDict()
+        self._entries: OrderedDict[BlockKey, ColumnarBatch] = OrderedDict()
         self._costs: dict[BlockKey, int] = {}
         self._resident = 0
         self.hits = 0
@@ -111,17 +99,17 @@ class BlockCache:
     # Lookup / insert
     # ------------------------------------------------------------------
 
-    def get(self, key: BlockKey):
+    def get(self, key: BlockKey) -> ColumnarBatch | None:
         """The cached decode for ``key``, refreshing recency; None on miss."""
-        records = self._entries.get(key)
-        if records is None:
+        batch = self._entries.get(key)
+        if batch is None:
             self.misses += 1
             return None
         self.hits += 1
         self._entries.move_to_end(key)
-        return records
+        return batch
 
-    def put(self, key: BlockKey, records) -> None:
+    def put(self, key: BlockKey, batch: ColumnarBatch) -> None:
         """Insert a decoded block, evicting LRU entries past the byte cap.
 
         Blocks larger than the whole cache are not admitted (caching one
@@ -129,10 +117,10 @@ class BlockCache:
         """
         if key in self._entries:
             self._drop(key)
-        cost = _cost(records)
+        cost = batch.nbytes
         if cost > self.max_bytes:
             return
-        self._entries[key] = records
+        self._entries[key] = batch
         self._costs[key] = cost
         self._resident += cost
         while self._resident > self.max_bytes and self._entries:
@@ -155,14 +143,6 @@ class BlockCache:
         self._drop(key)
         self.invalidations += 1
         return True
-
-    def invalidate_month(self, month: int) -> int:
-        """Drop every entry of one shard; returns the count dropped."""
-        doomed = [key for key in self._entries if key[0] == month]
-        for key in doomed:
-            self._drop(key)
-        self.invalidations += len(doomed)
-        return len(doomed)
 
     def clear(self) -> None:
         """Drop everything (counters survive)."""

@@ -8,11 +8,13 @@ struct-packed record; step (iii), zlib over blocks of records, lives in
 :mod:`repro.store.shard`.
 
 The record bytes are the store's canonical content: the per-report
-ingest path buffers them, every block decodes back to them, and
+ingest path buffers them, and
 :meth:`~repro.store.reportstore.ReportStore.digest` hashes them.  Blocks
-themselves are columnar (RPR3, see :mod:`repro.store.columnar`);
-:func:`encode_block`/:func:`decode_block` convert between a block
-payload and its records.
+themselves are columnar (RPR3, see :mod:`repro.store.columnar`):
+:func:`encode_block` freezes a buffer of records into one block payload,
+and :func:`decode_compressed_batch`, the one block decoder, turns a
+compressed payload into a :class:`~repro.store.columnar.ColumnarBatch`,
+whose ``to_records()`` gives the record bytes back.
 
 For the Table 2 accounting ("GB of raw reports per month") the codec can
 also *estimate* the size the same report would occupy as the verbose JSON
@@ -159,11 +161,6 @@ def encode_block(records: list[bytes]) -> bytes:
     """Freeze a list of records into one uncompressed columnar payload."""
     return columnar.encode_columnar(
         columnar.ColumnarBatch.from_records(records))
-
-
-def decode_block(payload: bytes) -> list[bytes]:
-    """Split a block payload back into its exact record bytes."""
-    return columnar.decode_columnar(payload).to_records()
 
 
 def _partial_decompress(compressed, limit: int) -> bytes:

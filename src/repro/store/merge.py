@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import ConfigError, CorruptRecordError
+from repro.errors import ConfigError
 from repro.obs.timing import traced
 from repro.store.columnar import ColumnarBatch
 from repro.store.reportstore import ReportStore
@@ -54,16 +54,9 @@ class FrozenMonth:
             )
 
     def decode(self) -> list[ColumnarBatch]:
-        """Every block as a batch, each checked against its key count."""
-        batches = []
-        for block in self.blocks:
-            batch = block.batch()
-            if len(batch) != block.record_count:
-                raise CorruptRecordError(
-                    f"block decoded to {len(batch)} records, but "
-                    f"{block.record_count} keys were shipped for it")
-            batches.append(batch)
-        return batches
+        """Every block as a batch (each checked against its record count,
+        which ``__post_init__`` matched to the keys)."""
+        return [block.batch() for block in self.blocks]
 
 
 @dataclass

@@ -19,12 +19,17 @@ Loading touches no blocks, and a point lookup (:meth:`latest_report` /
 sample's reports.  The saved bytes are a pure function of the store's
 content: no read counter or other instrumentation state is written.
 
-Retrieval is **write-aware and memory-bounded**: the decoded-block LRU
-(:mod:`repro.store.cache`) admits only immutable frozen blocks — reads
-that land in a shard's open buffer are served live and never cached, so
-interleaved ingest and query (the live-feed scenario of §4.1) can never
-observe a stale snapshot — and :meth:`iter_sample_reports` streams the
-store block by block instead of materialising every report at once.
+Every read decodes a block one way, to a
+:class:`~repro.store.columnar.ColumnarBatch` (:meth:`_batch` for one
+block, :meth:`iter_batches` for a pass): reports come from
+``batch.report(slot)`` and the digest's record bytes from
+``batch.to_records()``.  Retrieval is **write-aware and memory-bounded**:
+the decoded-block LRU (:mod:`repro.store.cache`) holds one batch per
+frozen block and admits nothing else — reads that land in a shard's open
+buffer parse it live and are never cached, so interleaved ingest and
+query (the live-feed scenario of §4.1) can never observe a stale
+snapshot — and :meth:`iter_sample_reports` streams the store block by
+block instead of materialising every report at once.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.errors import (
+    BlockAddressError,
     CorruptRecordError,
     ShardClosedError,
     StoreError,
@@ -93,14 +99,18 @@ class _MappedReader:
     block payloads loaded through it occupy no private memory — the page
     cache backs them.  Callers that need real bytes (struct/JSON
     decoding of the small header fields) wrap the view in ``bytes(...)``.
+    The reader itself holds no view, so once the views it returned are
+    dropped the mapping can close, even if a traceback still holds the
+    reader.
     """
 
     def __init__(self, mapping: "_mmap.mmap") -> None:
-        self._view = memoryview(mapping)
+        self._mapping = mapping
         self._pos = 0
 
     def read(self, size: int) -> memoryview:
-        view = self._view[self._pos:self._pos + size]
+        stop = self._pos + size
+        view = memoryview(self._mapping)[self._pos:stop]
         self._pos += len(view)
         return view
 
@@ -124,7 +134,6 @@ class ReportStore:
         self.shards: dict[int, MonthlyShard] = {}
         self._index: dict[str, list[IndexEntry]] = {}
         self._sample_meta: dict[str, tuple[str, bool]] = {}
-        self._scan_index: dict[str, set[int]] = {}
         #: False after a bulk :meth:`ingest_arrays` or a merge, until the
         #: first per-sample access triggers the rebuild (a save does not).
         self._index_ready = True
@@ -169,10 +178,9 @@ class ReportStore:
         # The open buffer is never cached, so this is a no-op today; it
         # pins the invalidation contract (any mutation of block `block`
         # must drop a cached decode of it) independent of cache policy.
-        self._invalidate_block(month, block)
+        self._cache.invalidate((month, block))
         self._index.setdefault(report.sha256, []).append(
             (month, block, slot, report.scan_time))
-        self._scan_index.setdefault(report.sha256, set()).add(report.scan_time)
         if report.sha256 not in self._sample_meta:
             self._sample_meta[report.sha256] = (
                 report.file_type,
@@ -185,11 +193,12 @@ class ReportStore:
         The idempotency hook: a scan is identified by its sample and
         minute (one analysis per sample per minute), so replayed feed
         batches, duplicated deliveries and backfill overlap can all be
-        recognised without decoding any block.
+        recognised without decoding any block: the sample's own index
+        entries carry their scan minutes.
         """
         self._ensure_index()
-        times = self._scan_index.get(sha256)
-        return times is not None and scan_time in times
+        return any(entry[3] == scan_time
+                   for entry in self._index.get(sha256, ()))
 
     def ingest_unique(self, report: ScanReport) -> bool:
         """Ingest unless an identical scan is already stored.
@@ -245,7 +254,7 @@ class ReportStore:
             else:
                 sub = batch.take(months == month)
             shard = self._shard(month)
-            self._invalidate_block(month, len(shard.blocks))
+            self._cache.invalidate((month, len(shard.blocks)))
             shard.extend_batch(sub)
             self._m_ingest_bytes.inc(sub.encoded_bytes())
             month_counter = self._m_month_records.get(month)
@@ -269,13 +278,13 @@ class ReportStore:
         into exactly the block index its records were assigned).
         """
         for shard in self.shards.values():
-            self._invalidate_block(shard.month, len(shard.blocks))
+            self._cache.invalidate((shard.month, len(shard.blocks)))
             shard.flush()
 
     def close(self) -> None:
         """Flush and seal every shard; further ingests raise."""
         for shard in self.shards.values():
-            self._invalidate_block(shard.month, len(shard.blocks))
+            self._cache.invalidate((shard.month, len(shard.blocks)))
             shard.close()
         self.closed = True
 
@@ -285,11 +294,6 @@ class ReportStore:
             shard = MonthlyShard(month, block_records=self.block_records)
             self.shards[month] = shard
         return shard
-
-    def _invalidate_block(self, month: int, block_idx: int) -> None:
-        """Drop both cached decodes (records and batch) of one block."""
-        self._cache.invalidate((month, block_idx))
-        self._cache.invalidate((month, block_idx, "batch"))
 
     # ------------------------------------------------------------------
     # Accounting
@@ -329,8 +333,8 @@ class ReportStore:
         for month in sorted(self.shards):
             shard = self.shards[month]
             h.update(struct.pack("<iq", month, shard.report_count))
-            for _, records in shard.iter_record_blocks():
-                for record in records:
+            for batch in shard.iter_batches():
+                for record in batch.to_records():
                     h.update(struct.pack("<I", len(record)))
                     h.update(record)
         return h.hexdigest()
@@ -369,33 +373,6 @@ class ReportStore:
         except KeyError:
             raise UnknownSampleError(sha256) from None
 
-    def _block(self, month: int, block_idx: int) -> list[bytes]:
-        """Decoded records of one block, write-aware.
-
-        Frozen blocks are immutable, so their decodes are cached in the
-        bytes-bounded LRU.  An index at or past ``len(shard.blocks)``
-        addresses the *open* buffer of a live shard: that read is served
-        straight from the shard (a live view, not a snapshot) and is
-        never cached — caching it was the stale-read bug this layer
-        exists to prevent.
-        """
-        shard = self.shards[month]
-        if block_idx >= len(shard.blocks):
-            self._open_reads += 1
-            self._m_open_reads.inc()
-            return shard.block_records_at(block_idx)
-        key = (month, block_idx)
-        records = self._cache.get(key)
-        if records is None:
-            records = shard.blocks[block_idx].records()
-            self._blocks_decoded += 1
-            self._m_cache_misses.inc()
-            self._m_decoded.inc()
-            self._cache.put(key, records)
-        else:
-            self._m_cache_hits.inc()
-        return records
-
     def _entries(self, sha256: str) -> list[IndexEntry]:
         self._ensure_index()
         try:
@@ -418,30 +395,31 @@ class ReportStore:
             by_block.setdefault((month, block), []).append(slot)
         reports = []
         for (month, block), slots in sorted(by_block.items()):
-            records = self._block(month, block)
-            for slot in slots:
-                reports.append(codec.decode_report(records[slot]))
+            batch = self._batch(month, block)
+            reports.extend(batch.report(slot) for slot in slots)
         reports.sort(key=lambda r: r.scan_time)
         return reports
-
-    def reports_for(self, sha256: str) -> list[ScanReport]:
-        """Alias of :meth:`report_series` (the original name)."""
-        return self.report_series(sha256)
 
     def _batch(self, month: int, block_idx: int) -> ColumnarBatch:
         """Decoded columnar batch of one block, write-aware.
 
-        The batch analogue of :meth:`_block`: frozen-block batches are
-        cached (under a key distinct from the record-list decode), open
-        buffers are bulk-parsed live and never cached.
+        Frozen blocks are immutable, so their batches are cached in the
+        bytes-bounded LRU under ``(month, block)``.  The index
+        ``len(shard.blocks)`` addresses the *open* buffer of a live
+        shard: that read parses the buffer's records as they are now and
+        is never cached — caching it was the stale-read bug this layer
+        exists to prevent.  Any later index raises
+        :class:`~repro.errors.BlockAddressError`.
         """
         shard = self.shards[month]
         if block_idx >= len(shard.blocks):
+            if block_idx > len(shard.blocks):
+                raise BlockAddressError(
+                    f"no block {block_idx} in month {month}")
             self._open_reads += 1
             self._m_open_reads.inc()
-            return ColumnarBatch.from_records(
-                shard.block_records_at(block_idx))
-        key = (month, block_idx, "batch")
+            return ColumnarBatch.from_records(shard.buffered_records())
+        key = (month, block_idx)
         batch = self._cache.get(key)
         if batch is None:
             batch = shard.blocks[block_idx].batch()
@@ -469,12 +447,9 @@ class ReportStore:
 
     def iter_reports(self) -> Iterator[ScanReport]:
         """All reports, month by month in ingest order."""
-        for month in sorted(self.shards):
-            for _, records in self.shards[month].iter_record_blocks():
-                self._blocks_decoded += 1
-                self._m_decoded.inc()
-                for record in records:
-                    yield codec.decode_report(record)
+        for batch in self.iter_batches():
+            for slot in range(len(batch)):
+                yield batch.report(slot)
 
     def iter_sample_reports(self) -> Iterator[tuple[str, list[ScanReport]]]:
         """``(sha256, time-sorted reports)`` for every sample, streaming.
@@ -497,13 +472,14 @@ class ReportStore:
         pending: dict[str, list[ScanReport]] = {}
         resident = 0
         for month in sorted(self.shards):
-            for block_idx, records in self.shards[month].iter_record_blocks():
+            for block_idx, batch in enumerate(
+                    self.shards[month].iter_batches()):
                 self._blocks_decoded += 1
                 self._m_decoded.inc()
-                for record in records:
-                    report = codec.decode_report(record)
+                for slot in range(len(batch)):
+                    report = batch.report(slot)
                     pending.setdefault(report.sha256, []).append(report)
-                resident += len(records)
+                resident += len(batch)
                 self._peak_stream_reports = max(
                     self._peak_stream_reports, resident
                 )
@@ -521,7 +497,7 @@ class ReportStore:
         ``planes=False`` columnar blocks decompress only their fixed
         columns — the per-engine planes, which dominate decompressed
         bytes, stay compressed.  The open buffer of a live shard is
-        bulk-parsed last, exactly like :meth:`iter_record_blocks`.
+        bulk-parsed last (:meth:`MonthlyShard.iter_batches`).
         """
         for month in sorted(self.shards):
             for batch in self.shards[month].iter_batches(planes=planes):
@@ -712,6 +688,21 @@ class ReportStore:
         the crash/resume path of the resilient collector.  Reopened
         appends land in fresh blocks after the loaded ones; existing
         addresses are unaffected.
+
+        Damage raises :class:`~repro.errors.CorruptRecordError`, and a
+        mapping is closed first.  Without decoding a block, ``load``
+        checks the structure: the header's shape and version, the index
+        section (zlib-checked, parsed, and its sample count against the
+        header's), each month section's month against the header's list,
+        and each month's ``report_count`` against its blocks' record
+        counts.  A block's payload is checked when it is decoded (zlib's
+        checksum, the columnar layout, and its row count against the
+        block header), so ``digest()`` checks them all.  Four fields load
+        as they are, because no check can see them without decoding
+        every block: a month's ``verbose_bytes`` and ``encoded_bytes``
+        (Table 2 accounting), a block's ``raw_bytes``, and the header's
+        ``block_records`` (the size of blocks a reopened store freezes
+        next).  None of them enters the digest.
         """
         path = Path(path)
         try:
@@ -750,10 +741,14 @@ class ReportStore:
                 index_payload = reader.read(index_info["bytes"])
                 if len(index_payload) != index_info["bytes"]:
                     raise CorruptRecordError("truncated store index")
-                for _ in header["months"]:
+                for listed in header["months"]:
                     month, n_blocks, report_count, verbose, encoded = \
                         struct.unpack("<iIqqq", bytes(
                             reader.read(struct.calcsize("<iIqqq"))))
+                    if month != listed:
+                        raise CorruptRecordError(
+                            f"month section {month} where the header "
+                            f"lists month {listed}")
                     shard = MonthlyShard(month,
                                          block_records=store.block_records)
                     for _ in range(n_blocks):
@@ -766,19 +761,24 @@ class ReportStore:
                         shard.blocks.append(
                             CompressedBlock(payload, record_count, raw)
                         )
+                    blocked = sum(b.record_count for b in shard.blocks)
+                    if report_count != blocked:
+                        raise CorruptRecordError(
+                            f"month {month} counts {report_count} reports "
+                            f"but its blocks hold {blocked}")
                     shard.report_count = report_count
                     shard.verbose_bytes = verbose
                     shard.encoded_bytes = encoded
                     shard.closed = not reopen
                     store.shards[month] = shard
-                index, meta = decode_index(bytes(index_payload))
-                store._index = index
-                store._sample_meta = meta
-                store._scan_index = {
-                    sha: {entry[3] for entry in entries}
-                    for sha, entries in index.items()
-                }
-            except (StoreError, struct.error, ValueError, KeyError) as exc:
+                store._index, store._sample_meta = decode_index(
+                    bytes(index_payload))
+                if len(store._index) != index_info["samples"]:
+                    raise CorruptRecordError(
+                        f"store index holds {len(store._index)} samples, "
+                        f"the header says {index_info['samples']}")
+            except (StoreError, struct.error, ValueError, KeyError,
+                    TypeError, OverflowError, RecursionError) as exc:
                 if mapping is not None:
                     # Payloads decoded before the error are exported
                     # views into the mapping; drop every frame-local
@@ -867,7 +867,6 @@ class ReportStore:
         arrays = self._index_arrays()
         self._index.clear()
         self._sample_meta.clear()
-        self._scan_index.clear()
         # Hexadecimal digests once per sample; tobytes() pads S32
         # elements back to their full width (indexing strips NULs).
         blob = arrays.shas.tobytes()
@@ -881,7 +880,6 @@ class ReportStore:
             sha = blob[32 * u:32 * u + 32].hex()
             self._index[sha] = list(
                 zip(m_l[lo:hi], b_l[lo:hi], s_l[lo:hi], t_l[lo:hi]))
-            self._scan_index[sha] = set(t_l[lo:hi])
             self._sample_meta[sha] = (arrays.ftype_names[ftype_codes[u]],
                                       fresh[u])
         self._index_ready = True

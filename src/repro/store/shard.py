@@ -8,8 +8,11 @@ as ``(month, block, slot)`` and only that block must be decompressed to
 fetch it.
 
 Blocks freeze in the columnar layout (RPR3, dictionary/delta-encoded
-columns, see :mod:`repro.store.columnar`), which decodes back to the
-exact record bytes of :mod:`repro.store.codec`.
+columns, see :mod:`repro.store.columnar`).  :meth:`CompressedBlock.batch`
+is the one decoder: every read gets a
+:class:`~repro.store.columnar.ColumnarBatch`, whose ``to_records()`` gives
+back the exact record bytes of :mod:`repro.store.codec`.  The open buffer
+of a live shard holds those record bytes until it freezes.
 """
 
 from __future__ import annotations
@@ -18,11 +21,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
-from repro.errors import (
-    BlockAddressError,
-    CorruptRecordError,
-    ShardClosedError,
-)
+from repro.errors import CorruptRecordError, ShardClosedError
 from repro.store import codec
 
 if TYPE_CHECKING:
@@ -52,22 +51,20 @@ class CompressedBlock:
     def compressed_bytes(self) -> int:
         return len(self.payload)
 
-    def records(self) -> list[bytes]:
-        """Decompress and split the block into its records."""
-        try:
-            framed = zlib.decompress(self.payload)
-        except zlib.error as exc:
-            raise CorruptRecordError(
-                f"undecompressable block: {exc}") from exc
-        return codec.decode_block(framed)
-
     def batch(self, planes: bool = True) -> "ColumnarBatch":
         """Decode the block into a columnar batch.
 
         With ``planes=False`` only the fixed-column prefix is
-        decompressed (the label/version planes stay compressed).
+        decompressed (the label/version planes stay compressed).  A
+        payload that decodes to other than ``record_count`` rows raises
+        :class:`~repro.errors.CorruptRecordError`.
         """
-        return codec.decode_compressed_batch(self.payload, planes=planes)
+        batch = codec.decode_compressed_batch(self.payload, planes=planes)
+        if len(batch) != self.record_count:
+            raise CorruptRecordError(
+                f"block decoded to {len(batch)} records, but its header "
+                f"says {self.record_count}")
+        return batch
 
     @classmethod
     def from_records(cls, records: list[bytes]) -> "CompressedBlock":
@@ -115,10 +112,6 @@ class MonthlyShard:
     verbose_bytes: int = 0
     #: Encoded (pre-compression) bytes of everything ingested.
     encoded_bytes: int = 0
-    #: Mutation counter: bumped on every append and every flush.  Readers
-    #: holding derived state (e.g. a snapshot of the open buffer) can
-    #: stamp it with the generation and detect staleness.
-    generation: int = 0
 
     def append(self, record: bytes, verbose_size: int) -> tuple[int, int]:
         """Add one encoded record; returns its ``(block, slot)`` address.
@@ -134,7 +127,6 @@ class MonthlyShard:
         self.report_count += 1
         self.verbose_bytes += verbose_size
         self.encoded_bytes += len(record)
-        self.generation += 1
         if len(self._buffer) >= self.block_records:
             self.flush()
         return block_idx, slot
@@ -169,14 +161,12 @@ class MonthlyShard:
         self.report_count += n
         self.verbose_bytes += batch.verbose_bytes()
         self.encoded_bytes += batch.encoded_bytes()
-        self.generation += 1
 
     def flush(self) -> None:
         """Freeze the open buffer into a compressed block."""
         if self._buffer:
             self.blocks.append(CompressedBlock.from_records(self._buffer))
             self._buffer = []
-            self.generation += 1
 
     def close(self) -> None:
         """Flush and seal the shard."""
@@ -214,51 +204,17 @@ class MonthlyShard:
         """A snapshot copy of the open buffer (safe across later appends)."""
         return list(self._buffer)
 
-    def record_at(self, block_idx: int, slot: int) -> bytes:
-        """Random access to one record by block address."""
-        if block_idx < len(self.blocks):
-            return self.blocks[block_idx].records()[slot]
-        if block_idx == len(self.blocks) and slot < len(self._buffer):
-            return self._buffer[slot]
-        raise BlockAddressError(
-            f"no record at block={block_idx} slot={slot}")
-
-    def block_records_at(self, block_idx: int) -> list[bytes]:
-        """All records of one block (decompressing frozen blocks)."""
-        if block_idx < len(self.blocks):
-            return self.blocks[block_idx].records()
-        if block_idx == len(self.blocks):
-            return list(self._buffer)
-        raise BlockAddressError(f"no block {block_idx}")
-
-    def iter_records(self) -> Iterator[bytes]:
-        """All records in ingest order."""
-        for block in self.blocks:
-            yield from block.records()
-        yield from self._buffer
-
-    def iter_record_blocks(self) -> Iterator[tuple[int, list[bytes]]]:
-        """``(block_idx, records)`` in order, decoding each block once.
-
-        The open buffer, if any, is yielded last as a snapshot under the
-        block index it will freeze into — the same index its records'
-        addresses already carry.
-        """
-        for block_idx, block in enumerate(self.blocks):
-            yield block_idx, block.records()
-        if self._buffer:
-            yield len(self.blocks), list(self._buffer)
-
     def iter_batches(self, planes: bool = True) -> Iterator["ColumnarBatch"]:
         """Per-block columnar batches in order, buffer snapshot last.
 
-        The array analogue of :meth:`iter_record_blocks`: frozen blocks
-        decode straight to arrays (metadata-only when ``planes`` is
-        off), the open buffer bulk-parses its records.
+        Frozen blocks decode straight to arrays (metadata-only when
+        ``planes`` is off); the open buffer, if any, bulk-parses a
+        snapshot of its records and comes last, at the block index it
+        will freeze into.
         """
         from repro.store.columnar import ColumnarBatch
 
         for block in self.blocks:
             yield block.batch(planes=planes)
         if self._buffer:
-            yield ColumnarBatch.from_records(list(self._buffer))
+            yield ColumnarBatch.from_records(self.buffered_records())

@@ -1,6 +1,7 @@
 """Tests for the command-line interface (repro.cli)."""
 
 import importlib
+import struct
 from collections import Counter
 from functools import cached_property
 
@@ -318,6 +319,18 @@ class TestStorePathErrors:
         assert main(["digest", str(missing)]) == 2
         err = capsys.readouterr().err
         assert "cannot read store" in err and str(missing) in err
+
+    def test_digest_of_wrong_shape_header(self, tmp_path, capsys):
+        # Valid JSON of the wrong shape is a damaged store, not a crash.
+        path = tmp_path / "shape.rpr"
+        ReportStore().save(path)
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack_from("<I", blob, 8)
+        path.write_bytes(blob[:8] + struct.pack("<I", 2) + b"[]"
+                         + blob[12 + header_len:])
+        assert main(["digest", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-vt: error:") and str(path) in err
 
     def test_digest_against_missing_store(self, missing, tmp_path, capsys):
         present = tmp_path / "present.rpr"

@@ -218,7 +218,7 @@ class TestFeedCollector:
         assert len(collector.deadletters) == 1
         # The poll window was re-fetched from the archive: nothing lost.
         assert store.report_count == 1
-        assert store.reports_for(report.sha256)[0] == report
+        assert store.report_series(report.sha256)[0] == report
         assert stats.pending_gap_minutes == 0
 
     def test_duplicate_deliveries_are_idempotent(self, service):

@@ -29,7 +29,7 @@ class TestStoreEdges:
         store = ReportStore(block_records=1)
         report = make_report()
         store.ingest(report)
-        assert store.reports_for(report.sha256) == [report]
+        assert store.report_series(report.sha256) == [report]
 
     def test_duplicate_scan_times_preserved(self):
         store = ReportStore()

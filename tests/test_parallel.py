@@ -146,8 +146,8 @@ def test_parallel_store_is_fully_queryable(tiny_config, tiny_store):
     parallel = run_experiment(tiny_config, workers=3)
     assert parallel.store.sample_count == tiny_store.sample_count
     for sha in list(tiny_store.samples())[:20]:
-        assert [r.scan_time for r in parallel.store.reports_for(sha)] == \
-            [r.scan_time for r in tiny_store.reports_for(sha)]
+        assert [r.scan_time for r in parallel.store.report_series(sha)] == \
+            [r.scan_time for r in tiny_store.report_series(sha)]
         assert (parallel.store.sample_file_type(sha)
                 == tiny_store.sample_file_type(sha))
 

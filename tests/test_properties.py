@@ -15,6 +15,7 @@ from repro.stats.descriptive import boxplot_stats, quantile
 from repro.stats.ranking import fractional_ranks
 from repro.stats.spearman import spearman
 from repro.store import codec
+from repro.store.shard import CompressedBlock
 from repro.vt.reports import ScanReport, decode_labels, encode_labels
 
 from conftest import make_series_frame
@@ -89,7 +90,10 @@ def test_block_framing_round_trips(rows):
         last_analysis_date=scan_time,
         times_submitted=1,
     )) for i, (labels, scan_time, file_type) in enumerate(rows)]
-    assert codec.decode_block(codec.encode_block(records)) == records
+    batch = CompressedBlock.from_records(records).batch()
+    assert batch.to_records() == records
+    assert [batch.report(slot) for slot in range(len(batch))] == [
+        codec.decode_report(record) for record in records]
 
 
 # ---------------------------------------------------------------------------

@@ -40,14 +40,14 @@ class TestCampaign:
                                     duration_days=10)
         store = campaign.run(_samples(1), start_day=0.0)
         times = [r.scan_time
-                 for r in store.reports_for(sha256_of("snap0"))]
+                 for r in store.report_series(sha256_of("snap0"))]
         gaps = {b - a for a, b in zip(times, times[1:], strict=False)}
         assert gaps == {2 * MINUTES_PER_DAY}
 
     def test_first_round_uploads_then_rescans(self, service):
         campaign = SnapshotCampaign(service, duration_days=3)
         store = campaign.run(_samples(1), start_day=1.0)
-        reports = store.reports_for(sha256_of("snap0"))
+        reports = store.report_series(sha256_of("snap0"))
         assert all(r.times_submitted == 1 for r in reports)
         assert len({r.last_submission_date for r in reports}) == 1
 

@@ -2,30 +2,36 @@
 
 import pytest
 
-from repro.store.cache import _RECORD_OVERHEAD, BlockCache, CacheStats
+from conftest import make_report, make_sha
+from repro.store.cache import BlockCache, CacheStats
+from repro.store.columnar import ColumnarBatch
 
 
-def _block(n_records: int, record_size: int = 100) -> list[bytes]:
-    return [bytes(record_size) for _ in range(n_records)]
+def _batch(n_records: int) -> ColumnarBatch:
+    """A decoded block of ``n_records`` 5-engine reports."""
+    return ColumnarBatch.from_reports([
+        make_report(sha=make_sha(f"cached-{i}"), scan_time=1000 + i)
+        for i in range(n_records)])
 
 
-def _cost(n_records: int, record_size: int = 100) -> int:
-    return n_records * (record_size + _RECORD_OVERHEAD)
+def _cost(n_records: int) -> int:
+    return _batch(n_records).nbytes
 
 
 class TestLookup:
     def test_miss_then_hit(self):
         cache = BlockCache(max_bytes=10_000)
         assert cache.get((0, 0)) is None
-        cache.put((0, 0), _block(2))
-        assert cache.get((0, 0)) == _block(2)
+        batch = _batch(2)
+        cache.put((0, 0), batch)
+        assert cache.get((0, 0)) is batch
         assert cache.hits == 1
         assert cache.misses == 1
 
     def test_contains_and_len(self):
         cache = BlockCache(max_bytes=10_000)
-        cache.put((0, 0), _block(1))
-        cache.put((3, 7), _block(1))
+        cache.put((0, 0), _batch(1))
+        cache.put((3, 7), _batch(1))
         assert (0, 0) in cache
         assert (1, 0) not in cache
         assert len(cache) == 2
@@ -36,9 +42,9 @@ class TestByteBounding:
         # Cap fits exactly two 2-record blocks; a third insert evicts
         # the least recently used one.
         cache = BlockCache(max_bytes=2 * _cost(2))
-        cache.put((0, 0), _block(2))
-        cache.put((0, 1), _block(2))
-        cache.put((0, 2), _block(2))
+        cache.put((0, 0), _batch(2))
+        cache.put((0, 1), _batch(2))
+        cache.put((0, 2), _batch(2))
         assert cache.evictions == 1
         assert (0, 0) not in cache
         assert (0, 1) in cache and (0, 2) in cache
@@ -47,31 +53,31 @@ class TestByteBounding:
     def test_one_large_block_evicts_many_small(self):
         cache = BlockCache(max_bytes=_cost(8))
         for idx in range(4):
-            cache.put((0, idx), _block(2))
-        cache.put((0, 99), _block(6))
+            cache.put((0, idx), _batch(2))
+        cache.put((0, 99), _batch(6))
         assert (0, 99) in cache
         assert cache.bytes_resident <= cache.max_bytes
         assert cache.evictions >= 3
 
     def test_get_refreshes_recency(self):
         cache = BlockCache(max_bytes=2 * _cost(2))
-        cache.put((0, 0), _block(2))
-        cache.put((0, 1), _block(2))
+        cache.put((0, 0), _batch(2))
+        cache.put((0, 1), _batch(2))
         cache.get((0, 0))  # now (0, 1) is the LRU entry
-        cache.put((0, 2), _block(2))
+        cache.put((0, 2), _batch(2))
         assert (0, 0) in cache
         assert (0, 1) not in cache
 
     def test_oversized_block_not_admitted(self):
         cache = BlockCache(max_bytes=_cost(1))
-        cache.put((0, 0), _block(5))
+        cache.put((0, 0), _batch(5))
         assert len(cache) == 0
         assert cache.bytes_resident == 0
 
     def test_reput_replaces_without_double_counting(self):
         cache = BlockCache(max_bytes=10_000)
-        cache.put((0, 0), _block(2))
-        cache.put((0, 0), _block(3))
+        cache.put((0, 0), _batch(2))
+        cache.put((0, 0), _batch(3))
         assert cache.bytes_resident == _cost(3)
         assert len(cache) == 1
 
@@ -83,24 +89,15 @@ class TestByteBounding:
 class TestInvalidation:
     def test_invalidate_one(self):
         cache = BlockCache(max_bytes=10_000)
-        cache.put((0, 0), _block(1))
+        cache.put((0, 0), _batch(1))
         assert cache.invalidate((0, 0))
         assert not cache.invalidate((0, 0))  # already gone
         assert cache.invalidations == 1
         assert cache.bytes_resident == 0
 
-    def test_invalidate_month(self):
-        cache = BlockCache(max_bytes=10_000)
-        cache.put((0, 0), _block(1))
-        cache.put((0, 1), _block(1))
-        cache.put((5, 0), _block(1))
-        assert cache.invalidate_month(0) == 2
-        assert (5, 0) in cache
-        assert len(cache) == 1
-
     def test_clear(self):
         cache = BlockCache(max_bytes=10_000)
-        cache.put((0, 0), _block(1))
+        cache.put((0, 0), _batch(1))
         cache.get((0, 0))
         cache.clear()
         assert len(cache) == 0
@@ -124,7 +121,7 @@ class TestHitRate:
     def test_ratio_over_traffic(self):
         cache = BlockCache(max_bytes=10_000)
         cache.get((0, 0))               # miss
-        cache.put((0, 0), _block(1))
+        cache.put((0, 0), _batch(1))
         cache.get((0, 0))               # hit
         cache.get((0, 0))               # hit
         assert cache.lookups == 3
@@ -133,7 +130,7 @@ class TestHitRate:
     def test_clear_resets_residency_not_counters(self):
         cache = BlockCache(max_bytes=10_000)
         cache.get((0, 0))               # miss
-        cache.put((0, 0), _block(1))
+        cache.put((0, 0), _batch(1))
         cache.get((0, 0))               # hit
         cache.clear()
         assert len(cache) == 0
@@ -143,7 +140,7 @@ class TestHitRate:
 
     def test_post_clear_lookups_keep_accumulating(self):
         cache = BlockCache(max_bytes=10_000)
-        cache.put((0, 0), _block(1))
+        cache.put((0, 0), _batch(1))
         cache.get((0, 0))               # hit
         cache.clear()
         cache.get((0, 0))               # miss (entry gone after clear)

@@ -1,11 +1,13 @@
 """Unit tests for the report codec (repro.store.codec)."""
 
 import json
+import zlib
 
 import pytest
 
 from repro.errors import CorruptRecordError
 from repro.store import codec
+from repro.store.shard import CompressedBlock
 from repro.vt.reports import ScanReport
 
 from conftest import make_report
@@ -59,6 +61,11 @@ class TestVerboseEstimate:
         assert len(attrs["last_analysis_results"]) == 5
 
 
+def _framed(records: list[bytes]) -> list[bytes]:
+    """Records frozen into one block, then decoded back to record bytes."""
+    return CompressedBlock.from_records(records).batch().to_records()
+
+
 class TestBlockFraming:
     def test_round_trip(self):
         records = [codec.encode_report(make_report(
@@ -66,29 +73,29 @@ class TestBlockFraming:
             n_engines=len(labels)))
             for i, (ftype, labels) in enumerate([
                 ("Win32 EXE", [1, 0, -1]), ("PDF", []), ("", [0] * 70)])]
-        assert codec.decode_block(codec.encode_block(records)) == records
+        assert _framed(records) == records
 
     def test_empty_block(self):
-        assert codec.decode_block(codec.encode_block([])) == []
+        assert _framed([]) == []
 
     def test_bad_magic_rejected(self):
         with pytest.raises(CorruptRecordError):
-            codec.decode_block(b"XXXX\x00\x00\x00\x00")
+            codec.decode_compressed_batch(
+                zlib.compress(b"XXXX\x00\x00\x00\x00"))
 
     def test_truncated_block_rejected(self):
         framed = codec.encode_block([codec.encode_report(make_report())])
         with pytest.raises(CorruptRecordError):
-            codec.decode_block(framed[:-2])
+            codec.decode_compressed_batch(zlib.compress(framed[:-2]))
 
     def test_encoded_reports_survive_framing(self):
         reports = [make_report(sha=f"{i:02x}" * 32, scan_time=i * 100)
                    for i in range(5)]
         records = [codec.encode_report(r) for r in reports]
-        recovered = [
-            codec.decode_report(rec)
-            for rec in codec.decode_block(codec.encode_block(records))
-        ]
-        assert recovered == reports
+        assert [codec.decode_report(rec) for rec in _framed(records)] \
+            == reports
+        batch = CompressedBlock.from_records(records).batch()
+        assert [batch.report(slot) for slot in range(len(batch))] == reports
 
 
 class TestCompactness:

@@ -205,7 +205,7 @@ class TestFormatRoundTrips:
         loaded = ReportStore.load(path)
         assert loaded.digest() == store.digest()
         sha = reports[0].sha256
-        assert loaded.reports_for(sha) == store.reports_for(sha)
+        assert loaded.report_series(sha) == store.report_series(sha)
 
     def test_mmap_load_parity(self, tmp_path):
         store = _store(_feed())

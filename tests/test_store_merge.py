@@ -91,7 +91,7 @@ def test_merged_store_is_sealed_and_indexed():
     assert merged.sample_count == 9
     for _key, report in a + b:
         assert report.sha256 in merged
-        got = merged.reports_for(report.sha256)
+        got = merged.report_series(report.sha256)
         assert [r.scan_time for r in got] == [report.scan_time]
         assert merged.sample_file_type(report.sha256) == report.file_type
         assert merged.has_report(report.sha256, report.scan_time)
@@ -134,7 +134,7 @@ def test_block_disagreeing_with_its_keys_rejected():
     lying = CompressedBlock(honest.payload, 4, honest.raw_bytes)
     month = FrozenMonth(blocks=[lying], report_count=4,
                         keys=np.arange(4, dtype=np.int64))
-    with pytest.raises(CorruptRecordError, match="keys were shipped"):
+    with pytest.raises(CorruptRecordError, match="header says 4"):
         _merge([FrozenShard(months={month_index(1000): month})])
 
 
@@ -211,7 +211,7 @@ def test_merge_equals_serial_ingest_in_key_order(tmp_path_factory, split,
     # like the index serial ingest built report by report.
     assert list(merged.samples()) == list(serial.samples())
     for sha in serial.samples():
-        assert merged.reports_for(sha) == serial.reports_for(sha)
+        assert merged.report_series(sha) == serial.report_series(sha)
         assert merged.latest_report(sha) == serial.latest_report(sha)
         assert merged.sample_file_type(sha) == serial.sample_file_type(sha)
         assert merged.sample_is_fresh(sha) == serial.sample_is_fresh(sha)

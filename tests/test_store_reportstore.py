@@ -1,5 +1,6 @@
 """Unit and integration tests for ReportStore (repro.store.reportstore)."""
 
+import hashlib
 import json
 import os
 import struct
@@ -10,13 +11,19 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.analysis.experiment import run_experiment
 from repro.errors import (
+    BlockAddressError,
     CorruptRecordError,
+    ReproError,
     ShardClosedError,
     StoreError,
     UnknownSampleError,
 )
+from repro.store.codec import encode_report
+from repro.store.columnar import ColumnarBatch
 from repro.store.reportstore import ReportStore
+from repro.synth.scenario import dynamics_scenario
 from repro.vt import clock
 
 from conftest import make_report, make_sha
@@ -29,6 +36,20 @@ def _month_time(month: int, offset: int = 1000) -> int:
 @pytest.fixture()
 def store():
     return ReportStore(block_records=4)
+
+
+def _json(value) -> bytes:
+    return json.dumps(value).encode()
+
+
+def rewrite_header(path: Path, reshape) -> None:
+    """Replace a saved store's JSON header by the bytes
+    ``reshape(header)`` returns."""
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", blob, 8)
+    raw = reshape(json.loads(blob[12:12 + header_len]))
+    path.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw
+                     + blob[12 + header_len:])
 
 
 def _fill(store: ReportStore, n_samples: int = 3, scans_each: int = 3):
@@ -79,16 +100,16 @@ class TestRetrieval:
         assert make_sha("s0") in store
         assert make_sha("ghost") not in store
 
-    def test_reports_for_sorted_by_time(self, store):
+    def test_report_series_sorted_by_time(self, store):
         _fill(store)
-        reports = store.reports_for(make_sha("s1"))
+        reports = store.report_series(make_sha("s1"))
         assert len(reports) == 3
         times = [r.scan_time for r in reports]
         assert times == sorted(times)
 
-    def test_reports_for_unknown_raises(self, store):
+    def test_report_series_unknown_raises(self, store):
         with pytest.raises(UnknownSampleError):
-            store.reports_for(make_sha("ghost"))
+            store.report_series(make_sha("ghost"))
 
     def test_sample_metadata(self, store):
         _fill(store)
@@ -124,9 +145,9 @@ class TestRetrieval:
         # Read the same sample repeatedly; the block cache must not
         # corrupt results.
         _fill(store, n_samples=6, scans_each=2)
-        first = store.reports_for(make_sha("s3"))
+        first = store.report_series(make_sha("s3"))
         for _ in range(10):
-            assert store.reports_for(make_sha("s3")) == first
+            assert store.report_series(make_sha("s3")) == first
 
 
 class TestInterleavedIngestRead:
@@ -143,32 +164,48 @@ class TestInterleavedIngestRead:
         times = list(range(1000, 1009))
         for t in times[:5]:  # past one block boundary: block 0 + open buffer
             store.ingest(make_report(sha=sha, scan_time=t))
-        assert [r.scan_time for r in store.reports_for(sha)] == times[:5]
+        assert [r.scan_time for r in store.report_series(sha)] == times[:5]
         for t in times[5:]:  # freezes block 1 under the cached key
             store.ingest(make_report(sha=sha, scan_time=t))
-        assert [r.scan_time for r in store.reports_for(sha)] == times
+        assert [r.scan_time for r in store.report_series(sha)] == times
 
     def test_read_survives_flush_and_close(self, store):
         sha = make_sha("victim")
         times = list(range(2000, 2009))
         for t in times[:5]:
             store.ingest(make_report(sha=sha, scan_time=t))
-        before = store.reports_for(sha)
+        before = store.report_series(sha)
         assert len(before) == 5
         for t in times[5:]:
             store.ingest(make_report(sha=sha, scan_time=t))
         store.flush()
-        assert [r.scan_time for r in store.reports_for(sha)] == times
+        assert [r.scan_time for r in store.report_series(sha)] == times
         store.close()
-        assert [r.scan_time for r in store.reports_for(sha)] == times
+        assert [r.scan_time for r in store.report_series(sha)] == times
+
+    def test_address_past_the_open_block_raises(self, store):
+        sha = make_sha("edge")
+        for t in range(1000, 1006):  # one frozen block, two buffered
+            store.ingest(make_report(sha=sha, scan_time=t))
+        month = clock.month_index(1000)
+        assert len(store._batch(month, 1)) == 2  # the open buffer
+        with pytest.raises(BlockAddressError):
+            store._batch(month, 2)
+        # An index entry past the buffered records, or past the open
+        # block, fails the lookup with the same typed error.
+        for bad in ((month, 1, 2, 1006), (month, 2, 0, 1006)):
+            store._index[sha].append(bad)
+            with pytest.raises(BlockAddressError):
+                store.report_series(sha)
+            store._index[sha].pop()
 
     def test_open_buffer_reads_are_live_not_snapshots(self, store):
         sha_a, sha_b = make_sha("a"), make_sha("b")
         store.ingest(make_report(sha=sha_a, scan_time=100))
         # This read touches the open buffer; it must not pin a snapshot.
-        assert len(store.reports_for(sha_a)) == 1
+        assert len(store.report_series(sha_a)) == 1
         store.ingest(make_report(sha=sha_b, scan_time=101))
-        assert len(store.reports_for(sha_b)) == 1
+        assert len(store.report_series(sha_b)) == 1
         assert store.cache_stats().open_reads >= 2
 
     def test_interleaved_streaming_grouping(self, store):
@@ -196,7 +233,7 @@ class TestStreaming:
         _fill(store, n_samples=8, scans_each=3)
         store.close()
         for sha, reports in store.iter_sample_reports():
-            assert reports == store.reports_for(sha)
+            assert reports == store.report_series(sha)
 
     def test_peak_resident_bounded_by_live_window(self):
         # Samples with contiguous reports complete block by block, so the
@@ -230,8 +267,8 @@ class TestCacheInstrumentation:
     def test_counters_via_store_stats(self, store):
         _fill(store, n_samples=6, scans_each=2)
         store.close()
-        store.reports_for(make_sha("s1"))
-        store.reports_for(make_sha("s1"))
+        store.report_series(make_sha("s1"))
+        store.report_series(make_sha("s1"))
         cache = store.stats().cache
         assert cache.hits > 0
         assert cache.misses > 0
@@ -248,7 +285,7 @@ class TestCacheInstrumentation:
             store.ingest(make_report(sha=sha, scan_time=1000 + t))
         store.close()
         for sha in shas:
-            assert len(store.reports_for(sha)) == 1
+            assert len(store.report_series(sha)) == 1
         cache = store.cache_stats()
         assert cache.evictions > 0
         assert cache.bytes_resident <= cache.bytes_limit
@@ -256,7 +293,7 @@ class TestCacheInstrumentation:
     def test_drop_caches(self, store):
         _fill(store)
         store.close()
-        store.reports_for(make_sha("s0"))
+        store.report_series(make_sha("s0"))
         assert store.cache_stats().entries > 0
         store.drop_caches()
         after = store.cache_stats()
@@ -268,7 +305,7 @@ class TestCacheInstrumentation:
         sha = make_sha("live")
         store.ingest(make_report(sha=sha, scan_time=1000))
         for _ in range(5):
-            store.reports_for(sha)
+            store.report_series(sha)
         cache = store.cache_stats()
         assert cache.entries == 0
         assert cache.open_reads == 5
@@ -310,7 +347,7 @@ class TestPersistence:
         assert loaded.fresh_sample_count == store.fresh_sample_count
         for i in range(5):
             sha = make_sha(f"s{i}")
-            assert loaded.reports_for(sha) == store.reports_for(sha)
+            assert loaded.report_series(sha) == store.report_series(sha)
         del ingested
 
     def test_loaded_store_is_sealed(self, store, tmp_path):
@@ -341,11 +378,9 @@ class TestPersistence:
             with pytest.raises(CorruptRecordError):
                 ReportStore.load(path)
 
-    def test_damaged_month_report_count_spares_the_frame(self, store,
-                                                         tmp_path):
-        # The shard table's per-month report count is trusted for the
-        # store totals only; the analysis frame counts the blocks' own
-        # records, so a damaged count cannot break it.
+    def test_damaged_month_report_count_is_rejected(self, store, tmp_path):
+        # A month's report count must equal its blocks' record counts;
+        # a damaged one would skew the store totals and the digest.
         _fill(store)
         store.close()
         path = tmp_path / "count.store"
@@ -358,11 +393,78 @@ class TestPersistence:
         assert blob.count(entry) == 1
         path.write_bytes(blob.replace(entry, struct.pack(
             "<iIq", month, len(shard.blocks), shard.report_count + 5)))
-        loaded = ReportStore.load(path)
-        assert loaded.report_count == store.report_count + 5
-        frame = loaded.series_frame()
-        assert frame.n_reports == len(frame.labels) == store.report_count
-        assert frame.to_series() == store.series_frame().to_series()
+        with pytest.raises(CorruptRecordError, match="blocks hold"):
+            ReportStore.load(path)
+
+    def test_index_sample_count_must_match_the_header(self, store,
+                                                      tmp_path):
+        _fill(store)
+        path = tmp_path / "samples.store"
+        store.save(path)
+        rewrite_header(path, lambda header: _json(dict(header, index=dict(
+            header["index"], samples=header["index"]["samples"] + 1))))
+        with pytest.raises(CorruptRecordError, match="the header says 4"):
+            ReportStore.load(path)
+
+    def test_month_section_must_match_the_header(self, store, tmp_path):
+        # A section claiming another month must not load, let alone
+        # overwrite that month's shard.
+        _fill(store)
+        store.close()
+        path = tmp_path / "month.store"
+        store.save(path)
+        first, second = sorted(store.shards)[:2]
+        shard = store.shards[first]
+        entry = struct.pack("<iIq", first, len(shard.blocks),
+                            shard.report_count)
+        blob = path.read_bytes()
+        assert blob.count(entry) == 1
+        path.write_bytes(blob.replace(entry, struct.pack(
+            "<iIq", second, len(shard.blocks), shard.report_count)))
+        with pytest.raises(CorruptRecordError, match="header lists"):
+            ReportStore.load(path)
+
+    @pytest.mark.parametrize("use_mmap", [False, True],
+                             ids=["read", "mmap"])
+    @pytest.mark.parametrize("shape", [
+        lambda header: b"[]",
+        lambda header: b'"x"',
+        lambda header: _json(dict(header, months=5)),
+        lambda header: _json(dict(header, index=dict(header["index"],
+                                                     bytes="9"))),
+        lambda header: _json(dict(header, index=dict(header["index"],
+                                                     bytes=10 ** 30))),
+        lambda header: b"[" * 100_000 + b"]" * 100_000,
+    ], ids=["list", "string", "months-int", "index-bytes-string",
+            "index-bytes-huge", "nested-past-the-recursion-limit"])
+    def test_wrong_shape_header_is_corrupt(self, store, tmp_path,
+                                           monkeypatch, shape, use_mmap):
+        # A header of the wrong shape (valid JSON that is not a header,
+        # a size too large to read, nesting past the recursion limit)
+        # raises the typed error, and a mapping opened for it is closed.
+        from repro.store import reportstore as rs
+
+        path = tmp_path / "shape.store"
+        _fill(store)
+        store.save(path)
+        rewrite_header(path, shape)
+        real = rs._mmap
+        created = []
+
+        class _Shim:
+            ACCESS_READ = real.ACCESS_READ
+
+            @staticmethod
+            def mmap(fileno, length, access=None):
+                mapping = real.mmap(fileno, length, access=access)
+                created.append(mapping)
+                return mapping
+
+        monkeypatch.setattr(rs, "_mmap", _Shim())
+        with pytest.raises(CorruptRecordError):
+            ReportStore.load(path, use_mmap=use_mmap)
+        assert len(created) == use_mmap
+        assert all(mapping.closed for mapping in created)
 
     def test_corrupt_mmap_load_releases_the_mapping(self, store, tmp_path,
                                                     monkeypatch):
@@ -409,8 +511,8 @@ class TestPersistence:
         for live in (quiet, busy):
             _fill(live, n_samples=6, scans_each=2)
             live.close()
-        busy.reports_for(make_sha("s1"))  # miss + decode
-        busy.reports_for(make_sha("s1"))  # hit
+        busy.report_series(make_sha("s1"))  # miss + decode
+        busy.report_series(make_sha("s1"))  # hit
         list(busy.iter_sample_reports())  # streaming high-water mark
         assert busy.cache_stats().blocks_decoded > 0
         quiet_path, busy_path = tmp_path / "quiet.store", tmp_path / "busy.store"
@@ -440,7 +542,7 @@ class TestPersistence:
         # Saves write no ``retrieval_counters`` key; such a file loads
         # and its counters start at zero.
         _fill(store)
-        store.reports_for(make_sha("s0"))  # traffic the file must not keep
+        store.report_series(make_sha("s0"))  # traffic the file must not keep
         path = tmp_path / "plain.store"
         store.save(path)
         blob = path.read_bytes()
@@ -473,14 +575,14 @@ class TestPersistence:
         assert loaded.report_count == len(ingested)
         for i in range(5):
             sha = make_sha(f"s{i}")
-            assert loaded.reports_for(sha) == store.reports_for(sha)
+            assert loaded.report_series(sha) == store.report_series(sha)
 
     def test_live_store_usable_after_save(self, store, tmp_path):
         sha = make_sha("s0")
         _fill(store, n_samples=2, scans_each=2)
         store.save(tmp_path / "snap.store")
         store.ingest(make_report(sha=sha, scan_time=_month_time(0, offset=9999)))
-        reports = store.reports_for(sha)
+        reports = store.report_series(sha)
         assert len(reports) == 3
         assert _month_time(0, offset=9999) in [r.scan_time for r in reports]
 
@@ -505,12 +607,14 @@ class TestIdempotentIngest:
         assert store.ingest_unique(make_report(sha=sha, scan_time=2000))
         assert store.report_count == 2
 
-    def test_scan_index_survives_save_load(self, store, tmp_path):
+    def test_has_report_survives_save_load(self, store, tmp_path):
         report = make_report(sha=make_sha("s"), scan_time=1000)
         store.ingest(report)
         path = tmp_path / "x.store"
         store.save(path)
         loaded = ReportStore.load(path, reopen=True)
+        assert loaded.has_report(report.sha256, 1000)
+        assert not loaded.has_report(report.sha256, 1001)
         assert loaded.ingest_unique(report) is False
         assert loaded.report_count == 1
 
@@ -524,7 +628,7 @@ class TestReopen:
         extra = make_report(sha=make_sha("new"), scan_time=_month_time(1))
         reopened.ingest(extra)
         assert reopened.report_count == store.report_count + 1
-        assert reopened.reports_for(extra.sha256) == [extra]
+        assert reopened.report_series(extra.sha256) == [extra]
 
     def test_reopened_store_preserves_old_reports(self, store, tmp_path):
         _fill(store, n_samples=2, scans_each=2)
@@ -535,7 +639,7 @@ class TestReopen:
                                     scan_time=_month_time(1)))
         for i in range(2):
             sha = make_sha(f"s{i}")
-            assert reopened.reports_for(sha) == store.reports_for(sha)
+            assert reopened.report_series(sha) == store.report_series(sha)
 
     def test_reopened_store_round_trips_again(self, store, tmp_path):
         _fill(store, n_samples=2, scans_each=2)
@@ -548,7 +652,7 @@ class TestReopen:
         reopened.save(second)
         final = ReportStore.load(second)
         assert final.report_count == store.report_count + 1
-        assert final.reports_for(extra.sha256) == [extra]
+        assert final.report_series(extra.sha256) == [extra]
 
 
 #: Loads a store memory-mapped, saves it over its own file, and prints
@@ -607,3 +711,173 @@ class TestAtomicSave:
         _fill(store)
         store.save(path)
         assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+_STATE_TYPES = ("Win32 EXE", "PDF", "")
+
+
+def _state_reports() -> list:
+    """Chronological reports of six samples over three months: several
+    4-record blocks a month with an open remainder, two fleet widths
+    (ragged blocks) and three file types."""
+    reports = []
+    for month in range(3):
+        for step in range(5):
+            for i in range(6):
+                if (i + step) % 4 == 3:
+                    continue
+                width = 5 if i % 2 else 7
+                reports.append(make_report(
+                    sha=make_sha(f"state-{i}"),
+                    file_type=_STATE_TYPES[i % 3],
+                    scan_time=_month_time(month, offset=60 * step + i),
+                    labels=[(i + step + e) % 3 - 1 for e in range(width)],
+                    versions=[10 * month + e for e in range(width)],
+                    first_submission=0 if i % 2 else -1,
+                    n_engines=width))
+    return reports
+
+
+def _build_state(state: str, reports: list, tmp_path: Path) -> ReportStore:
+    """A store holding ``reports`` (ingested in list order) in one of the
+    states a reader can meet."""
+    if state == "bulk":
+        store = ReportStore(block_records=4)
+        store.ingest_arrays(ColumnarBatch.from_reports(reports))
+        assert not store._index_ready
+        return store
+    cut = len(reports) // 2 if state == "reopened" else len(reports)
+    store = ReportStore(block_records=4)
+    for report in reports[:cut]:
+        store.ingest(report)
+    if state == "live":
+        assert any(shard.open_record_count for shard in store.shards.values())
+        return store
+    store.close()
+    if state == "closed":
+        return store
+    path = tmp_path / f"{state}.store"
+    store.save(path)
+    loaded = ReportStore.load(path, use_mmap=state == "mmap",
+                              reopen=state == "reopened")
+    for report in reports[cut:]:
+        loaded.ingest(report)
+    return loaded
+
+
+def _completion_order(store: ReportStore, stream: list) -> list[str]:
+    """Samples in the order a streaming pass completes them: by the
+    ``(month, block)`` of their last report, first-seen order within a
+    block.  Block sizes come from the shard metadata, not a decode."""
+    by_month: dict[int, list] = {}
+    for report in stream:
+        by_month.setdefault(clock.month_index(report.scan_time),
+                            []).append(report)
+    last = {}
+    for month, month_reports in by_month.items():
+        shard = store.shards[month]
+        sizes = [block.record_count for block in shard.blocks]
+        sizes.append(shard.open_record_count)
+        blocks = [b for b, size in enumerate(sizes) for _ in range(size)]
+        for report, block in zip(month_reports, blocks, strict=True):
+            last[report.sha256] = (month, block)
+    first_seen = list(dict.fromkeys(report.sha256 for report in stream))
+    return sorted(first_seen, key=last.__getitem__)
+
+
+def _stream_digest(stream: list) -> str:
+    """:meth:`ReportStore.digest` recomputed from the reports: month by
+    month, each month's record bytes in ingest order, length-framed."""
+    h = hashlib.sha256()
+    months = sorted({clock.month_index(r.scan_time) for r in stream})
+    for month in months:
+        records = [encode_report(r) for r in stream
+                   if clock.month_index(r.scan_time) == month]
+        h.update(struct.pack("<iq", month, len(records)))
+        for record in records:
+            h.update(struct.pack("<I", len(record)))
+            h.update(record)
+    return h.hexdigest()
+
+
+class TestReadsInEveryState:
+    """Every read returns the ingested reports, whichever way the store
+    was built and wherever its blocks live (open buffer, frozen block,
+    file, mapping)."""
+
+    @pytest.mark.parametrize("state", ["live", "bulk", "closed", "loaded",
+                                       "mmap", "reopened"])
+    def test_reads_match_the_ingested_reports(self, state, tmp_path):
+        reports = _state_reports()
+        store = _build_state(state, reports, tmp_path)
+        # The reports are chronological, so the store's month-major
+        # stream is their list order.
+        assert store.digest() == _stream_digest(reports)
+        assert list(store.iter_reports()) == reports
+
+        by_sample: dict[str, list] = {}
+        for report in reports:
+            by_sample.setdefault(report.sha256, []).append(report)
+        expected = {sha: sorted(group, key=lambda r: r.scan_time)
+                    for sha, group in by_sample.items()}
+        grouped = list(store.iter_sample_reports())
+        assert [sha for sha, _ in grouped] == _completion_order(store,
+                                                                reports)
+        assert dict(grouped) == expected
+        for sha, series in expected.items():
+            assert store.report_series(sha) == series
+            assert store.latest_report(sha) == series[-1]
+            for report in series:
+                assert store.has_report(sha, report.scan_time)
+                assert not store.has_report(sha, report.scan_time + 1)
+        assert not store.has_report(make_sha("absent"), reports[0].scan_time)
+        assert store.digest() == _stream_digest(reports)
+
+
+def _payload_offsets(blob: bytes) -> set[int]:
+    """Offsets of every block payload byte of a saved store."""
+    (header_len,) = struct.unpack_from("<I", blob, 8)
+    header = json.loads(blob[12:12 + header_len])
+    pos = 12 + header_len + header["index"]["bytes"]
+    payload: set[int] = set()
+    for _ in header["months"]:
+        n_blocks = struct.unpack_from("<iIqqq", blob, pos)[1]
+        pos += struct.calcsize("<iIqqq")
+        for _ in range(n_blocks):
+            (size,) = struct.unpack_from("<I", blob, pos)
+            pos += struct.calcsize("<IIq")
+            payload.update(range(pos, pos + size))
+            pos += size
+    assert pos == len(blob)
+    return payload
+
+
+class TestByteFlips:
+    def test_every_flip_raises_or_keeps_the_digest(self, tmp_path):
+        # Each single-bit flip of a saved store either raises a typed
+        # error from load + digest, or changes nothing the digest covers
+        # (Table 2 byte counts, a block's raw_bytes, the header's
+        # block_records, or a deflate bit the payload inflates past).
+        # Every byte outside block payloads is flipped; payloads are
+        # zlib-checked, so every 16th of theirs suffices.
+        store = run_experiment(dynamics_scenario(n_samples=12, seed=5)).store
+        path = tmp_path / "clean.store"
+        store.save(path)
+        blob = path.read_bytes()
+        reference = store.digest()
+        payload = _payload_offsets(blob)
+        flipped = tmp_path / "flipped.store"
+        silent = []
+        for at in range(len(blob)):
+            if at in payload and at % 16:
+                continue
+            damaged = bytearray(blob)
+            damaged[at] ^= 0x01
+            flipped.write_bytes(damaged)
+            try:
+                digest = ReportStore.load(flipped).digest()
+            except ReproError:
+                continue
+            if digest != reference:
+                silent.append(at)
+        assert silent == []

@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import make_report, make_sha
-from repro.errors import ShardClosedError
+from repro.errors import CorruptRecordError, ShardClosedError
 from repro.store.codec import encode_report
 from repro.store.shard import CompressedBlock, MonthlyShard
 
@@ -14,15 +14,23 @@ def _records(n: int) -> list[bytes]:
             for i in range(n)]
 
 
-A, B, C = _records(3)
+A, B = _records(2)
 
 
 class TestCompressedBlock:
     def test_round_trip(self):
         records = _records(10)
         block = CompressedBlock.from_records(records)
-        assert block.records() == records
+        assert block.batch().to_records() == records
         assert block.record_count == 10
+
+    @pytest.mark.parametrize("planes", [True, False])
+    def test_row_count_must_match_the_header(self, planes):
+        honest = CompressedBlock.from_records(_records(3))
+        lying = CompressedBlock(honest.payload, 4, honest.raw_bytes)
+        with pytest.raises(CorruptRecordError,
+                           match="decoded to 3 records, but its header says 4"):
+            lying.batch(planes=planes)
 
     def test_compression_shrinks_repetitive_data(self):
         wide = encode_report(make_report(n_engines=70))
@@ -43,29 +51,6 @@ class TestMonthlyShard:
         for r in _records(7):
             shard.append(r, 100)
         assert len(shard.blocks) == 2  # two frozen, one open buffer
-
-    def test_record_at_spans_frozen_and_open(self):
-        shard = MonthlyShard(month=0, block_records=3)
-        records = _records(5)
-        for r in records:
-            shard.append(r, 100)
-        assert shard.record_at(0, 1) == records[1]
-        assert shard.record_at(1, 1) == records[4]  # still in buffer
-
-    def test_record_at_out_of_range(self):
-        shard = MonthlyShard(month=0, block_records=3)
-        shard.append(A, 10)
-        with pytest.raises(IndexError):
-            shard.record_at(5, 0)
-        with pytest.raises(IndexError):
-            shard.record_at(0, 9)
-
-    def test_iter_records_preserves_order(self):
-        shard = MonthlyShard(month=0, block_records=2)
-        records = _records(5)
-        for r in records:
-            shard.append(r, 100)
-        assert list(shard.iter_records()) == records
 
     def test_flush_freezes_partial_buffer(self):
         shard = MonthlyShard(month=0, block_records=100)
@@ -104,17 +89,6 @@ class TestMonthlyShard:
         assert shard.compressed_bytes > 0
         assert shard.stored_bytes == shard.compressed_bytes
 
-    def test_generation_bumps_on_append_and_flush(self):
-        shard = MonthlyShard(month=0, block_records=100)
-        assert shard.generation == 0
-        shard.append(A, 1)
-        shard.append(B, 1)
-        assert shard.generation == 2
-        shard.flush()
-        assert shard.generation == 3
-        shard.flush()  # empty buffer: no mutation
-        assert shard.generation == 3
-
     def test_buffered_records_is_a_snapshot(self):
         shard = MonthlyShard(month=0, block_records=100)
         shard.append(A, 1)
@@ -123,9 +97,18 @@ class TestMonthlyShard:
         assert snapshot == [A]
         assert shard.buffered_records() == [A, B]
 
-    def test_iter_record_blocks_covers_frozen_and_open(self):
+    def test_iter_batches_covers_frozen_and_open(self):
+        # Frozen blocks in order, then the open buffer under the block
+        # index its records' addresses carry; a closed shard has no
+        # buffer left to yield.
         shard = MonthlyShard(month=0, block_records=2)
-        for r in (A, B, C):
+        records = _records(5)
+        for r in records:
             shard.append(r, 1)
-        blocks = list(shard.iter_record_blocks())
-        assert blocks == [(0, [A, B]), (1, [C])]
+        assert [batch.to_records() for batch in shard.iter_batches()] == [
+            records[0:2], records[2:4], records[4:5]]
+        assert [len(batch) for batch in shard.iter_batches(planes=False)] \
+            == [2, 2, 1]
+        shard.close()
+        assert [len(batch) for batch in shard.iter_batches()] == [2, 2, 1]
+        assert shard.open_record_count == 0
