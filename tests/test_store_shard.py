@@ -97,10 +97,30 @@ class TestMonthlyShard:
         assert snapshot == [A]
         assert shard.buffered_records() == [A, B]
 
-    def test_iter_batches_covers_frozen_and_open(self):
-        # Frozen blocks in order, then the open buffer under the block
-        # index its records' addresses carry; a closed shard has no
-        # buffer left to yield.
+    def test_record_at_spans_frozen_and_open(self):
+        # An address from append reads back its record through the
+        # block batches, in a frozen block and in the open buffer alike.
+        shard = MonthlyShard(month=0, block_records=3)
+        records = _records(5)
+        addresses = [shard.append(r, 100) for r in records]
+        blocks = [batch.to_records() for batch in shard.iter_batches()]
+        assert blocks[0][1] == records[1]
+        assert blocks[1][1] == records[4]  # still in buffer
+        assert shard.open_record_count == 2
+        assert [blocks[block][slot] for block, slot in addresses] == records
+
+    def test_iter_records_preserves_order(self):
+        shard = MonthlyShard(month=0, block_records=2)
+        records = _records(5)
+        for r in records:
+            shard.append(r, 100)
+        assert [record for batch in shard.iter_batches()
+                for record in batch.to_records()] == records
+
+    def test_iter_record_blocks_covers_frozen_and_open(self):
+        # iter_batches yields the frozen blocks in order, then the open
+        # buffer under the block index its records' addresses carry; a
+        # closed shard has no buffer left to yield.
         shard = MonthlyShard(month=0, block_records=2)
         records = _records(5)
         for r in records:
