@@ -17,7 +17,6 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "columnar": ("ColumnarBatch", "SeriesFrame"),
     "codec": ("decode_report", "encode_report", "verbose_json_size"),
-    "index": ("IndexEntry", "decode_index", "encode_index", "sample_ranks"),
     "cache": ("BlockCache", "CacheStats"),
     "merge": ("FrozenMonth", "FrozenShard", "StreamingMerge"),
     "reportstore": ("ReportStore",),

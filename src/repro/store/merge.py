@@ -80,7 +80,8 @@ class StreamingMerge:
     extend_batch`, not :meth:`~repro.store.reportstore.ReportStore.
     ingest_arrays`: every record was already counted by the worker that
     ingested it, so the merged store records no ingest metrics again.
-    Its per-sample index is deferred, exactly as after ``ingest_arrays``.
+    Its per-sample index is derived from the merged records on first
+    use, as after ``ingest_arrays``.
     """
 
     def __init__(self, block_records: int = DEFAULT_BLOCK_RECORDS,
@@ -104,7 +105,6 @@ class StreamingMerge:
                                         for shard in shards
                                         if month in shard.months])
         store.close()
-        store._index_ready = False
         return store
 
 

@@ -2,10 +2,11 @@
 
 :class:`ReportStore` ingests scan reports (typically straight from the
 premium feed), shards them by collection-window month, compresses them in
-blocks, and maintains two index structures the paper's pipeline also kept:
+blocks, and keeps one array index (:class:`~repro.store.index.SampleIndex`)
+of what the paper's pipeline also kept:
 
-* a **per-sample index** mapping a hash to the block addresses of all its
-  reports — the grouping step behind every per-sample analysis;
+* the block addresses of each sample's reports — the grouping step
+  behind every per-sample analysis;
 * **sample metadata** (file type, freshness) stored once per sample rather
   than per report — the "stored separately to reduce data redundancy"
   optimisation from §4.1.
@@ -50,23 +51,13 @@ from repro.errors import (
     CorruptRecordError,
     ShardClosedError,
     StoreError,
-    UnknownSampleError,
 )
 from repro.obs.registry import NULL_REGISTRY
 from repro.obs.timing import traced
 from repro.store import codec, columnar
 from repro.store.cache import DEFAULT_CACHE_BYTES, BlockCache, CacheStats
 from repro.store.columnar import ColumnarBatch, SeriesFrame
-from repro.store.index import (
-    ENTRY_DTYPE,
-    INDEX_FORMAT,
-    IndexArrays,
-    IndexEntry,
-    decode_index,
-    encode_index_arrays,
-    latest_entry,
-    sample_ranks,
-)
+from repro.store.index import ENTRY_DTYPE, INDEX_FORMAT, SampleIndex
 from repro.store.shard import DEFAULT_BLOCK_RECORDS, CompressedBlock, MonthlyShard
 from repro.store.stats import StoreStats, compute_store_stats
 from repro.vt.clock import month_index, month_label
@@ -77,8 +68,6 @@ _FILE_MAGIC = b"RPRSTORE"
 #: :meth:`ReportStore.load` reads: columnar blocks plus the index
 #: section.  (v1 and v2, the retired row-block formats, are rejected.)
 _FILE_VERSION = 3
-
-Address = tuple[int, int, int]  # (month, block, slot)
 
 
 def replace_durably(temp: Path, path: Path) -> None:
@@ -132,11 +121,9 @@ class ReportStore:
         #: loaded with ``mmap=True``; block payloads are views into it.
         self._mmap = None
         self.shards: dict[int, MonthlyShard] = {}
-        self._index: dict[str, list[IndexEntry]] = {}
-        self._sample_meta: dict[str, tuple[str, bool]] = {}
-        #: False after a bulk :meth:`ingest_arrays` or a merge, until the
-        #: first per-sample access triggers the rebuild (a save does not).
-        self._index_ready = True
+        #: ``None`` until first use, and again after a bulk
+        #: :meth:`ingest_arrays`: derived from the shards when next read.
+        self._index: SampleIndex | None = None
         self._cache = BlockCache(max_bytes=cache_bytes)
         self._blocks_decoded = 0
         self._open_reads = 0
@@ -163,7 +150,7 @@ class ReportStore:
         """Add one report to the store."""
         if self.closed:
             raise ShardClosedError("store is closed")
-        self._ensure_index()
+        index = self._derived_index()
         month = month_index(report.scan_time)
         shard = self._shard(month)
         record = codec.encode_report(report)
@@ -179,13 +166,8 @@ class ReportStore:
         # pins the invalidation contract (any mutation of block `block`
         # must drop a cached decode of it) independent of cache policy.
         self._cache.invalidate((month, block))
-        self._index.setdefault(report.sha256, []).append(
-            (month, block, slot, report.scan_time))
-        if report.sha256 not in self._sample_meta:
-            self._sample_meta[report.sha256] = (
-                report.file_type,
-                report.first_submission_date >= 0,
-            )
+        index.add(report.sha256, month, block, slot, report.scan_time,
+                  report.file_type, report.first_submission_date >= 0)
 
     def has_report(self, sha256: str, scan_time: int) -> bool:
         """Whether a report for ``(sha256, scan_time)`` is already stored.
@@ -194,11 +176,10 @@ class ReportStore:
         minute (one analysis per sample per minute), so replayed feed
         batches, duplicated deliveries and backfill overlap can all be
         recognised without decoding any block: the sample's own index
-        entries carry their scan minutes.
+        entries carry their scan minutes.  The index's tail is not folded,
+        so a collector's dedupe stays linear in the reports.
         """
-        self._ensure_index()
-        return any(entry[3] == scan_time
-                   for entry in self._index.get(sha256, ()))
+        return self._derived_index().has(sha256, scan_time)
 
     def ingest_unique(self, report: ScanReport) -> bool:
         """Ingest unless an identical scan is already stored.
@@ -230,10 +211,8 @@ class ReportStore:
         Digest-equivalent to ingesting ``batch``'s reports one by one in
         row order.
 
-        Index maintenance is deferred: the per-sample
-        index rebuilds lazily on the first per-sample access instead of
-        being updated record by record, which is what keeps this path
-        fast for analytics ingest.
+        The per-sample index is dropped, not updated record by record:
+        the next read derives it from the shards in one pass.
         """
         if self.closed:
             raise ShardClosedError("store is closed")
@@ -267,7 +246,7 @@ class ReportStore:
                 for size in sub._record_sizes().tolist():
                     self._m_record_bytes.observe(size)
         self._m_batch_records.inc(n)
-        self._index_ready = False
+        self._index = None
         return n
 
     def flush(self) -> None:
@@ -305,13 +284,11 @@ class ReportStore:
 
     @property
     def sample_count(self) -> int:
-        self._ensure_index()
-        return len(self._index)
+        return len(self._folded_index().position)
 
     @property
     def fresh_sample_count(self) -> int:
-        self._ensure_index()
-        return sum(1 for _, fresh in self._sample_meta.values() if fresh)
+        return int(np.count_nonzero(self._folded_index().fresh))
 
     def stats(self) -> StoreStats:
         """Table 2 style accounting for the whole store."""
@@ -344,41 +321,22 @@ class ReportStore:
     # ------------------------------------------------------------------
 
     def __contains__(self, sha256: str) -> bool:
-        self._ensure_index()
-        return sha256 in self._index
+        return sha256 in self._folded_index().position
 
     def samples(self) -> Iterator[str]:
         """All sample hashes, in first-ingest order."""
-        self._ensure_index()
-        return iter(self._index)
+        return iter(self._folded_index().position)
 
     def sample_file_type(self, sha256: str) -> str:
-        self._ensure_index()
-        try:
-            return self._sample_meta[sha256][0]
-        except KeyError:
-            raise UnknownSampleError(sha256) from None
+        index = self._folded_index()
+        return index.ftype_names[index.ftype_codes.item(index.rank(sha256))]
 
     def sample_is_fresh(self, sha256: str) -> bool:
-        self._ensure_index()
-        try:
-            return self._sample_meta[sha256][1]
-        except KeyError:
-            raise UnknownSampleError(sha256) from None
+        index = self._folded_index()
+        return index.fresh.item(index.rank(sha256))
 
     def report_count_of(self, sha256: str) -> int:
-        self._ensure_index()
-        try:
-            return len(self._index[sha256])
-        except KeyError:
-            raise UnknownSampleError(sha256) from None
-
-    def _entries(self, sha256: str) -> list[IndexEntry]:
-        self._ensure_index()
-        try:
-            return self._index[sha256]
-        except KeyError:
-            raise UnknownSampleError(sha256) from None
+        return len(self._folded_index().entries_of(sha256))
 
     def report_series(self, sha256: str) -> list[ScanReport]:
         """All reports of one sample, sorted by scan time.
@@ -390,13 +348,17 @@ class ReportStore:
         buffer are read live, and frozen-block cache entries can never go
         stale (frozen blocks are immutable).
         """
-        by_block: dict[tuple[int, int], list[int]] = {}
-        for month, block, slot, _ in self._entries(sha256):
-            by_block.setdefault((month, block), []).append(slot)
+        entries = self._folded_index().entries_of(sha256)
+        # Block by block; lexsort is stable, so ingest order within each.
+        entries = entries[np.lexsort((entries["block"], entries["month"]))]
         reports = []
-        for (month, block), slots in sorted(by_block.items()):
-            batch = self._batch(month, block)
-            reports.extend(batch.report(slot) for slot in slots)
+        at = batch = None
+        for month, block, slot in zip(entries["month"].tolist(),
+                                      entries["block"].tolist(),
+                                      entries["slot"].tolist(), strict=True):
+            if at != (month, block):
+                at, batch = (month, block), self._batch(month, block)
+            reports.append(batch.report(slot))
         reports.sort(key=lambda r: r.scan_time)
         return reports
 
@@ -442,7 +404,10 @@ class ReportStore:
         the final element of :meth:`report_series`.  The block decodes
         straight to arrays and only the hit slot is materialised.
         """
-        month, block, slot, _ = latest_entry(self._entries(sha256))
+        entries = self._folded_index().entries_of(sha256)
+        # The last maximum: argmax finds the first one of the reversal.
+        latest = len(entries) - 1 - int(np.argmax(entries["scan_time"][::-1]))
+        month, block, slot, _ = entries[latest].item()
         return self._batch(month, block).report(slot)
 
     def iter_reports(self) -> Iterator[ScanReport]:
@@ -462,12 +427,17 @@ class ReportStore:
         Samples therefore arrive in completion order (order of their
         last report), not first-ingest order.
         """
-        # Last (month, block) each sample appears in → who completes where.
-        self._ensure_index()
-        completions: dict[tuple[int, int], list[str]] = {}
-        for sha256, entries in self._index.items():
-            last = max((month, block) for month, block, _, _ in entries)
-            completions.setdefault(last, []).append(sha256)
+        # Last (month, block) each sample appears in → who completes
+        # where, as one sortable int64: ``month << 32 | block``.
+        index = self._folded_index()
+        completions: dict[int, list[str]] = {}
+        if len(index.entries):
+            at = (index.entries["month"].astype(np.int64) << 32
+                  | index.entries["block"])
+            last = np.maximum.reduceat(at, index.bounds[:-1])
+            for sha256, key in zip(index.position, last.tolist(),
+                                   strict=True):
+                completions.setdefault(key, []).append(sha256)
 
         pending: dict[str, list[ScanReport]] = {}
         resident = 0
@@ -483,7 +453,7 @@ class ReportStore:
                 self._peak_stream_reports = max(
                     self._peak_stream_reports, resident
                 )
-                for sha256 in completions.pop((month, block_idx), ()):
+                for sha256 in completions.pop(month << 32 | block_idx, ()):
                     reports = pending.pop(sha256)
                     resident -= len(reports)
                     reports.sort(key=lambda r: r.scan_time)
@@ -516,13 +486,13 @@ class ReportStore:
         per-report objects.  The frame also keeps the per-engine
         label/version planes the §7 analyses read.
         """
-        if self._index_ready:
-            return SeriesFrame.from_batches(self.iter_batches(),
-                                            sample_ranks(self._index))
-        # Deferred index (bulk ingest or merge): a rebuilt index would
-        # rank samples by first occurrence in exactly the stream order
-        # from_batches sees, so the rebuild can be skipped outright.
-        return SeriesFrame.from_batches(self.iter_batches())
+        if self._index is None:
+            # A derived index would rank samples by first occurrence in
+            # exactly the stream order from_batches sees, so it is not
+            # derived.
+            return SeriesFrame.from_batches(self.iter_batches())
+        return SeriesFrame.from_batches(self.iter_batches(),
+                                        self._folded_index().position)
 
     # ------------------------------------------------------------------
     # Cache control / instrumentation
@@ -596,12 +566,6 @@ class ReportStore:
         afterwards.  (An earlier revision flushed each shard mid-save,
         silently changing the block layout of a live store.)
 
-        The index section is written from arrays.  A ready index (per-
-        report ingest, or a loaded store) is flattened into them; a
-        deferred one (after :meth:`ingest_arrays` or a merge) comes from
-        the same array pass that rebuilds it, without building the
-        per-sample dicts, and stays deferred.
-
         The write is atomic and durable: the bytes go to a temporary
         file beside ``path``, are flushed to disk, and then replace
         ``path`` in one rename, which is flushed too
@@ -611,16 +575,15 @@ class ReportStore:
         live mapping keeps the old file.
         """
         path = Path(path)
-        arrays = (IndexArrays.from_index(self._index, self._sample_meta)
-                  if self._index_ready else self._index_arrays())
-        index_payload = encode_index_arrays(arrays)
+        index = self._folded_index()
+        index_payload = index.encode()
         header = {
             "version": _FILE_VERSION,
             "block_records": self.block_records,
             "months": sorted(self.shards),
             "index": {
                 "format": INDEX_FORMAT,
-                "samples": len(arrays.shas),
+                "samples": len(index.position),
                 "bytes": len(index_payload),
             },
         }
@@ -691,18 +654,20 @@ class ReportStore:
 
         Damage raises :class:`~repro.errors.CorruptRecordError`, and a
         mapping is closed first.  Without decoding a block, ``load``
-        checks the structure: the header's shape and version, the index
-        section (zlib-checked, parsed, and its sample count against the
+        checks the structure: the header's shape and version, its
+        ``block_records`` (an int of at least 1), the index section
+        (zlib-checked, parsed, and its sample count against the
         header's), each month section's month against the header's list,
-        and each month's ``report_count`` against its blocks' record
-        counts.  A block's payload is checked when it is decoded (zlib's
-        checksum, the columnar layout, and its row count against the
-        block header), so ``digest()`` checks them all.  Four fields load
-        as they are, because no check can see them without decoding
-        every block: a month's ``verbose_bytes`` and ``encoded_bytes``
-        (Table 2 accounting), a block's ``raw_bytes``, and the header's
-        ``block_records`` (the size of blocks a reopened store freezes
-        next).  None of them enters the digest.
+        each month's ``report_count`` against its blocks' record counts,
+        and each index entry's address against the blocks, one entry per
+        stored report (:meth:`~repro.store.index.SampleIndex.
+        check_addresses`).  A block's payload is checked when it is
+        decoded (zlib's checksum, the columnar layout, and its row count
+        against the block header), so ``digest()`` checks them all.
+        Three fields load as they are, because no check can see them
+        without decoding every block: a month's ``verbose_bytes`` and
+        ``encoded_bytes`` (Table 2 accounting) and a block's
+        ``raw_bytes``.  None of them enters the digest.
         """
         path = Path(path)
         try:
@@ -730,8 +695,12 @@ class ReportStore:
                     raise CorruptRecordError(
                         f"unsupported store version {header['version']}"
                     )
-                store = cls(block_records=header["block_records"],
-                            metrics=metrics)
+                block_records = header["block_records"]
+                if type(block_records) is not int or block_records < 1:
+                    raise CorruptRecordError(
+                        f"store header's block_records is "
+                        f"{block_records!r}, not a positive int")
+                store = cls(block_records=block_records, metrics=metrics)
                 store._mmap = mapping
                 index_info = header["index"]
                 if index_info["format"] != INDEX_FORMAT:
@@ -771,12 +740,17 @@ class ReportStore:
                     shard.encoded_bytes = encoded
                     shard.closed = not reopen
                     store.shards[month] = shard
-                store._index, store._sample_meta = decode_index(
-                    bytes(index_payload))
-                if len(store._index) != index_info["samples"]:
+                # A copy: a view into the mapping, held by a traceback
+                # from decode, would keep the mapping from closing.
+                index = SampleIndex.decode(bytes(index_payload))
+                if len(index.position) != index_info["samples"]:
                     raise CorruptRecordError(
-                        f"store index holds {len(store._index)} samples, "
+                        f"store index holds {len(index.position)} samples, "
                         f"the header says {index_info['samples']}")
+                index.check_addresses({
+                    month: [block.record_count for block in shard.blocks]
+                    for month, shard in store.shards.items()})
+                store._index = index
             except (StoreError, struct.error, ValueError, KeyError,
                     TypeError, OverflowError, RecursionError) as exc:
                 if mapping is not None:
@@ -792,94 +766,45 @@ class ReportStore:
         store.closed = not reopen
         return store
 
-    def _ensure_index(self) -> None:
-        """Build the per-sample index if it was deferred (bulk ingest or
-        merge)."""
-        if not self._index_ready:
-            self._rebuild_index()
+    def _derived_index(self) -> SampleIndex:
+        """The per-sample index, derived from the shards first if there
+        is none."""
+        if self._index is None:
+            self._index = self._index_from_shards()
+        return self._index
 
-    def _index_arrays(self) -> IndexArrays:
-        """The per-sample index, computed from the records themselves.
+    def _folded_index(self) -> SampleIndex:
+        """The per-sample index with its tail folded in."""
+        index = self._derived_index()
+        index.fold()
+        return index
 
-        One vectorised pass over metadata-only batches (covering open
-        buffers too — the bulk :meth:`ingest_arrays` path and the merge
-        defer indexing): all addresses, scan times and first-occurrence
-        metadata come out of numpy gathers.  Sample order, entry order
-        and metadata choice are identical to what per-report
-        :meth:`ingest` of the same record stream builds.
-        """
-        parts: list[tuple[int, int, "ColumnarBatch"]] = []
-        names: dict[str, int] = {}
-        ftype_parts: list[np.ndarray] = []
-        for month in sorted(self.shards):
-            shard = self.shards[month]
-            for block_idx, batch in enumerate(
-                    shard.iter_batches(planes=False)):
-                if len(batch) == 0:
-                    continue
-                parts.append((month, block_idx, batch))
-                local = np.zeros(max(len(batch.ftypes), 1), np.int64)
-                for i, name in enumerate(batch.ftypes):
-                    local[i] = names.setdefault(name, len(names))
-                ftype_parts.append(local[batch.ftype_codes.astype(np.int64)])
+    def _index_from_shards(self) -> SampleIndex:
+        """The per-sample index of the records themselves, from one
+        vectorised pass over metadata-only batches, open buffers
+        included: what per-report :meth:`ingest` of the same record
+        stream builds."""
+        parts = [(month, block_idx, batch) for month in sorted(self.shards)
+                 for block_idx, batch in enumerate(
+                     self.shards[month].iter_batches(planes=False))]
         if not parts:
-            return IndexArrays.from_index({}, {})
-        shas = np.concatenate([b.shas for _, _, b in parts])
-        n_total = len(shas)
-        entries = np.empty(n_total, ENTRY_DTYPE)
-        entries["month"] = np.concatenate(
-            [np.full(len(b), m, np.int64) for m, _, b in parts])
-        entries["block"] = np.concatenate(
-            [np.full(len(b), i, np.int64) for _, i, b in parts])
-        entries["slot"] = np.concatenate(
-            [np.arange(len(b), dtype=np.int64) for _, _, b in parts])
+            return SampleIndex.empty()
+        sizes = [len(batch) for _, _, batch in parts]
+        entries = np.empty(sum(sizes), ENTRY_DTYPE)
+        entries["month"] = np.repeat([month for month, _, _ in parts], sizes)
+        entries["block"] = np.repeat([block for _, block, _ in parts], sizes)
+        entries["slot"] = np.arange(len(entries)) - np.repeat(
+            np.cumsum(sizes) - sizes, sizes)
         entries["scan_time"] = np.concatenate(
-            [b.scan_time.astype(np.int64) for _, _, b in parts])
-        fresh = np.concatenate(
-            [b.first_submission.astype(np.int64) >= 0 for _, _, b in parts])
-        ftypes = np.concatenate(ftype_parts)
-
-        uniq, inv = np.unique(shas, return_inverse=True)
-        n_uniq = len(uniq)
-        first_pos = np.full(n_uniq, n_total, np.int64)
-        np.minimum.at(first_pos, inv, np.arange(n_total, dtype=np.int64))
-        # Number samples by first occurrence, then group rows by sample
-        # (stream order within each group).
-        by_first = np.argsort(first_pos, kind="stable")
-        rank = np.empty(n_uniq, np.int64)
-        rank[by_first] = np.arange(n_uniq)
-        sample_of = rank[inv]
-        bounds = np.zeros(n_uniq + 1, np.int64)
-        np.cumsum(np.bincount(sample_of, minlength=n_uniq), out=bounds[1:])
-        first = first_pos[by_first]
-        return IndexArrays(
-            shas=uniq[by_first],
-            ftype_names=list(names),
-            ftype_codes=ftypes[first],
-            fresh=fresh[first],
-            bounds=bounds,
-            entries=entries[np.argsort(sample_of, kind="stable")],
-        )
-
-    def _rebuild_index(self) -> None:
-        """Rebuild the per-sample index dicts from :meth:`_index_arrays`;
-        only the per-sample python entries are built in a loop."""
-        arrays = self._index_arrays()
-        self._index.clear()
-        self._sample_meta.clear()
-        # Hexadecimal digests once per sample; tobytes() pads S32
-        # elements back to their full width (indexing strips NULs).
-        blob = arrays.shas.tobytes()
-        m_l, b_l, s_l, t_l = (arrays.entries[field].tolist()
-                              for field in ENTRY_DTYPE.names)
-        bounds = arrays.bounds.tolist()
-        ftype_codes = arrays.ftype_codes.tolist()
-        fresh = arrays.fresh.tolist()
-        for u in range(len(arrays.shas)):
-            lo, hi = bounds[u], bounds[u + 1]
-            sha = blob[32 * u:32 * u + 32].hex()
-            self._index[sha] = list(
-                zip(m_l[lo:hi], b_l[lo:hi], s_l[lo:hi], t_l[lo:hi]))
-            self._sample_meta[sha] = (arrays.ftype_names[ftype_codes[u]],
-                                      fresh[u])
-        self._index_ready = True
+            [batch.scan_time for _, _, batch in parts])
+        names: dict[str, int] = {}
+        ftype_codes = np.concatenate([
+            np.array([names.setdefault(name, len(names))
+                      for name in batch.ftypes], np.int64)[
+                batch.ftype_codes.astype(np.int64)]
+            for _, _, batch in parts])
+        return SampleIndex.from_stream(
+            np.concatenate([batch.shas for _, _, batch in parts]),
+            entries, list(names), ftype_codes,
+            np.concatenate([batch.first_submission.astype(np.int64) >= 0
+                            for _, _, batch in parts]))

@@ -42,6 +42,11 @@ def _json(value) -> bytes:
     return json.dumps(value).encode()
 
 
+def _with(**fields):
+    """A header reshape that sets ``fields``."""
+    return lambda header: _json(dict(header, **fields))
+
+
 def rewrite_header(path: Path, reshape) -> None:
     """Replace a saved store's JSON header by the bytes
     ``reshape(header)`` returns."""
@@ -183,21 +188,22 @@ class TestInterleavedIngestRead:
         store.close()
         assert [r.scan_time for r in store.report_series(sha)] == times
 
-    def test_address_past_the_open_block_raises(self, store):
+    def test_address_past_the_open_block_raises(self):
         sha = make_sha("edge")
-        for t in range(1000, 1006):  # one frozen block, two buffered
-            store.ingest(make_report(sha=sha, scan_time=t))
         month = clock.month_index(1000)
-        assert len(store._batch(month, 1)) == 2  # the open buffer
-        with pytest.raises(BlockAddressError):
-            store._batch(month, 2)
         # An index entry past the buffered records, or past the open
         # block, fails the lookup with the same typed error.
-        for bad in ((month, 1, 2, 1006), (month, 2, 0, 1006)):
-            store._index[sha].append(bad)
+        for block, slot in ((1, 2), (2, 0)):
+            store = ReportStore(block_records=4)
+            for t in range(1000, 1006):  # one frozen block, two buffered
+                store.ingest(make_report(sha=sha, scan_time=t))
+            assert len(store._batch(month, 1)) == 2  # the open buffer
+            with pytest.raises(BlockAddressError):
+                store._batch(month, 2)
+            store._index.add(sha, month, block, slot, 1006, "Win32 EXE",
+                             True)
             with pytest.raises(BlockAddressError):
                 store.report_series(sha)
-            store._index[sha].pop()
 
     def test_open_buffer_reads_are_live_not_snapshots(self, store):
         sha_a, sha_b = make_sha("a"), make_sha("b")
@@ -435,13 +441,19 @@ class TestPersistence:
         lambda header: _json(dict(header, index=dict(header["index"],
                                                      bytes=10 ** 30))),
         lambda header: b"[" * 100_000 + b"]" * 100_000,
+        *(_with(block_records=value)
+          for value in ("x", None, [256], 0, -3, True, 2.5)),
     ], ids=["list", "string", "months-int", "index-bytes-string",
-            "index-bytes-huge", "nested-past-the-recursion-limit"])
+            "index-bytes-huge", "nested-past-the-recursion-limit",
+            *(f"block-records-{name}" for name in (
+                "string", "null", "list", "zero", "negative", "bool",
+                "float"))])
     def test_wrong_shape_header_is_corrupt(self, store, tmp_path,
                                            monkeypatch, shape, use_mmap):
         # A header of the wrong shape (valid JSON that is not a header,
-        # a size too large to read, nesting past the recursion limit)
-        # raises the typed error, and a mapping opened for it is closed.
+        # a size too large to read, nesting past the recursion limit, a
+        # block_records other than an int of at least 1) raises the
+        # typed error, and a mapping opened for it is closed.
         from repro.store import reportstore as rs
 
         path = tmp_path / "shape.store"
@@ -719,7 +731,9 @@ _STATE_TYPES = ("Win32 EXE", "PDF", "")
 def _state_reports() -> list:
     """Chronological reports of six samples over three months: several
     4-record blocks a month with an open remainder, two fleet widths
-    (ragged blocks) and three file types."""
+    (ragged blocks) and three file types.  A sample's file type and
+    freshness change from month to month; the store keeps its first
+    report's."""
     reports = []
     for month in range(3):
         for step in range(5):
@@ -729,11 +743,11 @@ def _state_reports() -> list:
                 width = 5 if i % 2 else 7
                 reports.append(make_report(
                     sha=make_sha(f"state-{i}"),
-                    file_type=_STATE_TYPES[i % 3],
+                    file_type=_STATE_TYPES[(i + month) % 3],
                     scan_time=_month_time(month, offset=60 * step + i),
                     labels=[(i + step + e) % 3 - 1 for e in range(width)],
                     versions=[10 * month + e for e in range(width)],
-                    first_submission=0 if i % 2 else -1,
+                    first_submission=0 if (i + month) % 2 else -1,
                     n_engines=width))
     return reports
 
@@ -741,16 +755,27 @@ def _state_reports() -> list:
 def _build_state(state: str, reports: list, tmp_path: Path) -> ReportStore:
     """A store holding ``reports`` (ingested in list order) in one of the
     states a reader can meet."""
-    if state == "bulk":
+    cut = (len(reports) // 2 if state in ("bulk+live", "reopened")
+           else len(reports))
+    if state.startswith("bulk"):
         store = ReportStore(block_records=4)
-        store.ingest_arrays(ColumnarBatch.from_reports(reports))
-        assert not store._index_ready
+        store.ingest_arrays(ColumnarBatch.from_reports(reports[:cut]))
+        assert store._index is None
+        for report in reports[cut:]:
+            store.ingest(report)
         return store
-    cut = len(reports) // 2 if state == "reopened" else len(reports)
     store = ReportStore(block_records=4)
+    seen: dict[str, list] = {}
     for report in reports[:cut]:
         store.ingest(report)
-    if state == "live":
+        if state == "interleaved":
+            # has_report finds the report in the tail's key set, then
+            # report_series folds the tail.
+            assert store.has_report(report.sha256, report.scan_time)
+            seen.setdefault(report.sha256, []).append(report)
+            assert store.report_series(report.sha256) == sorted(
+                seen[report.sha256], key=lambda r: r.scan_time)
+    if state in ("live", "interleaved"):
         assert any(shard.open_record_count for shard in store.shards.values())
         return store
     store.close()
@@ -805,7 +830,8 @@ class TestReadsInEveryState:
     was built and wherever its blocks live (open buffer, frozen block,
     file, mapping)."""
 
-    @pytest.mark.parametrize("state", ["live", "bulk", "closed", "loaded",
+    @pytest.mark.parametrize("state", ["live", "bulk", "bulk+live",
+                                       "interleaved", "closed", "loaded",
                                        "mmap", "reopened"])
     def test_reads_match_the_ingested_reports(self, state, tmp_path):
         reports = _state_reports()
@@ -831,6 +857,19 @@ class TestReadsInEveryState:
                 assert store.has_report(sha, report.scan_time)
                 assert not store.has_report(sha, report.scan_time + 1)
         assert not store.has_report(make_sha("absent"), reports[0].scan_time)
+
+        first: dict[str, object] = {}
+        for report in reports:
+            first.setdefault(report.sha256, report)
+        assert list(store.samples()) == list(first)
+        assert store.sample_count == len(first)
+        assert store.fresh_sample_count == sum(
+            report.first_submission_date >= 0 for report in first.values())
+        for sha, report in first.items():
+            assert store.sample_file_type(sha) == report.file_type
+            assert store.sample_is_fresh(sha) == (
+                report.first_submission_date >= 0)
+            assert store.report_count_of(sha) == len(expected[sha])
         assert store.digest() == _stream_digest(reports)
 
 
