@@ -23,7 +23,6 @@ from repro.store.reportstore import ReportStore
 from repro.synth.scenario import tiny_scenario
 from repro.vt.clock import MINUTES_PER_DAY
 from repro.vt.feed import PremiumFeed
-from repro.vt.service import VirusTotalService
 
 from conftest import run_once, say
 
@@ -52,8 +51,7 @@ def _series(store):
 
 def test_collector_resilience(benchmark):
     # Structural zero-overhead: disabled wrapping is the identity.
-    service = VirusTotalService(seed=0)
-    feed, store = PremiumFeed(service), ReportStore()
+    feed, store = PremiumFeed(), ReportStore()
     assert chaos_wrap(feed, store, None, None) == (feed, store, None)
     assert chaos_wrap(feed, store, None, FaultPlan()) == (feed, store, None)
 

@@ -22,33 +22,32 @@ config = paper_scenario(n_samples=3_000, seed=99)
 service = VirusTotalService(seed=config.seed)
 client = VTClient(service, key="premium-key", premium=True)
 client.require_premium("feed")          # the gate the paper paid for
-feed = PremiumFeed(service)
+feed = PremiumFeed()
 store = ReportStore(block_records=256)
 
 # Generate the workload and flatten it into a time-ordered event list.
+# Registering a sample that predates the window backfills its first
+# submission.
 events = []
 for spec in PopulationGenerator(config):
-    sample = spec.sample
-    if not sample.fresh:
-        sample.times_submitted = 1
-        sample.last_submission_date = sample.first_seen
-    service.register(sample)
+    service.register(spec.sample)
     for ordinal, when in enumerate(spec.scan_times):
-        events.append((when, sample, ordinal))
+        events.append((when, spec.sample, ordinal))
 events.sort(key=lambda e: e[0])
 
-# The collection loop: submissions hit the API; every poll of the feed
-# returns the reports generated since the last poll, which go straight
-# into the compressed store.
-with feed:
-    for i, (when, sample, ordinal) in enumerate(events):
-        if ordinal == 0 and sample.fresh:
-            client.upload(sample, when)
-        else:
-            client.rescan(sample.sha256, when)
-        if i % 2_000 == 0:
-            store.ingest_batch(feed.poll())
-    store.ingest_batch(feed.poll())
+# The collection loop: submissions hit the API, and the service side
+# publishes every report it generates to the feed; every poll of the
+# feed returns the reports published since the last poll, which go
+# straight into the compressed store.
+for i, (when, sample, ordinal) in enumerate(events):
+    if ordinal == 0 and sample.fresh:
+        report = client.upload(sample, when)
+    else:
+        report = client.rescan(sample.sha256, when)
+    feed.publish([report])
+    if i % 2_000 == 0:
+        store.ingest_batch(feed.poll())
+store.ingest_batch(feed.poll())
 store.close()
 
 print(f"collected {store.report_count:,} reports "

@@ -2,24 +2,33 @@
 
 :func:`run_collection` is the chaos-capable sibling of
 :func:`repro.analysis.experiment.run_experiment`: it generates the same
-deterministic population and replays the same submission/rescan events,
-but consumes the feed through a :class:`~repro.collect.collector.FeedCollector`
-stepping minute by minute — optionally with a
-:class:`~repro.faults.FaultPlan` injecting failures along the way.
+deterministic population and scans it through the same
+:meth:`~repro.vt.service.VirusTotalService.scan_by_month`, then
+publishes each minute's reports to the feed archive and the premium
+feed and consumes the feed through a
+:class:`~repro.collect.collector.FeedCollector` stepping minute by
+minute — optionally with a :class:`~repro.faults.FaultPlan` injecting
+failures along the way.  A clean run's store therefore equals
+``run_experiment``'s.
 
 Crash/resume is modelled faithfully: ``stop_at`` kills a run after a
 given minute *without* flushing (only what the collector persisted on
 its own cadence survives), and a second call with ``resume_from`` loads
-the store snapshot + checkpoint, deterministically re-executes the
-simulation up to the resume point with the feed detached (the service is
-server-side state a collector crash never touches), and lets the
-collector detect and backfill whatever the dead process lost.
+the store snapshot + checkpoint, rebuilds the server side — the service
+and the archive, which a collector crash never touches — from minute 0,
+publishes to the feed from the resume point on, and lets the collector
+detect and backfill whatever the dead process lost.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
+
+import numpy as np
 
 from repro.collect.backoff import BackoffPolicy
 from repro.collect.checkpoint import load_checkpoint
@@ -27,6 +36,7 @@ from repro.collect.collector import CollectorStats, FeedCollector
 from repro.errors import CheckpointError
 from repro.faults.chaos import ChaosFeed, chaos_wrap
 from repro.faults.plan import FaultPlan
+from repro.store.columnar import ColumnarBatch
 from repro.store.reportstore import ReportStore
 from repro.synth.population import PopulationGenerator
 from repro.synth.scenario import ScenarioConfig
@@ -139,8 +149,8 @@ def run_collection(
         fleet = default_fleet(config.seed)
     service = VirusTotalService(fleet=fleet, params=config.behavior,
                                 seed=config.seed, metrics=metrics)
-    archive = FeedArchive(service, retention_minutes=archive_retention)
-    feed = PremiumFeed(service)
+    archive = FeedArchive(retention_minutes=archive_retention)
+    feed = PremiumFeed()
     if resume_from is not None:
         store = ReportStore.load(paths.store, reopen=True, metrics=metrics)
     else:
@@ -164,54 +174,51 @@ def run_collection(
             metrics=metrics,
         )
 
-        # Same deterministic population + event schedule as run_experiment.
-        generator = PopulationGenerator(config)
-        # Register clones: the service applies the pre-window submission
-        # backfill at registration time, and the generator's spec objects
-        # stay pristine for any later re-run from the same specs.
+        # Same deterministic population as run_experiment.  Register
+        # clones: the service applies the pre-window submission backfill
+        # at registration time, and the generator's spec objects stay
+        # pristine for any later re-run from the same specs.
         samples: list = []
-        events: list[tuple[int, int, int]] = []
-        for sample_idx, spec in enumerate(generator):
+        schedules: list[tuple[int, ...]] = []
+        for spec in PopulationGenerator(config):
             sample = spec.sample.clone()
             service.register(sample)
             samples.append(sample)
-            for ordinal, when in enumerate(spec.scan_times):
-                events.append((when, sample_idx, ordinal))
-        events.sort()
+            schedules.append(spec.scan_times)
 
-        end = (events[-1][0] + 1) if events else 0
+        end = max((times[-1] + 1 for times in schedules if times), default=0)
         if until_minute is not None:
             end = min(end, until_minute)
         start = resume_from if resume_from is not None else 0
+        # The service scans every schedule up front, up to the minute
+        # the run stops at (a crash leaves it where the crash found it).
+        horizon = end if stop_at is None else min(end, stop_at + 1)
+        counts = [bisect_left(times, horizon) for times in schedules]
+        times = array("q")
+        for k, sample_times in zip(counts, schedules, strict=True):
+            times.extend(sample_times[:k])
+        months = service.scan_by_month(samples, counts, times,
+                                       [sample.fresh for sample in samples])
+        minutes = _minutes(months)
+        next_minute, batch, lo, hi = next(minutes, (end, None, 0, 0))
 
         crashed = False
-        archive.attach()
-        try:
-            idx = 0
-            n_events = len(events)
-            for minute in range(end):
-                if minute == start:
-                    # The collector's live subscription begins here; earlier
-                    # minutes are re-executed server-side only (resume path).
-                    feed.attach()
-                while idx < n_events and events[idx][0] == minute:
-                    _, sample_idx, ordinal = events[idx]
-                    sample = samples[sample_idx]
-                    if ordinal == 0 and sample.fresh:
-                        service.upload(sample, minute)
-                    else:
-                        service.rescan(sample.sha256, minute)
-                    idx += 1
+        for minute in range(end):
+            if minute == next_minute:
+                # The archive is server-side and sees every minute; the
+                # collector's subscription begins at ``start``.
+                reports = [batch.report(slot) for slot in range(lo, hi)]
+                archive.publish(reports)
                 if minute >= start:
-                    collector.step(minute)
-                    if stop_at is not None and minute >= stop_at:
-                        crashed = True  # simulated crash: no finalize/flush
-                        break
-            if not crashed:
-                collector.finalize()
-        finally:
-            feed.detach()
-            archive.detach()
+                    feed.publish(reports)
+                next_minute, batch, lo, hi = next(minutes, (end, None, 0, 0))
+            if minute >= start:
+                collector.step(minute)
+                if stop_at is not None and minute >= stop_at:
+                    crashed = True  # simulated crash: no finalize/flush
+                    break
+        if not crashed:
+            collector.finalize()
     except BaseException:
         # A simulated crash (stop_at) exits normally via `crashed`;
         # a real exception abandons the run, so release the store
@@ -230,3 +237,15 @@ def run_collection(
         crashed=crashed,
         paths=paths,
     )
+
+
+def _minutes(
+    months: Iterator[tuple[int, ColumnarBatch, np.ndarray]],
+) -> Iterator[tuple[int, ColumnarBatch, int, int]]:
+    """``(minute, batch, lo, hi)``: slots ``[lo, hi)`` of ``batch`` hold
+    that minute's scans, for every minute with scans, in time order."""
+    for _, batch, _ in months:
+        scan_time = batch.scan_time
+        cuts = (np.flatnonzero(np.diff(scan_time)) + 1).tolist()
+        for lo, hi in zip([0, *cuts], [*cuts, len(batch)]):
+            yield int(scan_time[lo]), batch, lo, hi

@@ -90,21 +90,6 @@ class ServiceUnavailableError(TransientError):
         super().__init__(detail, status=503)
 
 
-class FeedNotAttachedError(VTError):
-    """The premium feed was polled without ever having been attached.
-
-    An earlier revision silently returned an empty batch here (and still
-    counted it in ``batches_served``), which made a misconfigured
-    collector indistinguishable from a quiet feed.
-    """
-
-    def __init__(self) -> None:
-        super().__init__(
-            "premium feed polled before attach(); a never-attached feed "
-            "receives no reports"
-        )
-
-
 class ArchiveExpiredError(VTError):
     """A feed-archive minute older than the retention window was requested.
 

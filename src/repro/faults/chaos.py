@@ -60,20 +60,7 @@ class ChaosFeed:
         self._m_transient = metrics.counter(
             "faults.injected.total", kind="transient")
 
-    # Lifecycle / passthrough ------------------------------------------
-
-    def attach(self) -> None:
-        self._feed.attach()
-
-    def detach(self) -> None:
-        self._feed.detach()
-
-    def __enter__(self) -> "ChaosFeed":
-        self._feed.attach()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._feed.detach()
+    # Passthrough ------------------------------------------------------
 
     def pending(self) -> int:
         return self._feed.pending()
@@ -96,7 +83,7 @@ class ChaosFeed:
         """Poll the wrapped feed through the fault plan.
 
         During an outage minute the buffered reports up to the bound are
-        *lost* (detached-listener semantics) and the poll raises
+        *lost* and the poll raises
         :class:`~repro.errors.ServiceUnavailableError`; a transient
         failure raises :class:`~repro.errors.TransientError` without
         draining anything.

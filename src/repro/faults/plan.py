@@ -51,8 +51,8 @@ def hashed_chance(seed: int, rate: float, *key: object) -> bool:
 @dataclass(frozen=True)
 class OutageWindow:
     """A half-open minute interval ``[start, end)`` during which the feed
-    listener is effectively detached: reports of those minutes are lost
-    from the delivery path (the archive still retains them)."""
+    is down: reports of those minutes are lost from the delivery path
+    (the archive still retains them)."""
 
     start: int
     end: int

@@ -17,7 +17,4 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "paper_scenario", "tiny_scenario",
     ),
     "population": ("PopulationGenerator", "SampleSpec"),
-    "trace": (
-        "export_scenario_trace", "export_trace", "load_trace", "replay_trace",
-    ),
 })

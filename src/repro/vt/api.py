@@ -93,14 +93,14 @@ class RescanAPI(_Endpoint):
 
 
 class ReportAPI(_Endpoint):
-    """``GET /files/{id}``: fetch the latest report.
+    """``GET /files/{id}``: fetch the latest report as of ``timestamp``.
 
     Generates no new analysis; none of the Table 1 fields move.
     """
 
     def __call__(self, sha256: str, timestamp: int) -> ScanReport:
         self._charge(timestamp)
-        return self._service.report(sha256)
+        return self._service.report(sha256, timestamp)
 
 
 class FeedBatchAPI(_Endpoint):

@@ -211,28 +211,12 @@ class DetectionPlan:
     #: without this, independent per-engine timeouts would cap copier
     #: correlations far below the paper's 0.95-0.99 (Figure 11).
     copied: dict[int, int] = field(default_factory=dict)
-    _table: PlanTable | None = field(default=None, init=False, repr=False,
-                                     compare=False)
-
-    def compile(self, width: int, keep: bool = False) -> PlanTable:
-        """The plan as a :class:`PlanTable` of ``width`` engines.
-
-        With ``keep`` the table is cached on the plan and reused by the
-        next call for the same width: a caller that comes back scan by
-        scan keeps it, one that scans a whole schedule at once does not.
-        """
-        table = self._table
-        if table is None or table.rows.shape[1] != width:
-            table = PlanTable.compile(self, width)
-            if keep:
-                self._table = table
-        return table
 
     def label_at(self, engine_idx: int, timestamp: int) -> int:
         """Latent verdict (0/1) of an engine at ``timestamp``.
 
         Compiles the plan on every call; to look up many engines or
-        times, :meth:`compile` once instead.
+        times, :meth:`PlanTable.compile` it once instead.
         """
         if engine_idx not in self.transitions:
             return 0

@@ -3,16 +3,11 @@
 The paper's dataset was collected by polling VirusTotal's premium feed
 endpoint once per minute; each poll returns every report the service
 generated in that minute (§4.1).  :class:`PremiumFeed` reproduces that
-interface: it subscribes to a :class:`~repro.vt.service.VirusTotalService`
-and exposes the accumulated reports as per-minute batches.
-
-The feed carries what :meth:`~repro.vt.service.VirusTotalService.upload`
-and :meth:`~repro.vt.service.VirusTotalService.rescan` generate, one
-report at a time: the collector (:mod:`repro.collect`) and trace replay
-consume it as the authors' pipeline consumed the firehose.  The
-experiment runner does not: it scans whole schedules through
-:meth:`~repro.vt.service.VirusTotalService.scan_batch` (which refuses to
-run while a feed is attached) and ingests the arrays directly.
+interface: the party that runs the service publishes each minute's
+reports to it (:meth:`PremiumFeed.publish`), and a collector drains them
+as per-minute polls.  The collection driver (:mod:`repro.collect`)
+publishes the reports of :meth:`~repro.vt.service.VirusTotalService.scan_by_month`
+minute by minute, in event order.
 
 :class:`FeedArchive` models the real feed's bounded catch-up window: the
 service keeps every per-minute batch for a retention period (the real
@@ -25,24 +20,20 @@ by the delivery-path fault injection in :mod:`repro.faults`.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator
+from typing import Iterable
 
-from repro.errors import ArchiveExpiredError, FeedNotAttachedError, PermissionError_
+from repro.errors import ArchiveExpiredError, PermissionError_
 from repro.vt.clock import DEFAULT_ARCHIVE_RETENTION_MINUTES
 from repro.vt.reports import ScanReport
-from repro.vt.service import VirusTotalService
 
 
 class PremiumFeed:
-    """A per-minute batch view over every report the service generates."""
+    """A per-minute batch view over the reports published to it."""
 
-    def __init__(self, service: VirusTotalService, premium: bool = True) -> None:
+    def __init__(self, premium: bool = True) -> None:
         if not premium:
             raise PermissionError_("premium feed")
-        self._service = service
         self._buffer: deque[ScanReport] = deque()
-        self._attached = False
-        self._ever_attached = False
         self.batches_served = 0
         self.reports_served = 0
         #: Minute cursor: the exclusive upper bound of the last bounded
@@ -52,50 +43,20 @@ class PremiumFeed:
         self.cursor = 0
 
     # ------------------------------------------------------------------
-    # Lifecycle
+    # Delivery
     # ------------------------------------------------------------------
 
-    def attach(self) -> None:
-        """Start receiving reports from the service."""
-        if not self._attached:
-            self._service.add_listener(self._deliver)
-            self._attached = True
-            self._ever_attached = True
-
-    def detach(self) -> None:
-        """Stop receiving reports."""
-        if self._attached:
-            self._service.remove_listener(self._deliver)
-            self._attached = False
-
-    def __enter__(self) -> "PremiumFeed":
-        self.attach()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.detach()
-
-    # ------------------------------------------------------------------
-    # Delivery (the fault-interposition point)
-    # ------------------------------------------------------------------
-
-    def _deliver(self, report: ScanReport) -> None:
-        """Receive one report from the service.
-
-        This bound method is what the feed registers as the service
-        listener; :mod:`repro.faults` interposes on the *consumption*
-        side instead (wrapping :meth:`poll`), but subclasses may override
-        delivery directly.
-        """
-        self._buffer.append(report)
+    def publish(self, reports: Iterable[ScanReport]) -> None:
+        """Buffer newly generated reports, in scan-time order, for polls."""
+        self._buffer.extend(reports)
 
     def drop_before(self, minute: int) -> int:
         """Discard buffered reports scanned strictly before ``minute``.
 
-        The outage hook: a detached-listener outage loses exactly the
-        reports the feed would otherwise have served, and the fault layer
-        expresses that loss through this method.  Returns the number of
-        reports dropped.
+        The outage hook: an outage loses exactly the reports the feed
+        would otherwise have served, and the fault layer expresses that
+        loss through this method.  Returns the number of reports
+        dropped.
         """
         dropped = 0
         while self._buffer and self._buffer[0].scan_time < minute:
@@ -117,13 +78,8 @@ class PremiumFeed:
 
         With ``until_minute`` set, only reports scanned strictly before
         that minute are returned — the caller is emulating the authors'
-        minute-by-minute polling loop.  Polling a feed that was never
-        attached raises :class:`~repro.errors.FeedNotAttachedError`
-        instead of silently serving an empty batch: a misconfigured
-        collector must be distinguishable from a quiet feed.
+        minute-by-minute polling loop.
         """
-        if not self._ever_attached:
-            raise FeedNotAttachedError()
         batch: list[ScanReport] = []
         while self._buffer:
             if (until_minute is not None
@@ -136,38 +92,12 @@ class PremiumFeed:
             self.cursor = max(self.cursor, until_minute)
         return batch
 
-    def minute_batches(self) -> Iterator[tuple[int, list[ScanReport]]]:
-        """Group the currently buffered reports into per-minute batches.
-
-        Yields ``(minute, reports)`` in time order and drains the buffer.
-        Reports within one run of the simulator are generated in
-        non-decreasing time order, which this method asserts.
-        """
-        current_minute: int | None = None
-        batch: list[ScanReport] = []
-        while self._buffer:
-            report = self._buffer.popleft()
-            if current_minute is not None and report.scan_time < current_minute:
-                raise AssertionError("feed received reports out of order")
-            if report.scan_time != current_minute:
-                if batch:
-                    self.batches_served += 1
-                    self.reports_served += len(batch)
-                    yield current_minute, batch
-                current_minute = report.scan_time
-                batch = []
-            batch.append(report)
-        if batch:
-            self.batches_served += 1
-            self.reports_served += len(batch)
-            yield current_minute, batch
-
 
 class FeedArchive:
     """Server-side retention of per-minute feed batches.
 
-    Subscribes to the service like a feed, but groups reports by scan
-    minute and retains them for a bounded window.  :meth:`batch` serves a
+    Takes published reports like a feed, but groups them by scan minute
+    and retains them for a bounded window.  :meth:`batch` serves a
     past minute's reports for gap backfill; minutes that have aged out
     raise :class:`~repro.errors.ArchiveExpiredError`, forcing the
     collector onto its best-effort latest-report fallback.
@@ -181,24 +111,21 @@ class FeedArchive:
     the exact boundary to coincidence; ``tests/test_feed.py`` now pins
     every edge (floor−1, floor, floor+1, horizon).
 
-    An archive can also be built *without* a live service, replaying a
-    frozen :class:`~repro.store.ReportStore` (:meth:`from_store`) — the
-    backing the ``repro.serve`` front-end uses for
-    ``GET /feeds/files/{minute}`` over saved stores.
+    An archive can also be rebuilt from a frozen
+    :class:`~repro.store.ReportStore` (:meth:`from_store`) — the backing
+    the ``repro.serve`` front-end uses for ``GET /feeds/files/{minute}``
+    over saved stores.
     """
 
     def __init__(
         self,
-        service: VirusTotalService | None,
         retention_minutes: int = DEFAULT_ARCHIVE_RETENTION_MINUTES,
     ) -> None:
-        self._service = service
         self.retention_minutes = retention_minutes
         self._minutes: dict[int, list[ScanReport]] = {}
         self._order: deque[int] = deque()
         #: Highest scan minute observed — the archive's notion of "now".
         self.horizon = 0
-        self._attached = False
 
     @classmethod
     def from_store(
@@ -218,44 +145,26 @@ class FeedArchive:
         by_minute: dict[int, list[ScanReport]] = {}
         for report in store.iter_reports():
             by_minute.setdefault(report.scan_time, []).append(report)
-        archive = cls(None, retention_minutes=retention_minutes)
+        archive = cls(retention_minutes=retention_minutes)
         for minute in sorted(by_minute):
-            for report in by_minute[minute]:
-                archive._record(report)
+            archive.publish(by_minute[minute])
         return archive
 
-    def attach(self) -> None:
-        if not self._attached:
-            if self._service is None:
-                raise FeedNotAttachedError()
-            self._service.add_listener(self._record)
-            self._attached = True
-
-    def detach(self) -> None:
-        if self._attached:
-            self._service.remove_listener(self._record)
-            self._attached = False
-
-    def __enter__(self) -> "FeedArchive":
-        self.attach()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.detach()
-
-    def _record(self, report: ScanReport) -> None:
-        minute = report.scan_time
-        if minute not in self._minutes:
-            self._minutes[minute] = []
-            self._order.append(minute)
-        self._minutes[minute].append(report)
-        if minute > self.horizon:
-            self.horizon = minute
-            # Prune strictly below the same boundary batch() serves
-            # from — the minute at oldest_available itself is retained.
-            floor = self.oldest_available
-            while self._order and self._order[0] < floor:
-                del self._minutes[self._order.popleft()]
+    def publish(self, reports: Iterable[ScanReport]) -> None:
+        """Retain newly generated reports, in scan-time order."""
+        for report in reports:
+            minute = report.scan_time
+            if minute not in self._minutes:
+                self._minutes[minute] = []
+                self._order.append(minute)
+            self._minutes[minute].append(report)
+            if minute > self.horizon:
+                self.horizon = minute
+                # Prune strictly below the same boundary batch() serves
+                # from — the minute at oldest_available itself is retained.
+                floor = self.oldest_available
+                while self._order and self._order[0] < floor:
+                    del self._minutes[self._order.popleft()]
 
     @property
     def oldest_available(self) -> int:

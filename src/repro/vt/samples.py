@@ -75,10 +75,10 @@ class Sample:
     last_submission_date: int | None = None
     last_analysis_date: int | None = None
 
-    # Per-engine behaviour (repro.vt.behavior).  The service attaches the
-    # plan it builds only on the one-scan path (upload/rescan), which comes
-    # back scan by scan; a whole-schedule batch builds it, draws from it
-    # and lets it go.  A caller may attach a plan itself; it stays.
+    # Per-engine behaviour (repro.vt.behavior).  The service builds the
+    # plan for each scan call, draws from it and lets it go.  A caller may
+    # attach a plan itself (tests pass hand-made plans this way); the
+    # service then scans with it, and it stays.
     plan: "DetectionPlan | None" = field(default=None, repr=False, compare=False)
     #: ``random()`` doubles this sample's scans have drawn from its
     #: ``scan_rng``: a plan rebuilt after being let go skips that many to

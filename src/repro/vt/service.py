@@ -19,39 +19,35 @@ each engine either times out (probability ``1 - activity``, reported as
 responding engines is the paper's AV-Rank.
 
 Every analysis runs through one array kernel over a group of samples'
-scans (:meth:`VirusTotalService._scan`): plans and version schedules are
-compiled into tables once, and each sample's random stream is drawn in
-one ``getrandbits`` call.  :meth:`~VirusTotalService.scan_batch` hands
-whole scan schedules to it and returns arrays (the experiment runner's
-path); :meth:`~VirusTotalService.upload` and
-:meth:`~VirusTotalService.rescan` call it with one scan and wrap the row
-in a :class:`~repro.vt.reports.ScanReport`.  A one-scan call takes a
-plain-vector branch and keeps the plan, with its compiled table, on the
-sample for its next scan; at that size the group path's bookkeeping
-would cost more than the scan.  A batch keeps no plan: a later scan
-rebuilds it and fast-forwards its stream by ``Sample.scan_draws``.
-
-Listeners (e.g. the premium feed) receive every report that upload and
-rescan generate; the batch entry refuses to run while any is attached.
+scans (:meth:`VirusTotalService.scan_batch`): plans and version
+schedules are compiled into tables, and each sample's random stream is
+drawn in one ``getrandbits`` call.  No plan is kept: a later scan rebuilds it and
+fast-forwards its stream by ``Sample.scan_draws``.
+:meth:`~VirusTotalService.scan_by_month` is the scan path of every run —
+the experiment runner, the collection driver and the snapshot campaign:
+it scans whole schedules through :meth:`~VirusTotalService.scan_batch`
+and yields the records in event order, one columnar batch per month.
+:meth:`~VirusTotalService.upload` and :meth:`~VirusTotalService.rescan`
+call the kernel with one scan and wrap the row in a report object; the
+service delivers reports to nobody, so a feed receives what its caller
+publishes to it.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigError, NotFoundError
 from repro.obs.registry import NULL_REGISTRY
+from repro.store.columnar import ColumnarBatch, month_indices
 from repro.vt.behavior import BehaviorContext, BehaviorParams, PlanTable, build_plan
 from repro.vt.clock import MINUTES_PER_DAY
 from repro.vt.engines import EngineFleet, default_fleet
 from repro.vt.reports import ScanReport
 from repro.vt.samples import Sample, validate_sha256
-
-ReportListener = Callable[[ScanReport], None]
 
 _WORD_SHIFTS = np.array([5, 6], np.uint32)
 _WORD_SCALE = np.array([2.0 ** -27, 2.0 ** -53])
@@ -81,6 +77,12 @@ RESCAN_INTERVAL_EDGES: tuple[int, ...] = (
     14 * MINUTES_PER_DAY, 30 * MINUTES_PER_DAY, 90 * MINUTES_PER_DAY,
     180 * MINUTES_PER_DAY,
 )
+
+#: Scans per kernel pass of :meth:`VirusTotalService.scan_by_month`.
+#: Large enough to amortise the per-pass numpy overhead over the paper's
+#: 1.5 scans per sample; small enough that a pass's float64 draws stay
+#: near a megabyte.
+SCAN_CHUNK_REPORTS = 2_000
 
 
 @dataclass
@@ -120,10 +122,8 @@ class VirusTotalService:
         self.seed = seed
         self.ctx = BehaviorContext(self.fleet, self.params, seed)
         self._samples: dict[str, Sample] = {}
-        #: Each sample's last analysis: the report of an upload/rescan, or
-        #: (batch, sample position) after scan_batch.
-        self._last_report: dict[str, ScanReport | tuple[ScanBatch, int]] = {}
-        self._listeners: list[ReportListener] = []
+        #: Each sample's last scan call: (batch, sample position).
+        self._last_report: dict[str, tuple[ScanBatch, int]] = {}
         self.reports_generated = 0
         # Observability: pre-bound handles (no-ops on the null registry).
         # Everything recorded here is per-sample work, so a sharded run's
@@ -178,17 +178,6 @@ class VirusTotalService:
         return self._samples.values()
 
     # ------------------------------------------------------------------
-    # Listeners (feed integration)
-    # ------------------------------------------------------------------
-
-    def add_listener(self, listener: ReportListener) -> None:
-        """Subscribe a callable to every newly generated report."""
-        self._listeners.append(listener)
-
-    def remove_listener(self, listener: ReportListener) -> None:
-        self._listeners.remove(listener)
-
-    # ------------------------------------------------------------------
     # Analysis
     # ------------------------------------------------------------------
 
@@ -208,31 +197,16 @@ class VirusTotalService:
         equals that sequence of :meth:`upload`/:meth:`rescan` calls, in
         the arrays of a :class:`ScanBatch` instead of report objects.
 
-        No report object is built, so attached listeners would miss
-        every scan: the call raises :class:`~repro.errors.ConfigError`
-        instead.  Inconsistent arguments (mismatched lengths, a count
-        below 1, ``sum(counts) != len(times)``) raise it too, before any
-        sample's stream or Table 1 fields move.
-        """
-        if self._listeners:
-            raise ConfigError(
-                f"scan_batch delivers no reports, but {len(self._listeners)} "
-                f"listener(s) are attached; scan through upload()/rescan()")
-        return self._scan(samples, counts, times, uploads)
+        Inconsistent arguments (mismatched lengths, a count below 1,
+        ``sum(counts) != len(times)``) raise
+        :class:`~repro.errors.ConfigError` before any sample's stream or
+        Table 1 fields move.
 
-    def _scan(
-        self,
-        samples: Sequence[Sample],
-        counts: Sequence[int],
-        times: Sequence[int],
-        uploads: Sequence[bool],
-    ) -> ScanBatch:
-        """The scan kernel behind every analysis (see :meth:`scan_batch`).
-
-        Each sample's stream is consumed exactly as ``counts[i]``
-        sequential scans would: per scan one ``random()`` per engine for
-        availability, then one per fired copy rule (in follower order)
-        for the follower tracking its leader's availability.
+        This is the scan kernel behind every analysis.  Each sample's
+        stream is consumed exactly as ``counts[i]`` sequential scans
+        would: per scan one ``random()`` per engine for availability,
+        then one per fired copy rule (in follower order) for the
+        follower tracking its leader's availability.
         """
         # Checked up front: the loop below moves each sample's stream
         # and Table 1 fields, which a failed call must leave alone.
@@ -245,18 +219,12 @@ class VirusTotalService:
         if sum(counts) != len(times):
             raise ConfigError(
                 f"{sum(counts)} scans counted but {len(times)} times given")
-        fleet = self.fleet
-        width = len(fleet)
-        # A one-scan call (upload/rescan) attaches the plan it builds and
-        # keeps the plan's compiled table: snapshot campaigns and the
-        # collector come back to a sample scan by scan, and compiling
-        # costs about a third of a scan.  A batch covers whole schedules
-        # and keeps neither: plans, their streams and their tables would
+        width = len(self.fleet)
+        # No plan is kept: plans, their streams and their tables would
         # otherwise stay in memory for the service's life.  A plan built
-        # for a sample whose earlier plan was let go skips the
-        # ``scan_draws`` doubles already drawn, so the stream resumes
-        # exactly where the last scan left it.
-        keep = len(times) == 1
+        # for a sample already scanned skips the ``scan_draws`` doubles
+        # drawn before, so the stream resumes exactly where the last scan
+        # left it.  A plan a caller attached to the sample is used as is.
         tables: list[PlanTable] = []
         raws: list[bytes] = []
         ends: list[int] = []
@@ -270,9 +238,7 @@ class VirusTotalService:
                 plan = build_plan(sample, self.ctx)
                 if sample.scan_draws:
                     plan.scan_rng.getrandbits(64 * sample.scan_draws)
-                if keep:
-                    sample.plan = plan
-            table = plan.compile(width, keep=keep)
+            table = PlanTable.compile(plan, width)
             tables.append(table)
             draws = k * (width + len(table.followers))
             raws.append(plan.scan_rng.getrandbits(64 * draws)
@@ -293,22 +259,8 @@ class VirusTotalService:
 
         when = np.asarray(times, np.int64)
         n = len(when)
-        doubles = random_doubles(b"".join(raws))
-        if n == 1:
-            # One scan, the upload/rescan shape: plain vectors.  Through
-            # the group path's padding and keyed search a one-scan call
-            # costs 1.4-2x the per-engine loop this kernel replaced.
-            (table,) = tables
-            timeout = doubles[:width] >= fleet.activity
-            if len(table.followers):
-                hit = doubles[width:] < self.COPIED_AVAILABILITY_FIDELITY
-                timeout[table.followers[hit]] = timeout[table.leaders[hit]]
-            row = bisect_right(table.times, times[0])
-            labels = table.rows[row:row + 1].copy()
-            timeout = timeout.reshape(1, width)
-        else:
-            timeout, labels = self._group_verdicts(tables, counts, when,
-                                                   doubles)
+        timeout, labels = self._group_verdicts(
+            tables, counts, when, random_doubles(b"".join(raws)))
         labels[timeout] = 2  # undetected
         batch = ScanBatch(
             scan_time=when,
@@ -339,6 +291,60 @@ class VirusTotalService:
             for interval in (when - prior)[known].tolist():
                 self._m_interval.observe(interval)
         return batch
+
+    def scan_by_month(
+        self,
+        samples: Sequence[Sample],
+        counts: Sequence[int],
+        times: Sequence[int],
+        uploads: Sequence[bool],
+    ) -> Iterator[tuple[int, ColumnarBatch, np.ndarray]]:
+        """Scan whole schedules, then hand back every scan in event order.
+
+        The arguments are :meth:`scan_batch`'s, except that a count may
+        be 0: that sample is not scanned.  The scans all run in this
+        call, in passes of about :data:`SCAN_CHUNK_REPORTS` scans.  Each
+        sample's scans draw only from its private ``scan_rng``, in scan
+        order, so scanning sample by sample yields exactly the rows a
+        time-ordered replay of single scans would; only the record order
+        needs restoring.  The returned iterator yields ``(month, batch,
+        owner)`` per month in ``(scan_time, sample, ordinal)`` order:
+        ``batch`` is a :class:`~repro.store.columnar.ColumnarBatch` of
+        the month's records and ``owner`` each record's position in
+        ``samples``.
+        """
+        if not len(samples) == len(counts) == len(uploads):
+            raise ConfigError(
+                f"{len(samples)} samples, {len(counts)} scan counts and "
+                f"{len(uploads)} upload flags")
+        if min(counts, default=0) < 0:
+            raise ConfigError(f"scan counts must be >= 0, got {min(counts)}")
+        if sum(counts) != len(times):
+            raise ConfigError(
+                f"{sum(counts)} scans counted but {len(times)} times given")
+        last_submission = np.zeros(len(samples), "<i8")
+        times_submitted = np.zeros(len(samples), "<u4")
+        parts: list[ScanBatch] = []
+        group: list[int] = []
+        lo = hi = 0
+        for i, k in enumerate(counts):
+            if k:
+                group.append(i)
+            hi += k
+            if group and (hi - lo >= SCAN_CHUNK_REPORTS or i == len(counts) - 1):
+                part = self.scan_batch([samples[j] for j in group],
+                                       [counts[j] for j in group],
+                                       times[lo:hi],
+                                       [uploads[j] for j in group])
+                last_submission[group] = part.last_submission
+                times_submitted[group] = part.times_submitted
+                parts.append(part)
+                group = []
+                lo = hi
+        if not parts:
+            return iter(())
+        return _month_batches(self.fleet, samples, counts, parts,
+                              last_submission, times_submitted)
 
     def _group_verdicts(
         self,
@@ -388,9 +394,9 @@ class VirusTotalService:
                                           side="right")
         return timeout, rows[row]
 
-    def _report(self, sample: Sample, batch: ScanBatch, s: int) -> ScanReport:
-        """Sample ``s``'s last scan in ``batch`` as a report object."""
-        row = batch.ends[s] - 1
+    def _report(self, sample: Sample, batch: ScanBatch, s: int,
+                row: int) -> ScanReport:
+        """Scan ``row`` of sample ``s`` in ``batch`` as a report object."""
         when = int(batch.scan_time[row])
         return ScanReport(
             sha256=sample.sha256,
@@ -408,25 +414,9 @@ class VirusTotalService:
 
     def _analyze(self, sample: Sample, timestamp: int,
                  upload: bool) -> ScanReport:
-        """Run all engines over a sample once and emit the report."""
-        report = self._report(
-            sample, self._scan([sample], [1], [timestamp], [upload]), 0)
-        # The report is shared with the listeners and is smaller than the
-        # one-scan batch, which it replaces.
-        self._last_report[sample.sha256] = report
-        self._emit(report)
-        return report
-
-    def _emit(self, report: ScanReport) -> None:
-        """Fan a freshly generated report out to every listener.
-
-        The delivery interposition point: fault layers that model lossy
-        or flaky fan-out (see :mod:`repro.faults`) wrap the consumption
-        side of the feed, but a subclass can override this to perturb
-        delivery for *all* listeners at once.
-        """
-        for listener in self._listeners:
-            listener(report)
+        """Run all engines over a sample once and return the report."""
+        return self._report(
+            sample, self.scan_batch([sample], [1], [timestamp], [upload]), 0, 0)
 
     # ------------------------------------------------------------------
     # Table 1 operations
@@ -445,13 +435,74 @@ class VirusTotalService:
         """Re-analyse an existing file: only last_analysis_date moves."""
         return self._analyze(self.get_sample(sha256), timestamp, upload=False)
 
-    def report(self, sha256: str) -> ScanReport:
-        """Return the most recent report without generating a new one."""
+    def report(self, sha256: str, now: int) -> ScanReport:
+        """The latest analysis at or before minute ``now``; runs none.
+
+        The answer comes from the sample's last scan call, which holds
+        its whole schedule when a run scanned it through
+        :meth:`scan_by_month`, and is its latest analysis when it was
+        scanned one call at a time forward in time (upload/rescan).
+        Raises :class:`~repro.errors.NotFoundError` for an unknown sample
+        and for one with no analysis at or before ``now``.
+        """
         sample = self.get_sample(sha256)
         try:
-            last = self._last_report[sample.sha256]
+            batch, s = self._last_report[sample.sha256]
         except KeyError:
             raise NotFoundError(sample.sha256) from None
-        if isinstance(last, ScanReport):
-            return last
-        return self._report(sample, *last)
+        first = batch.ends[s - 1] if s else 0
+        row = first + int(batch.scan_time[first:batch.ends[s]].searchsorted(
+            now, side="right")) - 1
+        if row < first:
+            raise NotFoundError(sample.sha256)
+        return self._report(sample, batch, s, row)
+
+
+def _month_batches(
+    fleet: EngineFleet,
+    samples: Sequence[Sample],
+    counts: Sequence[int],
+    parts: list[ScanBatch],
+    last_submission: np.ndarray,
+    times_submitted: np.ndarray,
+) -> Iterator[tuple[int, ColumnarBatch, np.ndarray]]:
+    """The scans of ``parts`` as :meth:`VirusTotalService.scan_by_month`
+    yields them; the label and version planes are gathered one month at
+    a time."""
+    count = np.asarray(counts, np.int64)
+    owner = np.repeat(np.arange(len(samples)), count)
+    ordinal = np.arange(len(owner)) - np.repeat(np.cumsum(count) - count,
+                                                count)
+    scan_time = np.concatenate([part.scan_time for part in parts])
+    order = np.lexsort((ordinal, owner, scan_time))
+    owner = owner[order]
+    when = scan_time[order]
+    ftypes: dict[str, int] = {}
+    ftype_codes = np.array([ftypes.setdefault(s.file_type, len(ftypes))
+                            for s in samples], "<u2")
+    columns = {
+        "scan_time": when,
+        "positives": np.concatenate(
+            [part.positives for part in parts])[order].astype("<u2"),
+        "total": np.concatenate(
+            [part.total for part in parts])[order].astype("<u2"),
+        "first_submission": np.array(
+            [s.first_seen for s in samples], "<i8")[owner],
+        "last_submission": last_submission[owner],
+        "last_analysis": when,
+        "times_submitted": times_submitted[owner],
+        "n_engines": np.full(len(when), len(fleet), "<u2"),
+        "ftype_codes": ftype_codes[owner],
+        "shas": np.array([bytes.fromhex(s.sha256) for s in samples],
+                         "S32")[owner],
+    }
+    labels = np.concatenate([part.labels for part in parts])
+    months = month_indices(when)
+    bounds = np.flatnonzero(np.diff(months)) + 1
+    for lo, hi in zip([0, *bounds.tolist()], [*bounds.tolist(), len(when)]):
+        yield int(months[lo]), ColumnarBatch(
+            **{name: column[lo:hi] for name, column in columns.items()},
+            ftypes=tuple(ftypes),
+            labels=labels[order[lo:hi]].ravel(),
+            versions=fleet.versions_at(when[lo:hi]).ravel(),
+        ), owner[lo:hi]

@@ -45,8 +45,12 @@ class SnapshotCampaign:
     snapshots_taken: int = 0
 
     def __post_init__(self) -> None:
-        if self.cadence_days <= 0:
-            raise ConfigError("cadence_days must be positive")
+        # Rounds are whole minutes apart: a shorter cadence would round
+        # to no step at all.
+        if int(self.cadence_days * MINUTES_PER_DAY) < 1:
+            raise ConfigError(
+                f"cadence_days must be at least one minute, got "
+                f"{self.cadence_days}")
         if self.duration_days <= 0:
             raise ConfigError("duration_days must be positive")
         if not 0 <= self.scan_minute < MINUTES_PER_DAY:
@@ -68,19 +72,16 @@ class SnapshotCampaign:
             if not self.service.known(sample.sha256):
                 self.service.register(sample)
 
-        when = start
         end = start + int(self.duration_days * MINUTES_PER_DAY)
-        first_round = True
-        while when <= min(end, WINDOW_MINUTES - 1):
-            for sample in roster:
-                if first_round:
-                    report = self.service.upload(sample, when)
-                else:
-                    report = self.service.rescan(sample.sha256, when)
-                self.store.ingest(report)
-            self.snapshots_taken += 1
-            first_round = False
-            when += int(self.cadence_days * MINUTES_PER_DAY)
+        rounds = range(start, min(end, WINDOW_MINUTES - 1) + 1,
+                       int(self.cadence_days * MINUTES_PER_DAY))
+        # One schedule per sample, its first scan an upload: in event
+        # order the records come round by round, in roster order.
+        for _, batch, _ in self.service.scan_by_month(
+                roster, [len(rounds)] * len(roster), list(rounds) * len(roster),
+                [True] * len(roster)):
+            self.store.ingest_arrays(batch)
+        self.snapshots_taken += len(rounds)
         return self.store
 
     @property

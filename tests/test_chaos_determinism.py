@@ -112,6 +112,11 @@ class TestCrashResume:
                                  stop_at=crash_at, until_minute=UNTIL)
         assert crashed.crashed
         assert crashed.stats.checkpoint_saves > 0
+        # The service stopped where the crash did: it scanned every
+        # scan up to the crash minute and none after.
+        assert crashed.service.reports_generated == sum(
+            report.scan_time <= crash_at
+            for report in clean.store.iter_reports())
 
         resume_at = auto_resume_minute(tmp_path)
         assert resume_at <= crash_at + 1
@@ -142,3 +147,27 @@ class TestLossAccounting:
         lost = clean.store.report_count - dropped.store.report_count
         assert lost == dropped.chaos_feed.reports_dropped
         assert lost > 0
+
+
+class TestExpiredGapRecovery:
+    def test_recover_latest_pinned(self):
+        # A 15-day outage against a one-day archive: most lost minutes
+        # have aged out by the time the feed is back, so the collector
+        # recovers what it can through the latest-report endpoint, which
+        # must answer as of the collector's clock.
+        from repro.synth.scenario import dynamics_scenario
+
+        day = MINUTES_PER_DAY
+        result = run_collection(
+            dynamics_scenario(n_samples=300, seed=3),
+            plan=FaultPlan(seed=7, outages=(OutageWindow(60 * day, 75 * day),)),
+            until_minute=80 * day,
+            archive_retention=day,
+        )
+        stats = result.stats
+        assert stats.minutes_expired == 19_558
+        assert stats.report_fallback_calls == 38
+        assert stats.reports_recovered_latest == 10
+        assert stats.pending_gap_minutes == 0
+        assert result.store.report_count == 100
+        assert result.store.digest().startswith("aee1c7e7f5e4")

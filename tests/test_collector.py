@@ -31,10 +31,14 @@ def service():
     return VirusTotalService(seed=8)
 
 
-def _upload(service, token, when):
+def _upload(service, token, when, *sinks):
+    """Upload a new sample and publish its report to each feed/archive."""
     s = Sample(sha256=sha256_of(token), file_type="TXT",
                malicious=False, first_seen=when)
-    return service.upload(s, when)
+    report = service.upload(s, when)
+    for sink in sinks:
+        sink.publish([report])
+    return report
 
 
 class TestBackoffPolicy:
@@ -164,19 +168,17 @@ class _FixedFeed:
 
 class TestFeedCollector:
     def _pipeline(self, service):
-        archive = FeedArchive(service)
-        archive.attach()
-        feed = PremiumFeed(service)
-        feed.attach()
+        archive = FeedArchive()
+        feed = PremiumFeed()
         store = ReportStore()
         client = VTClient(service, premium=True, archive=archive)
-        return feed, store, client
+        return feed, store, client, archive
 
     def test_minute_loop_ingests(self, service):
-        feed, store, client = self._pipeline(service)
+        feed, store, client, archive = self._pipeline(service)
         collector = FeedCollector(feed, store, client)
-        _upload(service, "a", 0)
-        _upload(service, "b", 2)
+        _upload(service, "a", 0, archive, feed)
+        _upload(service, "b", 2, archive, feed)
         for minute in range(4):
             collector.step(minute)
         assert store.report_count == 2
@@ -186,19 +188,19 @@ class TestFeedCollector:
         assert stats.pending_gap_minutes == 0
 
     def test_already_collected_minutes_skipped(self, service):
-        feed, store, client = self._pipeline(service)
+        feed, store, client, archive = self._pipeline(service)
         collector = FeedCollector(feed, store, client)
         collector.step(5)
         collector.step(3)
         assert collector.stats().minutes_skipped == 1
 
     def test_jump_gap_is_backfilled_from_archive(self, service):
-        feed, store, client = self._pipeline(service)
+        feed, store, client, archive = self._pipeline(service)
         collector = FeedCollector(feed, store, client)
         collector.step(0)
-        feed.detach()  # the collector dies...
-        _upload(service, "a", 5)
-        feed.attach()  # ...and comes back later
+        # The collector is down while minute 5's report is published:
+        # only the archive holds it.
+        _upload(service, "a", 5, archive)
         collector.step(10)
         assert collector.stats().gaps_detected == 1
         assert collector.stats().reports_backfilled == 1
@@ -206,9 +208,10 @@ class TestFeedCollector:
         assert collector.stats().pending_gap_minutes == 0
 
     def test_corrupt_delivery_dead_letters_and_recovers(self, service):
-        feed, store, client = self._pipeline(service)
-        report = _upload(service, "a", 0)
-        feed.poll()  # discard the live copy; we substitute a corrupt one
+        feed, store, client, archive = self._pipeline(service)
+        # Only the archive holds the intact copy; the feed delivers a
+        # corrupt one.
+        report = _upload(service, "a", 0, archive)
         fixed = _FixedFeed([[codec.encode_report(report)[:10]]])
         collector = FeedCollector(fixed, store, client)
         collector.step(0)
@@ -222,9 +225,8 @@ class TestFeedCollector:
         assert stats.pending_gap_minutes == 0
 
     def test_duplicate_deliveries_are_idempotent(self, service):
-        feed, store, client = self._pipeline(service)
-        report = _upload(service, "a", 0)
-        feed.poll()
+        feed, store, client, archive = self._pipeline(service)
+        report = _upload(service, "a", 0, archive)
         fixed = _FixedFeed([[report, report], [report]])
         collector = FeedCollector(fixed, store, client)
         collector.step(0)
@@ -233,8 +235,8 @@ class TestFeedCollector:
         assert collector.stats().duplicates_skipped == 2
 
     def test_store_failures_exhaust_retry_budget(self, service):
-        feed, store, client = self._pipeline(service)
-        _upload(service, "a", 0)
+        feed, store, client, archive = self._pipeline(service)
+        _upload(service, "a", 0, archive, feed)
 
         class _BrokenStore:
             def __getattr__(self, name):
@@ -253,9 +255,9 @@ class TestFeedCollector:
         # A retry fails at the configured rate too, so a two-attempt
         # budget abandons about rate² of the polls; finalize backfills
         # every abandoned minute from the archive.
-        feed, store, client = self._pipeline(service)
+        feed, store, client, archive = self._pipeline(service)
         for minute in range(0, 500, 5):
-            _upload(service, f"s{minute}", minute)
+            _upload(service, f"s{minute}", minute, archive, feed)
         chaos = ChaosFeed(feed, FaultPlan(seed=3, transient_rate=0.2))
         collector = FeedCollector(chaos, store, client,
                                   backoff=BackoffPolicy(max_attempts=2))
@@ -266,14 +268,14 @@ class TestFeedCollector:
         assert store.report_count == 100
 
     def test_persist_and_resume(self, service, tmp_path):
-        feed, store, client = self._pipeline(service)
+        feed, store, client, archive = self._pipeline(service)
         ckpt_path = tmp_path / "ckpt.json"
         store_path = tmp_path / "store.rpr"
         collector = FeedCollector(feed, store, client,
                                   checkpoint_path=ckpt_path,
                                   store_path=store_path, persist_every=1)
-        _upload(service, "a", 0)
-        _upload(service, "b", 1)
+        _upload(service, "a", 0, archive, feed)
+        _upload(service, "b", 1, archive, feed)
         collector.step(0)
         collector.step(1)
         assert ckpt_path.exists() and store_path.exists()
@@ -291,18 +293,18 @@ class TestFeedCollector:
 
     def test_persist_makes_the_store_durable_first(self, service, tmp_path,
                                                    sync_log):
-        feed, store, client = self._pipeline(service)
+        feed, store, client, archive = self._pipeline(service)
         collector = FeedCollector(feed, store, client,
                                   checkpoint_path=tmp_path / "ckpt.json",
                                   store_path=tmp_path / "store.rpr")
-        _upload(service, "a", 0)
+        _upload(service, "a", 0, archive, feed)
         collector.step(0)
         collector.persist()
         assert sync_log == ["fsync file", "replace store.rpr", "fsync dir",
                             "fsync file", "replace ckpt.json", "fsync dir"]
 
     def test_resume_with_mismatched_store_raises(self, service, tmp_path):
-        feed, store, client = self._pipeline(service)
+        feed, store, client, archive = self._pipeline(service)
         ckpt = Checkpoint(last_minute=10, report_count=999)
         ckpt_path = tmp_path / "ckpt.json"
         save_checkpoint(ckpt, ckpt_path)
@@ -310,9 +312,9 @@ class TestFeedCollector:
             FeedCollector(feed, store, client, checkpoint_path=ckpt_path)
 
     def test_finalize_backfills_pending_gaps(self, service):
-        feed, store, client = self._pipeline(service)
+        feed, store, client, archive = self._pipeline(service)
         collector = FeedCollector(feed, store, client)
-        _upload(service, "a", 0)
+        _upload(service, "a", 0, archive, feed)
         feed.drop_before(1)  # lose the delivery, as an outage would
         collector.step(0)
         collector.checkpoint.add_gap(0, 1)

@@ -82,7 +82,6 @@ class TestResilienceErrors:
         assert "503" in str(errors.ServiceUnavailableError())
 
     def test_feed_errors(self):
-        assert issubclass(errors.FeedNotAttachedError, errors.VTError)
         assert issubclass(errors.ArchiveExpiredError, errors.VTError)
         expired = errors.ArchiveExpiredError(minute=5, horizon=100)
         assert expired.minute == 5 and expired.horizon == 100

@@ -35,10 +35,14 @@ def service():
     return VirusTotalService(seed=8)
 
 
-def _upload(service, token, when):
+def _upload(service, token, when, *sinks):
+    """Upload a new sample and publish its report to each feed."""
     s = Sample(sha256=sha256_of(token), file_type="TXT",
                malicious=False, first_seen=when)
-    return service.upload(s, when)
+    report = service.upload(s, when)
+    for sink in sinks:
+        sink.publish([report])
+    return report
 
 
 class TestOutageWindow:
@@ -195,14 +199,16 @@ class TestInjectors:
 
 
 class TestChaosFeed:
-    def _feed(self, service, plan):
-        return ChaosFeed(PremiumFeed(service), plan)
+    def _feed(self, plan):
+        """A chaos feed and the feed it wraps, which reports are
+        published to."""
+        inner = PremiumFeed()
+        return ChaosFeed(inner, plan), inner
 
     def test_outage_loses_reports_and_raises(self, service):
         plan = FaultPlan(outages=(OutageWindow(100, 200),))
-        feed = self._feed(service, plan)
-        feed.attach()
-        _upload(service, "a", 150)
+        feed, inner = self._feed(plan)
+        _upload(service, "a", 150, inner)
         with pytest.raises(ServiceUnavailableError):
             feed.poll(until_minute=151)
         assert feed.reports_lost_to_outage == 1
@@ -211,10 +217,9 @@ class TestChaosFeed:
 
     def test_outage_spares_later_reports(self, service):
         plan = FaultPlan(outages=(OutageWindow(100, 200),))
-        feed = self._feed(service, plan)
-        feed.attach()
-        _upload(service, "a", 150)
-        _upload(service, "b", 250)
+        feed, inner = self._feed(plan)
+        _upload(service, "a", 150, inner)
+        _upload(service, "b", 250, inner)
         with pytest.raises(ServiceUnavailableError):
             feed.poll(until_minute=151)
         batch = feed.poll(until_minute=251)
@@ -222,9 +227,8 @@ class TestChaosFeed:
 
     def test_transient_failures_then_success(self, service):
         plan = FaultPlan(transient_rate=1.0, max_consecutive_failures=2)
-        feed = self._feed(service, plan)
-        feed.attach()
-        _upload(service, "a", 50)
+        feed, inner = self._feed(plan)
+        _upload(service, "a", 50, inner)
         for _ in range(2):
             with pytest.raises(TransientError):
                 feed.poll(until_minute=51)
@@ -234,8 +238,7 @@ class TestChaosFeed:
 
     def test_transient_status_codes(self, service):
         plan = FaultPlan(transient_rate=1.0, max_consecutive_failures=2)
-        feed = self._feed(service, plan)
-        feed.attach()
+        feed, _ = self._feed(plan)
         with pytest.raises(TransientError) as first:
             feed.poll(until_minute=1)
         with pytest.raises(TransientError) as second:
@@ -247,8 +250,7 @@ class TestChaosFeed:
         # The second attempt's 500 is as common as two independent
         # failures in a row.
         plan = FaultPlan(seed=3, transient_rate=0.2)
-        feed = self._feed(service, plan)
-        feed.attach()
+        feed, _ = self._feed(plan)
         statuses = []
         for minute in range(1, 2001):
             while True:
@@ -261,18 +263,16 @@ class TestChaosFeed:
 
     def test_duplicates_are_appended(self, service):
         plan = FaultPlan(duplicate_rate=1.0)
-        feed = self._feed(service, plan)
-        feed.attach()
-        _upload(service, "a", 50)
+        feed, inner = self._feed(plan)
+        _upload(service, "a", 50, inner)
         batch = feed.poll(until_minute=51)
         assert len(batch) == 2 and batch[0] == batch[1]
         assert feed.reports_duplicated == 1
 
     def test_corruption_delivers_bytes(self, service):
         plan = FaultPlan(corrupt_rate=1.0)
-        feed = self._feed(service, plan)
-        feed.attach()
-        _upload(service, "a", 50)
+        feed, inner = self._feed(plan)
+        _upload(service, "a", 50, inner)
         batch = feed.poll(until_minute=51)
         assert len(batch) == 1 and isinstance(batch[0], bytes)
         with pytest.raises(CorruptRecordError):
@@ -281,17 +281,15 @@ class TestChaosFeed:
 
     def test_drops_are_counted(self, service):
         plan = FaultPlan(drop_rate=1.0)
-        feed = self._feed(service, plan)
-        feed.attach()
-        _upload(service, "a", 50)
+        feed, inner = self._feed(plan)
+        _upload(service, "a", 50, inner)
         assert feed.poll(until_minute=51) == []
         assert feed.reports_dropped == 1
 
     def test_passthrough_surface(self, service):
-        feed = self._feed(service, FaultPlan(duplicate_rate=0.5))
-        with feed:
-            _upload(service, "a", 50)
-            assert feed.pending() == 1
+        feed, inner = self._feed(FaultPlan(duplicate_rate=0.5))
+        _upload(service, "a", 50, inner)
+        assert feed.pending() == 1
         assert feed.cursor == 0
         assert feed.batches_served == 0
 
@@ -332,14 +330,14 @@ class TestChaosClient:
 
 class TestChaosWrap:
     def test_disabled_plan_returns_originals(self, service):
-        feed = PremiumFeed(service)
+        feed = PremiumFeed()
         store = ReportStore()
         client = VTClient(service, premium=True)
         for plan in (None, FaultPlan()):
             assert chaos_wrap(feed, store, client, plan) == (feed, store, client)
 
     def test_enabled_plan_wraps(self, service):
-        feed = PremiumFeed(service)
+        feed = PremiumFeed()
         store = ReportStore()
         client = VTClient(service, premium=True)
         cfeed, cstore, cclient = chaos_wrap(feed, store, client,
@@ -349,6 +347,6 @@ class TestChaosWrap:
         assert isinstance(cclient, ChaosClient)
 
     def test_none_client_stays_none(self, service):
-        _, _, cclient = chaos_wrap(PremiumFeed(service), ReportStore(), None,
+        _, _, cclient = chaos_wrap(PremiumFeed(), ReportStore(), None,
                                    standard_chaos_plan())
         assert cclient is None

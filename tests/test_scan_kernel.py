@@ -1,16 +1,17 @@
 """Differential tests: the simulator's scan kernel against per-report oracles.
 
-``VirusTotalService._scan`` answers every analysis — ``upload``/``rescan``
-one scan at a time, ``scan_batch`` over whole schedules of many samples —
-from compiled plan and version tables and one ``getrandbits`` draw per
-sample.  The oracles below are the per-engine loops it replaced, kept
-here unchanged: ``label_at_oracle`` is ``DetectionPlan.label_at``'s old
-transition walk and ``oracle_scan`` is the old ``_analyze`` body (one
-``random()`` per engine, one per fired copy rule, ``label_at`` and
-``version_at`` per engine).  Random plans and schedules go through every
-entry shape, and each scan's labels, versions, AV-Rank, responder count
-and Table 1 fields, the metrics, and every sample's generator state
-afterwards must match the oracles exactly.
+``VirusTotalService.scan_batch`` answers every analysis — ``upload``/
+``rescan`` one scan at a time, ``scan_by_month`` and direct calls over
+whole schedules of many samples — from compiled plan and version tables
+and one ``getrandbits`` draw per sample.  The oracles below are the
+per-engine loops it replaced, kept here unchanged: ``label_at_oracle``
+is ``DetectionPlan.label_at``'s old transition walk and ``oracle_scan``
+is the old ``_analyze`` body (one ``random()`` per engine, one per fired
+copy rule, ``label_at`` and ``version_at`` per engine).  Random plans
+and schedules go through every entry shape, and each scan's labels,
+versions, AV-Rank, responder count and Table 1 fields, the metrics, and
+every sample's generator state afterwards must match the oracles
+exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError, NotFoundError
 from repro.obs import MetricsRegistry
-from repro.vt.behavior import DetectionPlan, build_plan
+from repro.store.columnar import month_indices
+from repro.vt.behavior import DetectionPlan, PlanTable, build_plan
 from repro.vt.engines import CopyRule, Engine, EngineFleet, default_fleet
 from repro.vt.samples import Sample, sha256_of
 from repro.vt.service import VirusTotalService, random_doubles
@@ -250,7 +252,7 @@ def _check_state(samples, oracle_samples, service, oracle_scans):
         assert sample.last_submission_date == expected.last_submission_date
         assert sample.last_analysis_date == expected.last_analysis_date
         last = scans[-1]
-        report = service.report(sample.sha256)
+        report = service.report(sample.sha256, sample.last_analysis_date)
         assert report.labels == last.labels
         assert report.versions == last.versions
         assert (report.positives, report.total) == (last.positives, last.total)
@@ -313,6 +315,39 @@ class TestKernelMatchesOracle:
             batch = service.scan_batch([sample], [len(c.times)], c.times,
                                        [c.upload])
             _check_batch(batch, fleet, [c], [sample_scans])
+        _check_state(samples, oracle_samples, service, scans)
+        assert _histograms(registry) == _histograms(expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_cases())
+    def test_scan_by_month(self, case):
+        """Whole schedules through ``scan_by_month``: every scan once, in
+        ``(scan_time, sample, ordinal)`` order, one batch per month."""
+        name, cases = case
+        fleet = FLEETS[name]
+        service, samples, registry = _service(fleet, cases)
+        oracle_samples, scans, expected = _oracle(fleet, cases)
+        months = service.scan_by_month(
+            samples, [len(c.times) for c in cases],
+            [t for c in cases for t in c.times], [c.upload for c in cases])
+        got = [(month, batch.report(slot), int(owner[slot]))
+               for month, batch, owner in months
+               for slot in range(len(batch))]
+        events = sorted((when, s, j) for s, c in enumerate(cases)
+                        for j, when in enumerate(c.times))
+        assert [owner for _, _, owner in got] == [s for _, s, _ in events]
+        assert [month for month, _, _ in got] == month_indices(
+            np.array([when for when, _, _ in events])).tolist()
+        for (_, report, _), (when, s, j) in zip(got, events, strict=True):
+            scan = scans[s][j]
+            assert report.sha256 == samples[s].sha256
+            assert report.scan_time == report.last_analysis_date == when
+            assert report.labels == scan.labels
+            assert report.versions == scan.versions
+            assert (report.positives, report.total) == (scan.positives,
+                                                        scan.total)
+            assert report.last_submission_date == scan.last_submission
+            assert report.times_submitted == scan.times_submitted
         _check_state(samples, oracle_samples, service, scans)
         assert _histograms(registry) == _histograms(expected)
 
@@ -388,14 +423,6 @@ class TestEdges:
         assert sample_labels(scans, 2, (5, 9)) <= {1, _TIMEOUT}
         assert sample_labels(scans, 3, (5,)) <= {0, _TIMEOUT}
 
-    def test_batch_refuses_attached_listeners(self):
-        fleet = FLEETS["small"]
-        case = SampleCase({}, {}, 1, [10], True, 0, None, None)
-        service, samples, _ = _service(fleet, [case])
-        service.add_listener(lambda report: None)
-        with pytest.raises(ConfigError, match="listener"):
-            service.scan_batch(samples, [1], [10], [True])
-
     @pytest.mark.parametrize("counts, times, uploads", [
         ([1, 0], [10], [True, True]),          # an empty schedule
         ([1, 1], [10], [True, True]),          # too few times
@@ -423,14 +450,53 @@ class TestEdges:
         assert service.reports_generated == 0
         assert registry.counter("vt.report.total").value == 0
         with pytest.raises(NotFoundError):
-            service.report(samples[0].sha256)
+            service.report(samples[0].sha256, 10)
+
+
+class TestScanByMonth:
+    def test_unscanned_samples_are_skipped(self):
+        fleet = FLEETS["small"]
+        case = SampleCase({}, {}, 1, [10], True, 0, None, None)
+        service, samples, _ = _service(fleet, [case, case, case])
+        months = list(service.scan_by_month(samples, [2, 0, 1], [40, 60, 50],
+                                            [True, True, False]))
+        assert len(months) == 1
+        _, batch, owner = months[0]
+        assert owner.tolist() == [0, 2, 0]
+        assert batch.scan_time.tolist() == [40, 50, 60]
+        assert service.reports_generated == 3
+        assert samples[1].last_analysis_date is None
+        with pytest.raises(NotFoundError):
+            service.report(samples[1].sha256, 100)
+
+    def test_nothing_to_scan(self):
+        fleet = FLEETS["small"]
+        case = SampleCase({}, {}, 1, [10], True, 0, None, None)
+        service, samples, _ = _service(fleet, [case])
+        assert list(service.scan_by_month(samples, [0], [], [True])) == []
+        assert list(service.scan_by_month([], [], [], [])) == []
+        assert service.reports_generated == 0
+
+    @pytest.mark.parametrize("counts, times, uploads", [
+        ([1, -1], [], [True, True]),           # a negative count
+        ([1, 1], [10], [True, True]),          # too few times
+        ([2], [10, 20], [True, True]),         # fewer counts than samples
+        ([1, 1], [10, 20], [True]),            # fewer upload flags
+    ])
+    def test_rejects_inconsistent_schedules(self, counts, times, uploads):
+        fleet = FLEETS["small"]
+        case = SampleCase({}, {}, 1, [10], True, 0, None, None)
+        service, samples, _ = _service(fleet, [case, case])
+        with pytest.raises(ConfigError):
+            service.scan_by_month(samples, counts, times, uploads)
+        assert service.reports_generated == 0
 
 
 class TestDroppedPlan:
-    """A batch builds each plan it needs, draws from it and lets it go;
-    a later scan rebuilds the plan and skips the ``scan_draws`` doubles
-    already drawn.  Every scan must equal a twin's whose plan stayed
-    attached throughout."""
+    """A scan call builds each plan it needs, draws from it and lets it
+    go; a later scan rebuilds the plan and skips the ``scan_draws``
+    doubles already drawn.  Every scan must equal a twin's whose plan
+    stayed attached throughout."""
 
     def test_rebuilt_plan_resumes_the_stream(self):
         fleet = FLEETS["default"]
@@ -456,16 +522,14 @@ class TestDroppedPlan:
             assert sample.plan is None
             assert np.array_equal(batch.labels, expected.labels)
             assert np.array_equal(batch.total, expected.total)
-            assert service.report(sample.sha256) == twin_service.report(
-                twin.sha256)
+            assert (service.report(sample.sha256, schedule[-1])
+                    == twin_service.report(twin.sha256, schedule[-1]))
         assert sample.scan_draws == twin.scan_draws == 5 * per_scan
 
         for when in (90_000, 91_000, 200_000):
             assert (service.rescan(sample.sha256, when)
                     == twin_service.rescan(twin.sha256, when))
-        # The one-scan path keeps the plan it builds for the next scan.
-        assert sample.plan is not None
-        assert sample.plan.scan_rng.getstate() == twin.plan.scan_rng.getstate()
+            assert sample.plan is None
         assert sample.scan_draws == twin.scan_draws == 8 * per_scan
 
 
@@ -504,7 +568,7 @@ def test_label_at_matches_transition_walk(plan):
     for idx in range(12):
         for t in range(-52, 53):
             assert plan.label_at(idx, t) == label_at_oracle(plan, idx, t)
-    table = plan.compile(10)
+    table = PlanTable.compile(plan, 10)
     rows = np.frombuffer(table.rows, np.uint8).reshape(-1, 10)
     assert list(table.times) == sorted(set(table.times))
     assert len(rows) == len(table.times) + 1

@@ -56,15 +56,33 @@ class TestAnalysis:
         s = _sample()
         first = service.upload(s, s.first_seen)
         generated = service.reports_generated
-        got = service.report(s.sha256)
+        got = service.report(s.sha256, s.first_seen + 100)
         assert got == first
         assert service.reports_generated == generated
+
+    def test_report_is_the_latest_analysis_at_or_before_now(self, service):
+        """A whole schedule scanned in one call answers as of ``now``:
+        the scan a twin scanned call by call had last made by then."""
+        s = _sample()
+        service.register(s)
+        t = s.first_seen
+        service.scan_batch([s], [3], [t, t + 100, t + 200], [True])
+        twin_service = VirusTotalService(seed=3)
+        twin = _sample()
+        expected = [twin_service.upload(twin, t),
+                    twin_service.rescan(twin.sha256, t + 100),
+                    twin_service.rescan(twin.sha256, t + 200)]
+        with pytest.raises(NotFoundError):
+            service.report(s.sha256, t - 1)
+        assert service.report(s.sha256, t) == expected[0]
+        assert service.report(s.sha256, t + 199) == expected[1]
+        assert service.report(s.sha256, t + 10_000) == expected[2]
 
     def test_report_without_analysis_raises(self, service):
         s = _sample()
         service.register(s)
         with pytest.raises(NotFoundError):
-            service.report(s.sha256)
+            service.report(s.sha256, s.first_seen)
 
     def test_positives_counts_malicious_labels(self, service):
         s = _sample()
@@ -85,17 +103,6 @@ class TestAnalysis:
             s = _sample(f"ben{i}", malicious=False)
             ranks.append(service.upload(s, s.first_seen).positives)
         assert sum(1 for r in ranks if r == 0) >= 25
-
-    def test_listener_receives_each_report(self, service):
-        seen = []
-        service.add_listener(seen.append)
-        s = _sample()
-        service.upload(s, s.first_seen)
-        service.rescan(s.sha256, s.first_seen + 100)
-        assert len(seen) == 2
-        service.remove_listener(seen.append)
-        service.rescan(s.sha256, s.first_seen + 200)
-        assert len(seen) == 2
 
     def test_scans_are_deterministic_given_schedule(self):
         def run():
@@ -144,7 +151,7 @@ class TestTable1Semantics:
         s = _sample()
         t1 = s.first_seen
         uploaded = service.upload(s, t1)
-        fetched = service.report(s.sha256)
+        fetched = service.report(s.sha256, t1)
         assert fetched.last_analysis_date == uploaded.last_analysis_date
         assert fetched.last_submission_date == uploaded.last_submission_date
         assert fetched.times_submitted == uploaded.times_submitted

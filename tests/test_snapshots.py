@@ -3,7 +3,10 @@
 import pytest
 
 from repro.core.avrank import AVRankSeries
+from repro.analysis.experiment import run_experiment
 from repro.errors import ConfigError
+from repro.synth.population import PopulationGenerator
+from repro.synth.scenario import dynamics_scenario
 from repro.vt.clock import MINUTES_PER_DAY
 from repro.vt.samples import Sample, sha256_of
 from repro.vt.service import VirusTotalService
@@ -62,12 +65,31 @@ class TestCampaign:
     def test_validation(self, service):
         with pytest.raises(ConfigError):
             SnapshotCampaign(service, cadence_days=0)
+        with pytest.raises(ConfigError):  # rounds under a minute apart
+            SnapshotCampaign(service, cadence_days=0.0005)
         with pytest.raises(ConfigError):
             SnapshotCampaign(service, duration_days=-1)
         with pytest.raises(ConfigError):
             SnapshotCampaign(service, scan_minute=99999)
         with pytest.raises(ConfigError):
             SnapshotCampaign(service).run([])
+
+    def test_store_pinned(self):
+        """The store of ``compare_protocols(dynamics_scenario(600, seed=7),
+        snapshot_samples=100, duration_days=60)``: its roster, daily
+        rounds from day 30, reports in ingest order."""
+        config = dynamics_scenario(600, seed=7)
+        organic = run_experiment(config)
+        roster = [organic.service.get_sample(spec.sample.sha256)
+                  for spec in PopulationGenerator(config)
+                  if 0 <= spec.sample.first_seen <= 30 * MINUTES_PER_DAY]
+        assert len(roster) == 29
+        campaign = SnapshotCampaign(organic.service, duration_days=60)
+        store = campaign.run(roster, start_day=30.0)
+        store.close()
+        assert campaign.snapshots_taken == 61
+        assert store.report_count == 1_769
+        assert store.digest().startswith("2ada85e21259")
 
     def test_dense_snapshots_capture_growth(self, service):
         """Daily snapshots should see the AV-Rank climb of fresh malware
